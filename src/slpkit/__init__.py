@@ -5,12 +5,11 @@ family, and spectral verification of every construction."""
 from . import special  # registers besselj/bessely with the expression layer
 from .errors import NumericalError
 from .expr import ExpressionAST, EvalDomainError, ParseError, parse
-from .problems import (BoundaryCoeffs, CanonicalSLP, DIRICHLET, PaineSpec,
-                       SchrodingerSLP, Spectrum, Violation, paine_schrodinger,
-                       validate)
+from .problems import (CanonicalSLP, PaineSpec, SchrodingerSLP, Spectrum,
+                       Violation, paine_schrodinger, validate)
 from .liouville import (QuadratureError, TabulatedInvariant, TransformError,
                         TransformMap, build_map, forward_transform,
-                        invariant_at_x, invert_map, reduce_constant_coeff)
+                        invariant_at_x, reduce_constant_coeff)
 from .inverse import (CASE_LABELS, ConstructionError, IndicialRoots,
                       InverseResult, ValidityInfo, build_case, case1_build,
                       case2_build, case3_build, case4_build, case4_general,
@@ -25,8 +24,8 @@ from .verify import (VerificationReport, asymptotic_profile,
                      roundtrip_invariant, spectral_match)
 
 __all__ = [
-    "BoundaryCoeffs", "BowmanParams", "CanonicalSLP", "CASE_LABELS",
-    "ConstructionError", "DIRICHLET", "EvalDomainError", "ExpressionAST",
+    "BowmanParams", "CanonicalSLP", "CASE_LABELS",
+    "ConstructionError", "EvalDomainError", "ExpressionAST",
     "IndicialRoots", "InverseResult", "NumericalError", "PaineSpec",
     "ParseError", "QuadratureError", "SchrodingerSLP", "SolverError",
     "SpecialFunctionError", "Spectrum", "SymTridiag", "TabulatedInvariant",
@@ -36,7 +35,7 @@ __all__ = [
     "build_map", "case1_build", "case2_build", "case3_build", "case4_build",
     "case4_general", "discretize_canonical", "discretize_schrodinger",
     "eig_bisect", "forward_transform", "gamma_fn", "indicial_roots",
-    "invariant_at_x", "invert_map", "paine_schrodinger", "parse",
+    "invariant_at_x", "paine_schrodinger", "parse",
     "reduce_constant_coeff", "roundtrip_invariant", "solve_spectrum",
     "spectral_match", "sturm_count", "validate",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import _serialize
@@ -27,8 +26,7 @@ from .expr import parse as parse_expr
 from .eigensolver import solve_spectrum
 from .inverse import CASE_LABELS, build_case
 from .liouville import forward_transform
-from .problems import (CanonicalSLP, DIRICHLET, PaineSpec, SchrodingerSLP,
-                       validate)
+from .problems import CanonicalSLP, PaineSpec, SchrodingerSLP, validate
 from .verify import spectral_match
 
 
@@ -68,13 +66,13 @@ def load_problem(path: str):
             p=parse_expr(str(coeffs["p"]), "x"),
             q=parse_expr(str(coeffs["q"]), "x"),
             r=parse_expr(str(coeffs["r"]), "x"),
-            a=lo, b=hi, left=DIRICHLET, right=DIRICHLET)
+            a=lo, b=hi)
     else:
         if "invariant" not in coeffs:
             raise ProblemFileError(f"{path}: schrodinger form needs coefficients.invariant")
         problem = SchrodingerSLP(
             invariant=parse_expr(str(coeffs["invariant"]), "t"),
-            alpha=lo, beta=hi, left=DIRICHLET, right=DIRICHLET)
+            alpha=lo, beta=hi)
     bad = validate(problem)
     if bad:
         raise ProblemFileError(f"{path}: " + "; ".join(str(v) for v in bad))
@@ -110,8 +108,9 @@ def _cmd_transform(args) -> int:
     payload = {
         "alpha": reduced.alpha,
         "beta": reduced.beta,
-        "left_bc": [reduced.left.d0, reduced.left.d1],
-        "right_bc": [reduced.right.d0, reduced.right.d1],
+        # (d0, d1) of d0*u - d1*p*u' = 0: both forms carry Dirichlet conditions
+        "left_bc": [1.0, 0.0],
+        "right_bc": [1.0, 0.0],
         "samples": samples,
         "t": ts,
         "invariant": values,
@@ -127,23 +126,15 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _spec_from_args(args) -> PaineSpec:
-    return PaineSpec(args.k, args.m)
-
-
 def _build_from_args(args):
-    k34_branch = "power"
-    branch = args.branch
-    variant = args.variant
-    if args.case == "case1" and variant in ("power", "exponential"):
-        k34_branch = variant
-    return build_case(
-        args.case, _spec_from_args(args), q0=args.q0, r0=args.r0, C1=args.C1,
-        x0=args.x0, branch=branch, k34_branch=k34_branch, n_r=args.nr)
+    spec = PaineSpec(args.k, args.m)
+    return spec, build_case(
+        args.case, spec, q0=args.q0, r0=args.r0, C1=args.C1, x0=args.x0,
+        branch=args.branch, k34_branch=args.variant, n_r=args.nr)
 
 
 def _cmd_invert(args) -> int:
-    result = _build_from_args(args)
+    _, result = _build_from_args(args)
     _emit(_serialize.inverse_result_dict(result))
     for warning in result.validity.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -151,9 +142,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = _build_from_args(args)
-    report = spectral_match(result, _spec_from_args(args),
-                            count=args.count, n=args.n)
+    spec, result = _build_from_args(args)
+    report = spectral_match(result, spec, count=args.count, n=args.n)
     _emit(_serialize.report_dict(report))
     return 0 if report.passed else 1
 
@@ -187,10 +177,9 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--C1", type=float, default=None)
         cmd.add_argument("--x0", type=float, default=None)
         cmd.add_argument("--branch", choices=["plus", "minus"], default="plus")
-        cmd.add_argument("--variant",
-                         choices=["auto", "A1", "A2", "B", "C1", "C2",
-                                  "power", "exponential"],
-                         default="auto")
+        # case1 at k = 3/4: the rho = 3/2 power form or the exponential form
+        cmd.add_argument("--variant", choices=["power", "exponential"],
+                         default="power")
         cmd.add_argument("--nr", type=float, default=None)
 
     invert = sub.add_parser("invert", help="construct a canonical form")

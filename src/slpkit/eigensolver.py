@@ -1,14 +1,12 @@
 """Finite-difference discretization and Sturm-sequence bisection.
 
 Both problem forms reduce to a symmetric tridiagonal matrix on a uniform
-interior grid (Dirichlet rows only in this version).  Eigenvalues come from
-bisection on the Sturm sign count -- the number of negative pivots of the
-shifted LDL^T recurrence equals the number of eigenvalues below the shift --
-bracketed from Gershgorin bounds.  Richardson extrapolation across n and 2n
-cancels the leading O(h^2) error of the second-order schemes.
-
-The sign-count kernel is compiled with numba when available and falls back
-to pure Python otherwise.
+interior grid; the Dirichlet conditions of the problem records drop the
+boundary nodes.  Eigenvalues come from bisection on the Sturm sign count --
+the number of negative pivots of the shifted LDL^T recurrence equals the
+number of eigenvalues below the shift -- bracketed from Gershgorin bounds.
+Richardson extrapolation across n and 2n cancels the leading O(h^2) error
+of the second-order schemes.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ class SymTridiag:
         return full
 
 
-def _sturm_counts_py(d, e2, shifts, pivmin):
+def _sturm_counts(d, e2, shifts, pivmin):
     out = np.empty(shifts.shape[0], dtype=np.int64)
     for k in range(shifts.shape[0]):
         sigma = shifts[k]
@@ -74,14 +72,6 @@ def _sturm_counts_py(d, e2, shifts, pivmin):
                 cnt += 1
         out[k] = cnt
     return out
-
-
-try:  # optional acceleration; identical arithmetic either way
-    from numba import njit
-
-    _sturm_counts = njit(cache=True)(_sturm_counts_py)
-except ImportError:  # pragma: no cover
-    _sturm_counts = _sturm_counts_py
 
 
 def _pivmin(e2: np.ndarray) -> float:
@@ -136,17 +126,10 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10) -> list:
 # discretizations
 
 
-def _require_dirichlet(problem) -> None:
-    if not (problem.left.is_dirichlet() and problem.right.is_dirichlet()):
-        raise DiscretizationError(
-            "only Dirichlet boundary coefficients are discretized in this version")
-
-
 def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
     """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2."""
     if n < 3:
         raise DiscretizationError(f"n must be at least 3, got {n}")
-    _require_dirichlet(problem)
     h = (problem.beta - problem.alpha) / (n + 1)
     diag = np.empty(n)
     inv_h2 = 1.0 / (h * h)
@@ -167,7 +150,6 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
     """
     if n < 3:
         raise DiscretizationError(f"n must be at least 3, got {n}")
-    _require_dirichlet(problem)
     a, b = problem.a, problem.b
     h = (b - a) / (n + 1)
     pm = np.empty(n + 1)

@@ -623,21 +623,3 @@ def parse(source: str, variable: str = "x") -> ExpressionAST:
     if not source or not source.strip():
         raise ParseError("empty expression", source, 0)
     return ExpressionAST(_Parser(source, variable).parse(), variable)
-
-
-def evaluate(ast: ExpressionAST, x: float) -> float:
-    return ast.evaluate(x)
-
-
-def differentiate(ast: ExpressionAST) -> ExpressionAST:
-    return ast.differentiate()
-
-
-# convenience constructors used by the inverse-construction code
-
-def const(value: float) -> Node:
-    return Const(float(value))
-
-
-def var() -> Node:
-    return Var()

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import (Add, Call, Const, Div, Mul, Pow, Sub, Var, ExpressionAST)
+from .expr import Add, Call, Const, Mul, Pow, Sub, Var, ExpressionAST
 from .liouville import TransformMap, weight_ast
-from .problems import CanonicalSLP, DIRICHLET, PaineSpec, validate
-from .special import bessel_j_zeros, bessel_y_zeros, gamma_fn
+from .problems import CanonicalSLP, PaineSpec, validate
+from .special import bessel_j, bessel_j_zeros, bessel_y, bessel_y_zeros, gamma_fn
 
 CASE_LABELS = ("case1", "case2-A1", "case2-A2", "case2-B", "case2-C1",
                "case2-C2", "case3-J", "case3-Y", "case4", "case4-general")
@@ -114,7 +114,7 @@ def _finish(case_label: str, p, q, r, a: float, b: float, t_ast, x_ast,
             exact: bool, validity: ValidityInfo, extras: dict) -> InverseResult:
     if not a < b:
         raise ConstructionError(f"{case_label}: interval inversion, a={a!r} >= b={b!r}")
-    canonical = CanonicalSLP(p=p, q=q, r=r, a=a, b=b, left=DIRICHLET, right=DIRICHLET)
+    canonical = CanonicalSLP(p=p, q=q, r=r, a=a, b=b)
     bad = validate(canonical)
     if bad:
         raise ConstructionError(
@@ -462,8 +462,8 @@ def case3_build(spec: PaineSpec, q0: float, r0: float, shift: float = 0.0,
         extras = {"x0": shift, "q0": q0, "r0": r0, "k": k, "m": m, "nu": nu,
                   "gamma_triangle": gt, "gamma_diamond": gamma_diamond,
                   "tau_bar_min": tau_bar_lo, "tau_bar_max": tau_bar_hi,
-                  "delta0": tau_bar_lo * _j_sq(nu, tau_bar_lo),
-                  "gamma0": tau_bar_hi * _j_sq(nu, tau_bar_hi)}
+                  "delta0": tau_bar_lo * bessel_j(nu, tau_bar_lo) ** 2,
+                  "gamma0": tau_bar_hi * bessel_j(nu, tau_bar_hi) ** 2}
         return _finish(label, p, _const_ast(q0), _const_ast(r0), a, b, t_ast, x_ast, False,
                        ValidityInfo(None, trust[0], trust[1], tuple(warnings)), extras)
 
@@ -484,20 +484,10 @@ def case3_build(spec: PaineSpec, q0: float, r0: float, shift: float = 0.0,
     trust = (max(0.0, trust_lo), math.pi) if trust_lo < math.pi else (None, None)
     extras = {"x1": shift, "q0": q0, "r0": r0, "k": k, "m": m, "nu": nu,
               "tau_bar_min": tau_bar_lo, "tau_bar_max": tau_bar_hi,
-              "delta0": tau_bar_lo * _y_sq(nu, tau_bar_lo),
-              "gamma0": tau_bar_hi * _y_sq(nu, tau_bar_hi)}
+              "delta0": tau_bar_lo * bessel_y(nu, tau_bar_lo) ** 2,
+              "gamma0": tau_bar_hi * bessel_y(nu, tau_bar_hi) ** 2}
     return _finish(label, p, _const_ast(q0), _const_ast(r0), a, b, t_ast, x_ast, False,
                    ValidityInfo(None, trust[0], trust[1], tuple(warnings)), extras)
-
-
-def _j_sq(nu: float, z: float) -> float:
-    from .special import bessel_j
-    return bessel_j(nu, z) ** 2
-
-
-def _y_sq(nu: float, z: float) -> float:
-    from .special import bessel_y
-    return bessel_y(nu, z) ** 2
 
 
 # ---------------------------------------------------------------------------

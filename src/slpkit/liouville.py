@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .expr import Call, Const, Div, Mul, Pow, Var, ExpressionAST, ExprError
-from .problems import (BoundaryCoeffs, CanonicalSLP, SchrodingerSLP, DIRICHLET,
-                       validate)
+from .problems import CanonicalSLP, SchrodingerSLP, validate
 
 
 class TransformError(ValueError):
@@ -191,11 +190,6 @@ class TransformMap:
         return x
 
 
-def invert_map(map_: TransformMap, t: float) -> float:
-    """x such that t_of_x(x) = t, to 1e-12*(1+|t|)."""
-    return map_.x_of_t(t)
-
-
 # ---------------------------------------------------------------------------
 # map construction
 
@@ -306,13 +300,12 @@ def _cached_evaluator(problem: CanonicalSLP) -> _InvariantEvaluator:
     return _InvariantEvaluator(problem)
 
 
-def invariant_at_x(problem: CanonicalSLP, map_: TransformMap, x: float) -> float:
-    """The reduced-form potential evaluated at t = t_of_x(x).
+def invariant_at_x(problem: CanonicalSLP, x: float) -> float:
+    """The reduced-form potential I at t = t(x), for any Liouville map of problem.
 
     The value is computed purely from p, q, r and their symbolic
     derivatives at x; the map fixes only where on the t-axis it lives.
     """
-    del map_  # position on the t-axis is the caller's concern
     return _cached_evaluator(problem).value(float(x))
 
 
@@ -322,7 +315,7 @@ class TabulatedInvariant:
     def __init__(self, problem: CanonicalSLP, map_: TransformMap):
         self.problem = problem
         self.map = map_
-        self._eval = _InvariantEvaluator(problem)
+        self._eval = _cached_evaluator(problem)
 
     def evaluate(self, t: float) -> float:
         return self._eval.value(self.map.x_of_t(t))
@@ -335,28 +328,15 @@ class TabulatedInvariant:
 def forward_transform(problem: CanonicalSLP, quad_tol: float = 1e-10):
     """Canonical -> reduced form; returns (SchrodingerSLP, TransformMap).
 
-    Boundary coefficients transform as d2 = d0*w^2 - d1*p*w*w' evaluated at
-    the endpoint (Dirichlet input stays Dirichlet and is renormalized to
-    (1, 0)).
+    u = w v vanishes exactly where v does (w > 0), so the Dirichlet
+    conditions of the canonical problem carry over to the reduced one.
     """
     map_ = build_map(problem, quad_tol)
     alpha, beta = map_.domain_t
-    w = map_.w_of_x
-    wp = w.differentiate()
-
-    def transform_bc(bc: BoundaryCoeffs, x: float) -> BoundaryCoeffs:
-        if bc.d1 == 0.0:
-            return DIRICHLET
-        wv = w.evaluate(x)
-        d2 = bc.d0 * wv * wv - bc.d1 * problem.p.evaluate(x) * wv * wp.evaluate(x)
-        return BoundaryCoeffs(d2, bc.d1)
-
     reduced = SchrodingerSLP(
         invariant=TabulatedInvariant(problem, map_),
         alpha=alpha,
         beta=beta,
-        left=transform_bc(problem.left, problem.a),
-        right=transform_bc(problem.right, problem.b),
     )
     return reduced, map_
 
@@ -377,6 +357,4 @@ def reduce_constant_coeff(problem: CanonicalSLP) -> SchrodingerSLP:
         invariant=potential,
         alpha=eta * problem.a,
         beta=eta * problem.b,
-        left=problem.left,
-        right=problem.right,
     )

@@ -1,9 +1,10 @@
 """Problem records for both forms of the Sturm-Liouville problem.
 
 A canonical problem is -(p u')' + q u = lambda r u on (a, b); the reduced
-(Schrodinger) problem is -v'' + I(t) v = lambda v on (alpha, beta).  Boundary
-conditions are stored in the sign convention d0*u(a) - d1*p(a)*u'(a) = 0,
-with Dirichlet normalized to (1, 0).
+(Schrodinger) problem is -v'' + I(t) v = lambda v on (alpha, beta).  Both
+carry Dirichlet conditions at both endpoints, the only conditions the
+transformation, the inverse constructions and the eigensolver handle, so
+the records store no boundary coefficients.
 
 Validation is deliberately sampling-based: coefficient expressions are
 opaque, so positivity of p and r (and evaluability of I) is checked on a
@@ -19,28 +20,12 @@ from .expr import Const, Add, Div, Pow, Var, ExpressionAST, ExprError
 
 
 @dataclass(frozen=True)
-class BoundaryCoeffs:
-    """(d0, d1) in d0*u - d1*p*u' = 0; must not both vanish."""
-
-    d0: float
-    d1: float
-
-    def is_dirichlet(self) -> bool:
-        return self.d1 == 0.0 and self.d0 != 0.0
-
-
-DIRICHLET = BoundaryCoeffs(1.0, 0.0)
-
-
-@dataclass(frozen=True)
 class CanonicalSLP:
     p: ExpressionAST
     q: ExpressionAST
     r: ExpressionAST
     a: float
     b: float
-    left: BoundaryCoeffs = DIRICHLET
-    right: BoundaryCoeffs = DIRICHLET
 
 
 @dataclass(frozen=True)
@@ -54,8 +39,6 @@ class SchrodingerSLP:
     invariant: object
     alpha: float
     beta: float
-    left: BoundaryCoeffs = DIRICHLET
-    right: BoundaryCoeffs = DIRICHLET
 
 
 @dataclass(frozen=True)
@@ -107,11 +90,6 @@ def _check_interval(lo: float, hi: float, out: list) -> None:
         out.append(Violation("interval", f"left endpoint must be below right, got [{lo}, {hi}]"))
 
 
-def _check_bc(name: str, bc: BoundaryCoeffs, out: list) -> None:
-    if bc.d0 == 0.0 and bc.d1 == 0.0:
-        out.append(Violation("bc", f"{name} boundary coefficients are both zero"))
-
-
 def _sample_positive(name: str, fn: ExpressionAST, lo: float, hi: float,
                      samples: int, out: list) -> None:
     for i in range(samples):
@@ -133,15 +111,11 @@ def validate(problem, samples: int = 201) -> list:
     out: list = []
     if isinstance(problem, CanonicalSLP):
         _check_interval(problem.a, problem.b, out)
-        _check_bc("left", problem.left, out)
-        _check_bc("right", problem.right, out)
         if not out:
             _sample_positive("p", problem.p, problem.a, problem.b, samples, out)
             _sample_positive("r", problem.r, problem.a, problem.b, samples, out)
     elif isinstance(problem, SchrodingerSLP):
         _check_interval(problem.alpha, problem.beta, out)
-        _check_bc("left", problem.left, out)
-        _check_bc("right", problem.right, out)
         if not out:
             for i in range(samples):
                 t = problem.alpha + (problem.beta - problem.alpha) * i / (samples - 1)
@@ -162,6 +136,4 @@ def paine_schrodinger(spec: PaineSpec) -> SchrodingerSLP:
         invariant=ExpressionAST(root, "t"),
         alpha=0.0,
         beta=math.pi,
-        left=DIRICHLET,
-        right=DIRICHLET,
     )

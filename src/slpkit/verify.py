@@ -10,7 +10,6 @@ their gaps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .eigensolver import solve_spectrum
@@ -36,18 +35,25 @@ class VerificationReport:
     parameters: dict
 
 
+def _residual_profile(result: InverseResult, spec: PaineSpec, samples: int) -> list:
+    """(t, |I(x(t)) - k/(t+m)^2|) at `samples` equispaced interior t-points."""
+    alpha, beta = result.map.domain_t
+    profile = []
+    for j in range(1, samples + 1):
+        t = alpha + (beta - alpha) * j / (samples + 1)
+        value = invariant_at_x(result.canonical, result.map.x_of_t(t))
+        profile.append((t, abs(value - spec.k / (t + spec.m) ** 2)))
+    return profile
+
+
 def roundtrip_invariant(result: InverseResult, spec: PaineSpec,
                         samples: int = 101) -> float:
     """Sup over interior t-points of |I(x(t)) - k/(t+m)^2|."""
     if samples < 11:
         raise ValueError(f"samples must be at least 11, got {samples}")
-    alpha, beta = result.map.domain_t
     sup = 0.0
-    for j in range(1, samples + 1):
-        t = alpha + (beta - alpha) * j / (samples + 1)
-        x = result.map.x_of_t(t)
-        value = invariant_at_x(result.canonical, result.map, x)
-        sup = max(sup, abs(value - spec.k / (t + spec.m) ** 2))
+    for _, gap in _residual_profile(result, spec, samples):
+        sup = max(sup, gap)
     return sup
 
 
@@ -103,11 +109,4 @@ def asymptotic_profile(result: InverseResult, spec: PaineSpec,
     """
     if result.exact:
         raise ValueError("asymptotic_profile expects an asymptotic construction")
-    alpha, beta = result.map.domain_t
-    profile = []
-    for j in range(1, samples + 1):
-        t = alpha + (beta - alpha) * j / (samples + 1)
-        x = result.map.x_of_t(t)
-        value = invariant_at_x(result.canonical, result.map, x)
-        profile.append((t, abs(value - spec.k / (t + spec.m) ** 2)))
-    return profile
+    return _residual_profile(result, spec, samples)

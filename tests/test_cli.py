@@ -174,6 +174,20 @@ def test_invert_unknown_case_label(capsys):
     capsys.readouterr()
 
 
+def test_invert_variant_selects_case1_k34_form(capsys):
+    argv = ["invert", "case1", "--k", "0.75", "--m", "1", "--r0", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--variant", "exponential")
+    assert code == 0
+    assert json.loads(out)["p"] == "exp(-2*x)"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["p"] == "(4*x)^1.5"  # the default power form
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--variant", "A1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_invert_asymptotic_warns_on_stderr(capsys):
     code, out, err = run_cli(capsys, "invert", "case3-Y", "--k", "0.75",
                              "--q0", "1", "--r0", "1", "--m", "0.1")

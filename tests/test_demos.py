@@ -1,0 +1,27 @@
+"""Smoke test: the narrative demos run start to end against the public API.
+
+05_spectral_verification.py is left out; its n=2000 spectral matches take
+about ten times as long as the other four together.
+"""
+
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", [
+    "01_expressions_and_derivatives.py",
+    "02_forward_transform.py",
+    "03_exact_inversions.py",
+    "04_asymptotic_inversions.py",
+])
+def test_demo_runs(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert out.getvalue()

@@ -159,11 +159,6 @@ def test_cross_form_eigenvalues_case4():
 
 
 def test_discretization_requires_dirichlet_and_size():
-    from slpkit.problems import BoundaryCoeffs
-    robin = SchrodingerSLP(parse("0", "t"), 0.0, PI,
-                           left=BoundaryCoeffs(1.0, 0.5))
-    with pytest.raises(DiscretizationError):
-        discretize_schrodinger(robin, 50)
     with pytest.raises(DiscretizationError):
         discretize_schrodinger(free_particle(), 2)
 

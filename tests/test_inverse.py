@@ -18,7 +18,7 @@ def roundtrip(result, spec, samples=101):
     for j in range(1, samples + 1):
         t = PI * j / (samples + 1)
         x = result.map.x_of_t(t)
-        sup = max(sup, abs(invariant_at_x(result.canonical, result.map, x)
+        sup = max(sup, abs(invariant_at_x(result.canonical, x)
                            - spec.k / (t + spec.m) ** 2))
     return sup
 

@@ -6,10 +6,9 @@ import pytest
 from slpkit.expr import parse
 from slpkit.inverse import case1_build, case4_build
 from slpkit.liouville import (QuadratureError, TransformError, build_map,
-                              forward_transform, invariant_at_x, invert_map,
+                              forward_transform, invariant_at_x,
                               reduce_constant_coeff)
-from slpkit.problems import (CanonicalSLP, DIRICHLET, PaineSpec,
-                             paine_schrodinger, validate)
+from slpkit.problems import CanonicalSLP, PaineSpec, validate
 
 PI = math.pi
 
@@ -74,28 +73,23 @@ def test_build_map_reports_divergent_integrand():
 
 def test_invariant_constant_coefficients():
     prob = canonical()
-    m = build_map(prob, 1e-10)
     for x in (0.1, 1.0, 2.9):
-        assert invariant_at_x(prob, m, x) == pytest.approx(0.0, abs=1e-13)
-    prob5 = canonical(q="5")
-    m5 = build_map(prob5, 1e-10)
-    assert invariant_at_x(prob5, m5, 1.3) == pytest.approx(5.0, abs=1e-12)
+        assert invariant_at_x(prob, x) == pytest.approx(0.0, abs=1e-13)
+    assert invariant_at_x(canonical(q="5"), 1.3) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_invariant_case4_matches_target():
     prob = classical_case4()
-    m = build_map(prob, 1e-10)
     s = math.sqrt(0.2)
     x = 0.5
     t = -0.1 + (x + s) ** 2 / 2  # closed-form map
-    assert abs(invariant_at_x(prob, m, x) - 1.0 / (t + 0.1) ** 2) <= 1e-8
+    assert abs(invariant_at_x(prob, x) - 1.0 / (t + 0.1) ** 2) <= 1e-8
 
 
 def test_forward_transform_identity_problem():
     reduced, m = forward_transform(canonical(), 1e-10)
     assert reduced.alpha == 0.0
     assert reduced.beta == pytest.approx(PI, abs=1e-12)
-    assert reduced.left == DIRICHLET and reduced.right == DIRICHLET
     for j in range(1, 102):
         t = PI * j / 102
         assert abs(reduced.invariant.evaluate(t)) <= 1e-12
@@ -138,23 +132,17 @@ def test_reduce_constant_coeff():
         reduce_constant_coeff(canonical(p="x+1"))
 
 
-def test_invert_map_examples():
+def test_x_of_t_examples():
     ident = build_map(canonical(), 1e-10)
-    assert invert_map(ident, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert invert_map(ident, 0.0) == 0.0  # endpoint pinning
+    assert ident.x_of_t(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert ident.x_of_t(0.0) == 0.0  # endpoint pinning
 
     res = case4_build(PaineSpec(1.0, 0.1), C1=2.0)
     b_expected = math.sqrt(2 * PI + 0.2) - math.sqrt(0.2)
-    assert abs(invert_map(res.map, PI) - b_expected) <= 1e-10
+    assert abs(res.map.x_of_t(PI) - b_expected) <= 1e-10
 
     with pytest.raises(TransformError):
-        invert_map(ident, 4.0)
-
-
-def test_dirichlet_in_dirichlet_out():
-    reduced, _ = forward_transform(classical_case4(), 1e-10)
-    assert reduced.left.d1 == 0.0 and reduced.right.d1 == 0.0
-    assert reduced.left == DIRICHLET
+        ident.x_of_t(4.0)
 
 
 def test_schrodinger_invariant_wrapper_validates():

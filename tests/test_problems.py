@@ -3,13 +3,12 @@ import math
 import pytest
 
 from slpkit.expr import parse
-from slpkit.problems import (BoundaryCoeffs, CanonicalSLP, DIRICHLET,
-                             PaineSpec, SchrodingerSLP, Spectrum,
+from slpkit.problems import (CanonicalSLP, PaineSpec, SchrodingerSLP, Spectrum,
                              paine_schrodinger, validate)
 
 
-def canonical(p="1", q="0", r="1", a=0.0, b=math.pi, left=DIRICHLET, right=DIRICHLET):
-    return CanonicalSLP(parse(p), parse(q), parse(r), a, b, left, right)
+def canonical(p="1", q="0", r="1", a=0.0, b=math.pi):
+    return CanonicalSLP(parse(p), parse(q), parse(r), a, b)
 
 
 def test_validate_accepts_constant_problem():
@@ -19,11 +18,6 @@ def test_validate_accepts_constant_problem():
 def test_validate_flags_sign_changing_weight():
     bad = validate(canonical(r="x", a=-1.0, b=1.0))
     assert any(v.code == "positivity" for v in bad)
-
-
-def test_validate_flags_degenerate_bc():
-    bad = validate(canonical(left=BoundaryCoeffs(0.0, 0.0)))
-    assert any(v.code == "bc" for v in bad)
 
 
 def test_validate_flags_bad_interval():
@@ -50,7 +44,6 @@ def test_paine_schrodinger_values():
     assert prob.invariant.evaluate(0.0) == pytest.approx(100.0)
     assert prob.invariant.evaluate(math.pi) == pytest.approx(1.0 / (math.pi + 0.1) ** 2)
     assert prob.alpha == 0.0 and prob.beta == math.pi
-    assert prob.left == DIRICHLET and prob.right == DIRICHLET
     assert validate(prob) == []
 
     assert paine_schrodinger(PaineSpec(2.0, 1.0)).invariant.evaluate(0.0) == pytest.approx(2.0)

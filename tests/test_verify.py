@@ -6,7 +6,7 @@ from slpkit.expr import parse
 from slpkit.inverse import (InverseResult, ValidityInfo, build_case,
                             case2_build, case3_build, case4_build)
 from slpkit.liouville import TransformMap, weight_ast
-from slpkit.problems import CanonicalSLP, DIRICHLET, PaineSpec
+from slpkit.problems import CanonicalSLP, PaineSpec
 from slpkit.verify import (asymptotic_profile, roundtrip_invariant,
                            spectral_match)
 
@@ -110,7 +110,7 @@ def test_asymptotic_profile_c1_expansion_point_value():
         res = case2_build(spec, q0=q0, variant="C1")
         from slpkit.liouville import invariant_at_x
         x_at_0 = res.map.x_of_t(0.0)
-        value = invariant_at_x(res.canonical, res.map, x_at_0)
+        value = invariant_at_x(res.canonical, x_at_0)
         assert abs(value - spec.k / spec.m**2) == pytest.approx(0.5, abs=1e-9)
 
 
