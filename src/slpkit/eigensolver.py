@@ -5,6 +5,9 @@ interior grid; the Dirichlet conditions of the problem records drop the
 boundary nodes.  Eigenvalues come from bisection on the Sturm sign count --
 the number of negative pivots of the shifted LDL^T recurrence equals the
 number of eigenvalues below the shift -- bracketed from Gershgorin bounds.
+The count runs on Python floats (the matrix is converted once per bisection),
+and each bisection pass counts every distinct midpoint once: brackets that
+have not separated yet share a midpoint and so share its count.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
 of the second-order schemes.
 """
@@ -54,35 +57,42 @@ class SymTridiag:
         return full
 
 
-def _sturm_counts(d, e2, shifts, pivmin):
-    out = np.empty(shifts.shape[0], dtype=np.int64)
-    for k in range(shifts.shape[0]):
-        sigma = shifts[k]
+def _sturm_counts(rows, shifts, pivmin):
+    """Sign counts of the shifted LDL^T pivots, one per shift.
+
+    `rows` is the list of (d_i, e_{i-1}^2) pairs, with e_{-1}^2 = 0, as
+    Python floats: the recurrence runs on plain floats, which is the same
+    IEEE arithmetic as numpy scalars without boxing a scalar per step.
+    """
+    out = []
+    for sigma in shifts:
         cnt = 0
-        q = d[0] - sigma
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            cnt += 1
-        for i in range(1, d.shape[0]):
-            q = d[i] - sigma - e2[i - 1] / q
+        q = 1.0  # with e_{-1}^2 = 0 the first pivot is d_0 - sigma exactly
+        for di, ei in rows:
+            q = di - sigma - ei / q
             if abs(q) < pivmin:
                 q = -pivmin
             if q < 0.0:
                 cnt += 1
-        out[k] = cnt
+        out.append(cnt)
     return out
 
 
 def _pivmin(e2: np.ndarray) -> float:
     scale = float(e2.max()) if len(e2) else 1.0
-    return np.finfo(float).tiny * max(1.0, scale)
+    return float(np.finfo(float).tiny * max(1.0, scale))
+
+
+def _sturm_rows(T: SymTridiag):
+    """The kernel's input: (d_i, e_{i-1}^2) pairs as floats, and pivmin."""
+    e2 = T.offdiag * T.offdiag
+    return list(zip(T.diag.tolist(), [0.0] + e2.tolist())), _pivmin(e2)
 
 
 def sturm_count(T: SymTridiag, sigma: float) -> int:
     """Number of eigenvalues of T strictly below the shift."""
-    e2 = T.offdiag * T.offdiag
-    return int(_sturm_counts(T.diag, e2, np.array([float(sigma)]), _pivmin(e2))[0])
+    rows, pivmin = _sturm_rows(T)
+    return _sturm_counts(rows, [float(sigma)], pivmin)[0]
 
 
 def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10) -> list:
@@ -93,8 +103,7 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10) -> list:
     if tol <= 0.0:
         raise DiscretizationError(f"tol must be positive, got {tol}")
     d = T.diag
-    e2 = T.offdiag * T.offdiag
-    pivmin = _pivmin(e2)
+    rows, pivmin = _sturm_rows(T)
     radius = np.zeros(n)
     if n > 1:
         absed = np.abs(T.offdiag)
@@ -110,7 +119,10 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10) -> list:
         if (hi - lo <= tol).all():
             break
         mid = 0.5 * (lo + hi)
-        above = _sturm_counts(d, e2, mid, pivmin) > want
+        # brackets share midpoints until they separate; count each once
+        shifts, where = np.unique(mid, return_inverse=True)
+        counts = np.array(_sturm_counts(rows, shifts.tolist(), pivmin))
+        above = counts[where] > want
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     else:

@@ -41,30 +41,30 @@ class QuadratureError(NumericalError):
 # adaptive Simpson quadrature
 
 
+def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth, max_depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = fn(lm), fn(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - estimate
+    # second condition: rounding floor, the estimate cannot improve further
+    if abs(delta) <= 15.0 * eps or abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right)):
+        return left + right + delta / 15.0
+    if depth >= max_depth:
+        raise QuadratureError("quadrature did not converge", a, b)
+    half = 0.5 * eps
+    return (_simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1, max_depth)
+            + _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1, max_depth))
+
+
 def _adaptive_simpson(fn, lo, hi, tol, max_depth=48):
     flo, fhi = fn(lo), fn(hi)
     mid = 0.5 * (lo + hi)
     fmid = fn(mid)
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(a, b, fa, fm, fb, estimate, eps, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - estimate
-        # second condition: rounding floor, the estimate cannot improve further
-        if abs(delta) <= 15.0 * eps or abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right)):
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise QuadratureError("quadrature did not converge", a, b)
-        half = 0.5 * eps
-        return (recurse(a, m, fa, flm, fm, left, half, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, half, depth + 1))
-
-    return recurse(lo, hi, flo, fmid, fhi, whole, tol, 0)
+    return _simpson_step(fn, lo, hi, flo, fmid, fhi, whole, tol, 0, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,8 @@ class TransformMap:
             slope = _hermite_slope(x, *args)
             step = x - f / slope if slope > 0.0 else None
             x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-        return x
+        raise NumericalError(f"x_of_t did not converge at t={t!r}: |t(x) - t| = "
+                             f"{abs(float(f))!r} after 120 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +234,23 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10,
     cell_tol = quad_tol / ncells
 
     cells: list = []  # (x1, integral) with x0 implicit from the previous entry
-
-    def refine(x0, x1, s0, s1, depth):
-        xm = 0.5 * (x0 + x1)
-        left = _adaptive_simpson(sigma, x0, xm, 0.5 * cell_tol)
-        right = _adaptive_simpson(sigma, xm, x1, 0.5 * cell_tol)
-        sm = sigma(xm)
-        predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
-        if abs(predicted - left) <= quad_tol or depth >= 45:
-            cells.append((x1, left + right))
-            return
-        refine(x0, xm, s0, sm, depth + 1)
-        refine(xm, x1, sm, s1, depth + 1)
-
     grid = np.linspace(a, b, base_nodes)
     svals = [sigma(float(x)) for x in grid]
     for i in range(ncells):
-        refine(float(grid[i]), float(grid[i + 1]), svals[i], svals[i + 1], 0)
+        # depth-first, left half first, so cells come out in x order
+        stack = [(float(grid[i]), float(grid[i + 1]), svals[i], svals[i + 1], 0)]
+        while stack:
+            x0, x1, s0, s1, depth = stack.pop()
+            xm = 0.5 * (x0 + x1)
+            left = _adaptive_simpson(sigma, x0, xm, 0.5 * cell_tol)
+            right = _adaptive_simpson(sigma, xm, x1, 0.5 * cell_tol)
+            sm = sigma(xm)
+            predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
+            if abs(predicted - left) <= quad_tol or depth >= 45:
+                cells.append((x1, left + right))
+            else:
+                stack.append((xm, x1, sm, s1, depth + 1))
+                stack.append((x0, xm, s0, sm, depth + 1))
 
     xs = np.empty(len(cells) + 1)
     ts = np.empty(len(cells) + 1)

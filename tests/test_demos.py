@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demos run start to end against the public API.
-
-05_spectral_verification.py is left out; its n=2000 spectral matches take
-about ten times as long as the other four together.
-"""
+"""Smoke test: the narrative demos run start to end against the public API."""
 
 import contextlib
 import io
@@ -19,6 +15,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "02_forward_transform.py",
     "03_exact_inversions.py",
     "04_asymptotic_inversions.py",
+    "05_spectral_verification.py",
 ])
 def test_demo_runs(name):
     out = io.StringIO()

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
+                                _sturm_counts, _sturm_rows,
                                 discretize_canonical, discretize_schrodinger,
                                 eig_bisect, laplacian_eigenvalue,
                                 solve_spectrum, sturm_count)
@@ -56,6 +59,7 @@ def test_paine_discretization_magnitude():
 def test_eig_bisect_duplicates_from_decoupled_blocks():
     T = SymTridiag(np.array([2.0, 2.0]), np.array([0.0]))
     assert eig_bisect(T, 2, tol=1e-12) == pytest.approx([2.0, 2.0], abs=1e-10)
+    assert eig_bisect(T, 2, tol=1e-12) == oracle_eig_bisect(T, 2, tol=1e-12)
 
 
 def test_eig_bisect_against_dense_oracle():
@@ -171,3 +175,109 @@ def test_fine_grid_coefficient_failures_surface_as_solver_errors():
     assert validate(dip) == []  # 201-point sampling misses the dip
     with pytest.raises(SolverError):
         discretize_canonical(dip, 1999)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the original numpy-scalar bisection, bit for bit
+
+
+def oracle_sturm_counts(d, e2, shifts, pivmin):
+    """The recurrence on numpy scalars, one index per step."""
+    out = np.empty(shifts.shape[0], dtype=np.int64)
+    for k in range(shifts.shape[0]):
+        sigma = shifts[k]
+        cnt = 0
+        q = d[0] - sigma
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            cnt += 1
+        for i in range(1, d.shape[0]):
+            q = d[i] - sigma - e2[i - 1] / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            if q < 0.0:
+                cnt += 1
+        out[k] = cnt
+    return out
+
+
+def oracle_pivmin(e2):
+    return np.finfo(float).tiny * max(1.0, float(e2.max()) if len(e2) else 1.0)
+
+
+def oracle_eig_bisect(T, count, tol=1e-10):
+    """Bisection that counts every bracket's midpoint, shared or not."""
+    d = T.diag
+    e2 = T.offdiag * T.offdiag
+    pivmin = oracle_pivmin(e2)
+    radius = np.zeros(T.n)
+    if T.n > 1:
+        radius[:-1] += np.abs(T.offdiag)
+        radius[1:] += np.abs(T.offdiag)
+    glo = float((d - radius).min())
+    ghi = float((d + radius).max())
+    pad = 1e-10 * max(1.0, abs(glo), abs(ghi))
+    lo = np.full(count, glo - pad)
+    hi = np.full(count, ghi + pad)
+    want = np.arange(count)
+    for _ in range(200):
+        if (hi - lo <= tol).all():
+            break
+        mid = 0.5 * (lo + hi)
+        above = oracle_sturm_counts(d, e2, mid, pivmin) > want
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return sorted(float(v) for v in 0.5 * (lo + hi))
+
+
+# small integers make exact zeros and exact cancellations; TINY and 0.7 TINY
+# make pivots on and just under pivmin: the clamp's edge
+TINY = float(np.finfo(float).tiny)
+entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, TINY, -0.7 * TINY]),
+                    st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False))
+
+
+def assert_counts_match_oracle(T, shifts):
+    e2 = T.offdiag * T.offdiag
+    expected = oracle_sturm_counts(T.diag, e2, np.array(shifts), oracle_pivmin(e2))
+    rows, pivmin = _sturm_rows(T)
+    assert _sturm_counts(rows, shifts, pivmin) == expected.tolist()
+
+
+@st.composite
+def tridiagonals(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    return SymTridiag(np.array(diag), np.array(off))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sturm_counts_match_numpy_scalar_oracle(data):
+    T = data.draw(tridiagonals())
+    # shifts on the diagonal entries hit zero pivots; repeats come in pairs
+    pool = st.one_of(st.sampled_from(T.diag.tolist()), entries)
+    shifts = data.draw(st.lists(pool, min_size=1, max_size=8))
+    shifts += shifts[:data.draw(st.integers(0, len(shifts)))]
+    assert_counts_match_oracle(T, shifts)
+
+
+@pytest.mark.parametrize("pivot", [0.0, -0.0, 0.7 * TINY, TINY, -TINY, 2.0 * TINY])
+def test_sturm_counts_match_oracle_at_the_pivmin_edge(pivot):
+    T = SymTridiag(np.array([pivot, 1.0, pivot]), np.array([0.5, 0.5]))
+    assert_counts_match_oracle(T, [0.0, 0.0, 1.0, pivot])
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=tridiagonals(max_n=12), data=st.data())
+def test_eig_bisect_matches_oracle_bisection(T, data):
+    count = data.draw(st.integers(1, T.n))
+    assert eig_bisect(T, count, tol=1e-12) == oracle_eig_bisect(T, count, tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [200, 401])
+def test_eig_bisect_bit_identical_on_paine(n):
+    T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), n)
+    assert eig_bisect(T, 5) == oracle_eig_bisect(T, 5)

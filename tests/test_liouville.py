@@ -1,12 +1,14 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from slpkit.errors import NumericalError
 from slpkit.expr import parse
 from slpkit.inverse import case1_build, case4_build
-from slpkit.liouville import (QuadratureError, TransformError, build_map,
-                              forward_transform, invariant_at_x,
+from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
+                              build_map, forward_transform, invariant_at_x,
                               reduce_constant_coeff)
 from slpkit.problems import CanonicalSLP, PaineSpec, validate
 
@@ -143,6 +145,25 @@ def test_x_of_t_examples():
 
     with pytest.raises(TransformError):
         ident.x_of_t(4.0)
+
+
+def test_x_of_t_raises_instead_of_returning_an_unconverged_point():
+    # at x ~ 1000 a 1e-6 cell cannot resolve t to 1e-13: the best point is
+    # ~6e-8 off, and x_of_t must say so rather than return it
+    steep = TransformMap.tabulated([1000.0, 1000.0 + 1e-6], [0.0, 1.0],
+                                   [1e6, 1e6], parse("1", "x"))
+    with pytest.raises(NumericalError, match=r"t=0\.5"):
+        steep.x_of_t(0.5)
+
+
+def test_forward_transform_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        forward_transform(classical_case4(), 1e-10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_schrodinger_invariant_wrapper_validates():
