@@ -13,6 +13,7 @@ resulting potential is exactly the reciprocal-quadratic 1/(t+0.1)^2 on
 import math
 
 from slpkit import CanonicalSLP, forward_transform, parse, validate
+from slpkit.liouville import weight_ast
 
 s = math.sqrt(0.2)
 b = math.sqrt(2 * math.pi + 0.2) - s
@@ -41,4 +42,4 @@ t_probe = 1.234
 x_probe = xmap.x_of_t(t_probe)
 print(f"\nmap self-consistency at t={t_probe}: |t(x(t)) - t| ="
       f" {abs(xmap.t_of_x(x_probe) - t_probe):.2e}")
-print(f"w(x) = (p r)^(-1/4) as an expression: {xmap.w_of_x}")
+print(f"w(x) = (p r)^(-1/4) as an expression: {weight_ast(problem)}")

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import Add, Call, Const, Mul, Pow, Sub, Var, ExpressionAST
-from .liouville import TransformMap, weight_ast
+from .liouville import TransformMap
 from .problems import CanonicalSLP, PaineSpec, validate
 from .special import bessel_j, bessel_j_zeros, bessel_y, bessel_y_zeros, gamma_fn
 
@@ -120,10 +120,7 @@ def _finish(case_label: str, p, q, r, a: float, b: float, t_ast, x_ast,
         raise ConstructionError(
             f"{case_label}: constructed problem failed validation: "
             + "; ".join(map(str, bad)))
-    map_ = TransformMap.closed_form(
-        t_fn=t_ast.evaluate, x_fn=x_ast.evaluate, w_of_x=weight_ast(canonical),
-        domain_x=(a, b), domain_t=(0.0, math.pi),
-        t_text=t_ast.to_text(), x_text=x_ast.to_text())
+    map_ = TransformMap.closed_form(t_ast, x_ast, (a, b), (0.0, math.pi))
     extras = {key: float(val) for key, val in extras.items()}
     return InverseResult(canonical=canonical, map=map_, exact=exact,
                          validity=validity, case_label=case_label, extras=extras)

@@ -4,7 +4,8 @@ The change of variable t = integral of sqrt(r/p) dx together with the
 substitution u = w v, w = (p r)^(-1/4), takes a canonical problem to the
 reduced form -v'' + I(t) v = lambda v while preserving eigenvalues.  This
 module builds that map numerically (tabulated with monotone cubic Hermite
-interpolation between nodes, exact slopes sqrt(r/p) at the nodes), exposes
+interpolation between nodes, exact slopes sqrt(r/p) at the nodes; nodes,
+slopes and quadrature come from one sqrt(r/p) evaluation per point), exposes
 the potential I through its x-space expression, and inverts the map.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
@@ -14,6 +15,7 @@ increasing and interval orientation is preserved.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,8 +42,10 @@ class QuadratureError(NumericalError):
 # ---------------------------------------------------------------------------
 # adaptive Simpson quadrature
 
+_MAX_DEPTH = 48
 
-def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth, max_depth):
+
+def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -52,19 +56,18 @@ def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth, max_depth):
     # second condition: rounding floor, the estimate cannot improve further
     if abs(delta) <= 15.0 * eps or abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right)):
         return left + right + delta / 15.0
-    if depth >= max_depth:
+    if depth >= _MAX_DEPTH:
         raise QuadratureError("quadrature did not converge", a, b)
     half = 0.5 * eps
-    return (_simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1, max_depth)
-            + _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1, max_depth))
+    return (_simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+            + _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1))
 
 
-def _adaptive_simpson(fn, lo, hi, tol, max_depth=48):
-    flo, fhi = fn(lo), fn(hi)
-    mid = 0.5 * (lo + hi)
-    fmid = fn(mid)
+def _adaptive_simpson(fn, lo, hi, flo, fhi, tol):
+    """Integral of fn over [lo, hi]; flo and fhi are fn(lo) and fn(hi)."""
+    fmid = fn(0.5 * (lo + hi))
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return _simpson_step(fn, lo, hi, flo, fmid, fhi, whole, tol, 0, max_depth)
+    return _simpson_step(fn, lo, hi, flo, fmid, fhi, whole, tol, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,35 +91,37 @@ def _hermite_slope(x, x0, x1, t0, t1, d0, d1):
             + t1 * (6 * s - 6 * s2) / h + d1 * (3 * s2 - 2 * s))
 
 
+def _clip(name, value, domain, rel):
+    lo, hi = domain
+    span = hi - lo
+    if value < lo - rel * (1 + abs(lo) + span) or value > hi + rel * (1 + abs(hi) + span):
+        raise TransformError(f"{name}={value!r} outside map domain [{lo!r}, {hi!r}]")
+    return min(max(value, lo), hi)
+
+
 @dataclass
 class TransformMap:
     """The x <-> t correspondence of a Liouville transformation.
 
-    Either closed form (t_fn/x_fn callables, exact=True) or tabulated
-    (strictly increasing node arrays with clamped Hermite interpolation).
+    Either closed form (expression trees for t(x) and x(t)) or tabulated
+    (strictly increasing node lists with clamped Hermite interpolation).
     Endpoints are pinned: t_of_x(a) = alpha and t_of_x(b) = beta exactly.
     """
 
-    w_of_x: ExpressionAST
     domain_x: tuple
     domain_t: tuple
-    exact: bool
-    _t_fn: object = None
-    _x_fn: object = None
-    _xs: object = None
-    _ts: object = None
-    _ds: object = None
-    t_text: str | None = None
-    x_text: str | None = None
+    _t_ast: ExpressionAST | None = None
+    _x_ast: ExpressionAST | None = None
+    _xs: list | None = None
+    _ts: list | None = None
+    _ds: list | None = None
 
     @classmethod
-    def closed_form(cls, t_fn, x_fn, w_of_x, domain_x, domain_t,
-                    t_text=None, x_text=None):
-        return cls(w_of_x=w_of_x, domain_x=tuple(domain_x), domain_t=tuple(domain_t),
-                   exact=True, _t_fn=t_fn, _x_fn=x_fn, t_text=t_text, x_text=x_text)
+    def closed_form(cls, t_ast, x_ast, domain_x, domain_t):
+        return cls(tuple(domain_x), tuple(domain_t), _t_ast=t_ast, _x_ast=x_ast)
 
     @classmethod
-    def tabulated(cls, xs, ts, slopes, w_of_x):
+    def tabulated(cls, xs, ts, slopes):
         xs = np.asarray(xs, dtype=float)
         ts = np.asarray(ts, dtype=float)
         ds = np.asarray(slopes, dtype=float)
@@ -128,52 +133,44 @@ class TransformMap:
         limit = 3.0 * np.minimum(np.concatenate([sec[:1], sec]),
                                  np.concatenate([sec, sec[-1:]]))
         ds = np.minimum(ds, limit)
-        return cls(w_of_x=w_of_x, domain_x=(float(xs[0]), float(xs[-1])),
-                   domain_t=(float(ts[0]), float(ts[-1])), exact=False,
-                   _xs=xs, _ts=ts, _ds=ds)
+        xs, ts = xs.tolist(), ts.tolist()
+        return cls((xs[0], xs[-1]), (ts[0], ts[-1]),
+                   _xs=xs, _ts=ts, _ds=ds.tolist())
+
+    @property
+    def t_text(self) -> str | None:
+        return None if self._t_ast is None else self._t_ast.to_text()
+
+    @property
+    def x_text(self) -> str | None:
+        return None if self._x_ast is None else self._x_ast.to_text()
 
     # -- queries ------------------------------------------------------------
 
-    def _clip_x(self, x):
-        a, b = self.domain_x
-        span = b - a
-        if x < a - 1e-12 * (1 + abs(a) + span) or x > b + 1e-12 * (1 + abs(b) + span):
-            raise TransformError(f"x={x!r} outside map domain [{a!r}, {b!r}]")
-        return min(max(x, a), b)
-
-    def _clip_t(self, t):
-        alpha, beta = self.domain_t
-        span = beta - alpha
-        if t < alpha - 1e-10 * (1 + abs(alpha) + span) or t > beta + 1e-10 * (1 + abs(beta) + span):
-            raise TransformError(f"t={t!r} outside map domain [{alpha!r}, {beta!r}]")
-        return min(max(t, alpha), beta)
-
     def t_of_x(self, x: float) -> float:
-        x = self._clip_x(float(x))
-        if self._t_fn is not None:
-            return float(self._t_fn(x))
+        x = _clip("x", float(x), self.domain_x, 1e-12)
+        if self._t_ast is not None:
+            return self._t_ast.evaluate(x)
         xs, ts, ds = self._xs, self._ts, self._ds
         if x == xs[0]:
-            return float(ts[0])
+            return ts[0]
         if x == xs[-1]:
-            return float(ts[-1])
-        i = int(np.searchsorted(xs, x, side="right")) - 1
-        i = min(max(i, 0), len(xs) - 2)
+            return ts[-1]
+        i = min(bisect_right(xs, x) - 1, len(xs) - 2)
         return _hermite_value(x, xs[i], xs[i + 1], ts[i], ts[i + 1], ds[i], ds[i + 1])
 
     def x_of_t(self, t: float) -> float:
-        t = self._clip_t(float(t))
-        if self._x_fn is not None:
-            return float(self._x_fn(t))
+        t = _clip("t", float(t), self.domain_t, 1e-10)
+        if self._x_ast is not None:
+            return self._x_ast.evaluate(t)
         xs, ts, ds = self._xs, self._ts, self._ds
         if t == ts[0]:
-            return float(xs[0])
+            return xs[0]
         if t == ts[-1]:
-            return float(xs[-1])
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        args = (xs[i], xs[i + 1], ts[i], ts[i + 1], ds[i], ds[i + 1])
+            return xs[-1]
+        i = min(bisect_right(ts, t) - 1, len(ts) - 2)
+        lo, hi = xs[i], xs[i + 1]
+        args = (lo, hi, ts[i], ts[i + 1], ds[i], ds[i + 1])
         x = 0.5 * (lo + hi)
         target = 1e-13 * (1.0 + abs(t))
         for _ in range(120):
@@ -188,11 +185,13 @@ class TransformMap:
             step = x - f / slope if slope > 0.0 else None
             x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
         raise NumericalError(f"x_of_t did not converge at t={t!r}: |t(x) - t| = "
-                             f"{abs(float(f))!r} after 120 steps")
+                             f"{abs(f)!r} after 120 steps")
 
 
 # ---------------------------------------------------------------------------
 # map construction
+
+_BASE_NODES = 2049
 
 
 def _sigma_ast(problem: CanonicalSLP) -> ExpressionAST:
@@ -207,14 +206,14 @@ def weight_ast(problem: CanonicalSLP) -> ExpressionAST:
                          problem.p.variable_name)
 
 
-def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10,
-              alpha_offset: float = 0.0, base_nodes: int = 2049) -> TransformMap:
-    """Tabulate t(x) = offset + integral_a^x sqrt(r/p) on a refined grid.
+def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
+    """Tabulate t(x) = integral_a^x sqrt(r/p) on a refined grid.
 
     Starts from a uniform grid and bisects any cell whose cubic Hermite
     interpolant misses the quadrature value at the cell midpoint by more
     than quad_tol, so endpoint derivative blow-ups (the power-law maps)
-    stay resolved.
+    stay resolved.  sqrt(r/p) is evaluated once per point: the node slopes
+    and the quadrature share the same values.
     """
     if quad_tol <= 0.0:
         raise TransformError("quad_tol must be positive")
@@ -229,38 +228,31 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10,
         except ExprError as err:
             raise QuadratureError(f"sqrt(r/p) not evaluable mid-integration: {err}", x, x) from None
 
-    a, b = problem.a, problem.b
-    ncells = base_nodes - 1
-    cell_tol = quad_tol / ncells
-
-    cells: list = []  # (x1, integral) with x0 implicit from the previous entry
-    grid = np.linspace(a, b, base_nodes)
-    svals = [sigma(float(x)) for x in grid]
-    for i in range(ncells):
+    half_tol = 0.5 * (quad_tol / (_BASE_NODES - 1))
+    grid = np.linspace(problem.a, problem.b, _BASE_NODES).tolist()
+    # the whole grid first: a failing node is reported before any point between nodes
+    svals = [sigma(x) for x in grid]
+    xs, ts, ds = [grid[0]], [0.0], [svals[0]]
+    t = 0.0
+    for i in range(_BASE_NODES - 1):
         # depth-first, left half first, so cells come out in x order
-        stack = [(float(grid[i]), float(grid[i + 1]), svals[i], svals[i + 1], 0)]
+        stack = [(grid[i], grid[i + 1], svals[i], svals[i + 1], 0)]
         while stack:
             x0, x1, s0, s1, depth = stack.pop()
             xm = 0.5 * (x0 + x1)
-            left = _adaptive_simpson(sigma, x0, xm, 0.5 * cell_tol)
-            right = _adaptive_simpson(sigma, xm, x1, 0.5 * cell_tol)
             sm = sigma(xm)
+            left = _adaptive_simpson(sigma, x0, xm, s0, sm, half_tol)
+            right = _adaptive_simpson(sigma, xm, x1, sm, s1, half_tol)
             predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
             if abs(predicted - left) <= quad_tol or depth >= 45:
-                cells.append((x1, left + right))
+                t += left + right
+                xs.append(x1)
+                ts.append(t)
+                ds.append(s1)
             else:
                 stack.append((xm, x1, sm, s1, depth + 1))
                 stack.append((x0, xm, s0, sm, depth + 1))
-
-    xs = np.empty(len(cells) + 1)
-    ts = np.empty(len(cells) + 1)
-    xs[0], ts[0] = a, alpha_offset
-    acc = alpha_offset
-    for i, (x1, integral) in enumerate(cells):
-        acc += integral
-        xs[i + 1], ts[i + 1] = x1, acc
-    ds = np.array([sigma(float(x)) for x in xs])
-    return TransformMap.tabulated(xs, ts, ds, weight_ast(problem))
+    return TransformMap.tabulated(xs, ts, ds)
 
 
 # ---------------------------------------------------------------------------

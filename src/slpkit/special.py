@@ -310,23 +310,18 @@ def bessel_ode_residual(params: BowmanParams, c1: float, c2: float, x: float,
 # expression-layer hooks: besselj(nu, u), bessely(nu, u) with constant order
 
 
-def _d_besselj(args, dargs):
-    nu = args[0].ev(0.0)
-    inner = args[1]
-    lower = _call("besselj", (Const(nu - 1.0), inner))
-    upper = _call("besselj", (Const(nu + 1.0), inner))
-    return Mul(Mul(Const(0.5), Sub(lower, upper)), dargs[1])
-
-
-def _d_bessely(args, dargs):
-    nu = args[0].ev(0.0)
-    inner = args[1]
-    lower = _call("bessely", (Const(nu - 1.0), inner))
-    upper = _call("bessely", (Const(nu + 1.0), inner))
-    return Mul(Mul(Const(0.5), Sub(lower, upper)), dargs[1])
+def _d_bessel(name):
+    """Derivative hook of name(nu, u): (name(nu-1, u) - name(nu+1, u)) / 2 * u'."""
+    def hook(args, dargs):
+        nu = args[0].ev(0.0)
+        inner = args[1]
+        lower = _call(name, (Const(nu - 1.0), inner))
+        upper = _call(name, (Const(nu + 1.0), inner))
+        return Mul(Mul(Const(0.5), Sub(lower, upper)), dargs[1])
+    return hook
 
 
 register_function(FunctionHook(
-    "besselj", 2, lambda v: bessel_j(v[0], v[1]), _d_besselj, constant_args=(0,)))
+    "besselj", 2, lambda v: bessel_j(v[0], v[1]), _d_bessel("besselj"), constant_args=(0,)))
 register_function(FunctionHook(
-    "bessely", 2, lambda v: bessel_y(v[0], v[1]), _d_bessely, constant_args=(0,)))
+    "bessely", 2, lambda v: bessel_y(v[0], v[1]), _d_bessel("bessely"), constant_args=(0,)))

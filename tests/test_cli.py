@@ -1,11 +1,15 @@
 import csv
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slpkit
 from slpkit.cli import main
 
 PI = math.pi
@@ -255,6 +259,38 @@ def test_repeated_invocations_are_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+# sha256 of stdout and of the CSV for fixed invocations, so a refactor of the
+# map, the solver or the serializer cannot shift a printed digit unnoticed
+PINNED_SHA256 = {
+    "transform": "7a1a6bebe9b10871e73711e763c3bf53ba91414f9c63ec30118a217d53e7af8e",
+    "transform.csv": "55b3c5410e2410ecbedd33a414245af72d47d1e1e561f30ad2a81466e86cfb43",
+    "solve": "921a666bc43bfcef85d722971a5c1edbb9dc7428b9dc70854ef0060502b98d93",
+    "verify": "4f41340134aa90d02990bac97e2e74aac54dc83d5e40a9566565d7aee9958876",
+}
+
+
+def test_outputs_match_pinned_bytes(tmp_path, capsys):
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    csv_path = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, "transform", write(tmp_path, "case4.json", CASE4),
+                           "--csv", str(csv_path))
+    assert code == 0
+    assert sha(out.encode()) == PINNED_SHA256["transform"]
+    assert sha(csv_path.read_bytes()) == PINNED_SHA256["transform.csv"]
+
+    code, out, err = run_cli(capsys, "solve", write(tmp_path, "paine.json", PAINE),
+                             "--n", "200", "--count", "5", "--richardson")
+    assert (code, err) == (0, "")
+    assert sha(out.encode()) == PINNED_SHA256["solve"]
+
+    code, out, err = run_cli(capsys, "verify", "case4", "--k", "1", "--C1", "2",
+                             "--n", "500", "--count", "2")
+    assert (code, err) == (0, "")
+    assert sha(out.encode()) == PINNED_SHA256["verify"]
+
+
 def test_output_schemas(tmp_path, capsys):
     import jsonschema
 
@@ -296,9 +332,13 @@ def test_output_schemas(tmp_path, capsys):
 
 def test_console_script_end_to_end(tmp_path):
     path = write(tmp_path, "free.json", FREE)
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(slpkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "slpkit.cli", "solve", path, "--n", "200",
          "--count", "1", "--richardson"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eigenvalues"][0] == pytest.approx(1.0, abs=1e-6)

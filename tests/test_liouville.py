@@ -1,12 +1,15 @@
 import gc
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slpkit import liouville
 from slpkit.errors import NumericalError
 from slpkit.expr import parse
-from slpkit.inverse import case1_build, case4_build
+from slpkit.inverse import build_case, case1_build, case4_build
 from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
                               build_map, forward_transform, invariant_at_x,
                               reduce_constant_coeff)
@@ -150,8 +153,7 @@ def test_x_of_t_examples():
 def test_x_of_t_raises_instead_of_returning_an_unconverged_point():
     # at x ~ 1000 a 1e-6 cell cannot resolve t to 1e-13: the best point is
     # ~6e-8 off, and x_of_t must say so rather than return it
-    steep = TransformMap.tabulated([1000.0, 1000.0 + 1e-6], [0.0, 1.0],
-                                   [1e6, 1e6], parse("1", "x"))
+    steep = TransformMap.tabulated([1000.0, 1000.0 + 1e-6], [0.0, 1.0], [1e6, 1e6])
     with pytest.raises(NumericalError, match=r"t=0\.5"):
         steep.x_of_t(0.5)
 
@@ -169,3 +171,121 @@ def test_forward_transform_leaves_no_reference_cycles():
 def test_schrodinger_invariant_wrapper_validates():
     reduced, _ = forward_transform(classical_case4(), 1e-10)
     assert validate(reduced) == []
+
+
+# ---------------------------------------------------------------------------
+# reference construction: the earlier build_map, which evaluated sqrt(r/p) up
+# to four times per point; build_map must reproduce its nodes bit for bit
+
+
+def _oracle_simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth, max_depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = fn(lm), fn(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - estimate
+    if abs(delta) <= 15.0 * eps or abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right)):
+        return left + right + delta / 15.0
+    if depth >= max_depth:
+        raise QuadratureError("quadrature did not converge", a, b)
+    half = 0.5 * eps
+    return (_oracle_simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1, max_depth)
+            + _oracle_simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1, max_depth))
+
+
+def _oracle_adaptive_simpson(fn, lo, hi, tol, max_depth=48):
+    flo, fhi = fn(lo), fn(hi)
+    mid = 0.5 * (lo + hi)
+    fmid = fn(mid)
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    return _oracle_simpson_step(fn, lo, hi, flo, fmid, fhi, whole, tol, 0, max_depth)
+
+
+def _oracle_build_map(problem, quad_tol, base_nodes=2049):
+    sigma = liouville._sigma_ast(problem).evaluate
+    a, b = problem.a, problem.b
+    ncells = base_nodes - 1
+    cell_tol = quad_tol / ncells
+    cells = []
+    grid = np.linspace(a, b, base_nodes)
+    svals = [sigma(float(x)) for x in grid]
+    for i in range(ncells):
+        stack = [(float(grid[i]), float(grid[i + 1]), svals[i], svals[i + 1], 0)]
+        while stack:
+            x0, x1, s0, s1, depth = stack.pop()
+            xm = 0.5 * (x0 + x1)
+            left = _oracle_adaptive_simpson(sigma, x0, xm, 0.5 * cell_tol)
+            right = _oracle_adaptive_simpson(sigma, xm, x1, 0.5 * cell_tol)
+            sm = sigma(xm)
+            predicted = liouville._hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
+            if abs(predicted - left) <= quad_tol or depth >= 45:
+                cells.append((x1, left + right))
+            else:
+                stack.append((xm, x1, sm, s1, depth + 1))
+                stack.append((x0, xm, s0, sm, depth + 1))
+    xs = np.empty(len(cells) + 1)
+    ts = np.empty(len(cells) + 1)
+    xs[0], ts[0] = a, 0.0
+    acc = 0.0
+    for i, (x1, integral) in enumerate(cells):
+        acc += integral
+        xs[i + 1], ts[i + 1] = x1, acc
+    ds = np.array([sigma(float(x)) for x in xs])
+    sec = np.diff(ts) / np.diff(xs)
+    limit = 3.0 * np.minimum(np.concatenate([sec[:1], sec]),
+                             np.concatenate([sec, sec[-1:]]))
+    ds = np.minimum(ds, limit)
+    return SimpleNamespace(_xs=xs.tolist(), _ts=ts.tolist(), _ds=ds.tolist())
+
+
+@pytest.mark.parametrize("label, k, params, nodes", [
+    ("case4", 1.0, {"C1": 2.0}, 2049),
+    ("case1", 2.0, {"r0": 1.0}, 3104),
+    ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}, None),
+    ("case4-general", 1.0, {"C1": 2.0, "n_r": 2.99}, None),
+])
+def test_build_map_matches_reference_bit_for_bit(label, k, params, nodes):
+    problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
+    m = build_map(problem, 1e-10)
+    oracle = _oracle_build_map(problem, 1e-10)
+    assert m._xs == oracle._xs
+    assert m._ts == oracle._ts
+    assert m._ds == oracle._ds
+    if nodes is not None:
+        assert len(m._xs) == nodes
+
+
+def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
+    seen = Counter()
+    sigma_ast = liouville._sigma_ast
+
+    class Counting:
+        def __init__(self, expr):
+            self.expr = expr
+
+        def evaluate(self, x):
+            seen[x] += 1
+            return self.expr.evaluate(x)
+
+    monkeypatch.setattr(liouville, "_sigma_ast", lambda problem: Counting(sigma_ast(problem)))
+    m = build_map(classical_case4(), 1e-10)
+    assert len(m._xs) == 2049  # no cell refined
+    assert set(m._xs) <= set(seen)
+    assert max(seen.values()) == 1
+
+
+def _assert_float_queries(m):
+    (a, b), (alpha, beta) = m.domain_x, m.domain_t
+    for x in (a, 0.3 * a + 0.7 * b, b):
+        assert type(m.t_of_x(x)) is float
+    for t in (alpha, 0.7 * alpha + 0.3 * beta, beta):
+        assert type(m.x_of_t(t)) is float
+
+
+def test_map_queries_return_python_floats():
+    _assert_float_queries(build_map(classical_case4(), 1e-10))
+    _assert_float_queries(case4_build(PaineSpec(1.0, 0.1), C1=2.0).map)
+    # a cubic cell the first iterate misses, so x comes from a Newton step
+    _assert_float_queries(TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [0.5, 2.0]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slpkit.expr import parse
 from slpkit.special import (BowmanParams, SpecialFunctionError, bessel_j,
                             bessel_j_zeros, bessel_ode_residual, bessel_y,
                             bessel_y_zeros, gamma_fn)
@@ -123,3 +124,15 @@ def test_zero_finding_matches_literature():
     # y_{1,1..3} = 2.1971413260, 5.4296810407, 8.5960058683
     assert yzeros[0] == pytest.approx(2.1971413260, abs=1e-8)
     assert yzeros[2] == pytest.approx(8.5960058683, abs=1e-8)
+
+
+def test_bessel_derivative_hooks_match_finite_differences():
+    h = 1e-3
+    for name in ("besselj", "bessely"):
+        f = parse(f"{name}(1.5,2*x)")
+        df = f.differentiate()
+        assert df.to_text() == f"0.5*({name}(0.5,2*x)-{name}(2.5,2*x))*2"
+        for x in (0.3, 0.8, 1.7, 3.2, 6.5):
+            fd = (f.evaluate(x - 2 * h) - 8 * f.evaluate(x - h)
+                  + 8 * f.evaluate(x + h) - f.evaluate(x + 2 * h)) / (12 * h)
+            assert df.evaluate(x) == pytest.approx(fd, rel=1e-8, abs=1e-8)

@@ -5,7 +5,7 @@ import pytest
 from slpkit.expr import parse
 from slpkit.inverse import (InverseResult, ValidityInfo, build_case,
                             case2_build, case3_build, case4_build)
-from slpkit.liouville import TransformMap, weight_ast
+from slpkit.liouville import TransformMap
 from slpkit.problems import CanonicalSLP, PaineSpec
 from slpkit.verify import (asymptotic_profile, roundtrip_invariant,
                            spectral_match)
@@ -66,9 +66,7 @@ def test_spectral_match_identity_problem_gaps_vanish():
     spec = PaineSpec(1.0, 0.1)
     q = parse("1/((x+0.1)^2)")
     canonical = CanonicalSLP(parse("1"), q, parse("1"), 0.0, PI)
-    ident = TransformMap.closed_form(
-        t_fn=lambda x: x, x_fn=lambda t: t, w_of_x=weight_ast(canonical),
-        domain_x=(0.0, PI), domain_t=(0.0, PI), t_text="x", x_text="t")
+    ident = TransformMap.closed_form(parse("x"), parse("t", "t"), (0.0, PI), (0.0, PI))
     result = InverseResult(canonical=canonical, map=ident, exact=True,
                            validity=ValidityInfo(None, None, None, ()),
                            case_label="identity", extras={})
