@@ -17,13 +17,25 @@ Trees are never rewritten beyond constant folding: correctness over
 canonical form.  Fractional powers require a positive base at evaluation
 time; evaluation either returns a finite float or raises a domain error
 naming the offending subexpression, never a silent NaN.
+
+Evaluation is compiled: on first use each tree becomes one straight-line
+Python function that performs the same float operations and hook calls, in
+the same order, as a recursive walk of the tree would, without the per-node
+dispatch.  Constant folding goes through the same functions.  The generated
+source depends only on the tree's shape (constants, hooks and nodes are
+bound as globals), and code objects are cached by source, so a new problem
+that differs from an earlier one only in its constants compiles nothing.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
 import re
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 
@@ -58,7 +70,8 @@ def _cbrt(v: float) -> float:
 class Node:
     __slots__ = ()
 
-    def ev(self, x: float) -> float:
+    def emit(self, em: "_Emitter") -> str:
+        """Append this node's statements to em; return the name of its value."""
         raise NotImplementedError
 
     def diff(self) -> "Node":
@@ -78,8 +91,8 @@ class Node:
 class Const(Node):
     value: float
 
-    def ev(self, x):
-        return self.value
+    def emit(self, em):
+        return em.bind("c", self.value)
 
     def diff(self):
         return Const(0.0)
@@ -98,8 +111,8 @@ class Const(Node):
 
 @dataclass(frozen=True, slots=True)
 class Var(Node):
-    def ev(self, x):
-        return x
+    def emit(self, em):
+        return "x"
 
     def diff(self):
         return Const(1.0)
@@ -115,8 +128,8 @@ class Var(Node):
 class Neg(Node):
     a: Node
 
-    def ev(self, x):
-        return -self.a.ev(x)
+    def emit(self, em):
+        return em.assign(f"-{self.a.emit(em)}")
 
     def diff(self):
         return _neg(self.a.diff())
@@ -133,8 +146,9 @@ class Add(Node):
     a: Node
     b: Node
 
-    def ev(self, x):
-        return self.a.ev(x) + self.b.ev(x)
+    def emit(self, em):
+        a = self.a.emit(em)
+        return em.assign(f"{a} + {self.b.emit(em)}")
 
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
@@ -151,8 +165,9 @@ class Sub(Node):
     a: Node
     b: Node
 
-    def ev(self, x):
-        return self.a.ev(x) - self.b.ev(x)
+    def emit(self, em):
+        a = self.a.emit(em)
+        return em.assign(f"{a} - {self.b.emit(em)}")
 
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
@@ -169,8 +184,9 @@ class Mul(Node):
     a: Node
     b: Node
 
-    def ev(self, x):
-        return self.a.ev(x) * self.b.ev(x)
+    def emit(self, em):
+        a = self.a.emit(em)
+        return em.assign(f"{a} * {self.b.emit(em)}")
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
@@ -187,12 +203,12 @@ class Div(Node):
     a: Node
     b: Node
 
-    def ev(self, x):
-        num = self.a.ev(x)
-        den = self.b.ev(x)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", self.text(), x)
-        return num / den
+    def emit(self, em):
+        num = self.a.emit(em)
+        den = self.b.emit(em)
+        em.lines += [f"if {den} == 0.0:",
+                     f"    raise _fail('division by zero', {em.bind('n', self)}, V, x)"]
+        return em.assign(f"{num} / {den}")
 
     def diff(self):
         num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
@@ -210,30 +226,10 @@ class Pow(Node):
     a: Node
     b: Node
 
-    def ev(self, x):
-        base = self.a.ev(x)
-        expo = self.b.ev(x)
-        if base > 0.0:
-            try:
-                v = base ** expo
-            except OverflowError:
-                raise EvalDomainError("overflow in power", self.text(), x) from None
-        elif base == 0.0:
-            if expo > 0.0:
-                v = 0.0
-            else:
-                raise EvalDomainError("zero base with nonpositive exponent", self.text(), x)
-        else:
-            if float(expo).is_integer():
-                try:
-                    v = base ** expo
-                except OverflowError:
-                    raise EvalDomainError("overflow in power", self.text(), x) from None
-            else:
-                raise EvalDomainError("negative base with fractional exponent", self.text(), x)
-        if not math.isfinite(v):
-            raise EvalDomainError("nonfinite power", self.text(), x)
-        return v
+    def emit(self, em):
+        base = self.a.emit(em)
+        expo = self.b.emit(em)
+        return em.assign(f"_power({base}, {expo}, {em.bind('n', self)}, V, x)")
 
     def diff(self):
         a, b = self.a, self.b
@@ -261,18 +257,10 @@ class Call(Node):
     name: str
     args: tuple
 
-    def ev(self, x):
-        hook = FUNCTIONS[self.name]
-        vals = [a.ev(x) for a in self.args]
-        try:
-            v = hook.evaluate(vals)
-        except _DomainSignal as sig:
-            raise EvalDomainError(str(sig), self.text(), x) from None
-        except (OverflowError, ValueError) as err:
-            raise EvalDomainError(str(err), self.text(), x) from None
-        if not math.isfinite(v):
-            raise EvalDomainError("nonfinite function value", self.text(), x)
-        return v
+    def emit(self, em):
+        hook = em.bind("h", FUNCTIONS[self.name].evaluate)
+        args = ", ".join([a.emit(em) for a in self.args])
+        return em.assign(f"_apply({hook}, [{args}], {em.bind('n', self)}, V, x)")
 
     def diff(self):
         hook = FUNCTIONS[self.name]
@@ -291,7 +279,7 @@ class Call(Node):
 
 
 def _fold_const(node: Node) -> float:
-    return node.ev(0.0)
+    return _compile(node, "x")(0.0)
 
 
 def _is_const(node: Node, value=None) -> bool:
@@ -433,28 +421,136 @@ register_function(FunctionHook(
 
 
 # ---------------------------------------------------------------------------
+# compilation: one straight-line Python function per tree
+#
+# Every node becomes one assignment (a division also gets its zero check).
+# Powers and function calls go through _power and _apply rather than having
+# their branches written out per node: inlined, those branches tripled the
+# compiler's peak memory on the largest derivative trees.
+
+
+class _Emitter:
+    """Source lines of one compiled tree, and the objects its names stand for.
+
+    Names depend only on the tree's shape: constants, hooks and nodes (the
+    latter for error texts) are bound as globals of the function, never
+    written into the source, so trees that differ only in their constants,
+    their function names or their variable name share one code object.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.env: dict[str, object] = {}
+
+    def bind(self, prefix: str, obj) -> str:
+        # interned: every compiled function keeps its own bindings dict
+        name = sys.intern(f"{prefix}{len(self.env)}")
+        self.env[name] = obj
+        return name
+
+    def assign(self, expression: str) -> str:
+        v = f"v{len(self.lines)}"
+        self.lines.append(f"{v} = {expression}")
+        return v
+
+
+def _fail(reason: str, node: Node, variable: str, x: float) -> EvalDomainError:
+    # the fragment text is built only on the failing path
+    return EvalDomainError(reason, node.text().replace("@", variable), x)
+
+
+def _power(base, expo, node: "Pow", variable: str, x: float):
+    if base > 0.0:
+        try:
+            v = base ** expo
+        except OverflowError:
+            raise _fail("overflow in power", node, variable, x) from None
+    elif base == 0.0:
+        if expo > 0.0:
+            v = 0.0
+        else:
+            raise _fail("zero base with nonpositive exponent", node, variable, x)
+    elif float(expo).is_integer():
+        try:
+            v = base ** expo
+        except OverflowError:
+            raise _fail("overflow in power", node, variable, x) from None
+    else:
+        raise _fail("negative base with fractional exponent", node, variable, x)
+    if not math.isfinite(v):
+        raise _fail("nonfinite power", node, variable, x)
+    return v
+
+
+def _apply(hook, args: list, node: "Call", variable: str, x: float):
+    try:
+        v = hook(args)
+    except _DomainSignal as sig:
+        raise _fail(str(sig), node, variable, x) from None
+    except (OverflowError, ValueError) as err:
+        raise _fail(str(err), node, variable, x) from None
+    if not math.isfinite(v):
+        raise _fail("nonfinite function value", node, variable, x)
+    return v
+
+
+@lru_cache(maxsize=256)
+def _code(source: str) -> CodeType:
+    module = compile(source, "<expression>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _compile(root: Node, variable: str) -> Callable[[float], float]:
+    """root as a function of x: its value, or EvalDomainError naming the
+    failing subexpression (the variable printed as `variable`)."""
+    em = _Emitter()
+    result = root.emit(em)
+    body = "".join(f"    {line}\n" for line in em.lines)
+    source = f"def _f(x):\n{body}    return {result}\n"
+    env = {"__builtins__": builtins, "_fail": _fail, "_power": _power, "_apply": _apply,
+           "V": variable, **em.env}
+    return FunctionType(_code(source), env)
+
+
+# ---------------------------------------------------------------------------
 # the public AST wrapper
 
 
 @dataclass(frozen=True)
 class ExpressionAST:
-    """An immutable expression over a single named free variable."""
+    """An immutable expression over a single named free variable.
+
+    The tree is compiled on first evaluation; the function and the hash are
+    kept on the instance, outside the fields, so eq, hash and repr are those
+    of (root, variable_name).
+    """
 
     root: Node
     variable_name: str = "x"
 
     def evaluate(self, x: float) -> float:
         try:
-            v = self.root.ev(float(x))
-        except EvalDomainError as err:
-            if "@" in err.fragment:
-                raise EvalDomainError(
-                    err.reason, err.fragment.replace("@", self.variable_name), err.x
-                ) from None
-            raise
+            fn = self._fn
+        except AttributeError:
+            fn = _compile(self.root, self.variable_name)
+            object.__setattr__(self, "_fn", fn)
+        v = fn(float(x))
         if not math.isfinite(v):
             raise EvalDomainError("nonfinite result", self.to_text(), x)
         return v
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.root, self.variable_name))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # only the fields: a compiled function cannot be pickled, and the
+        # hash of the variable name differs from process to process
+        return {"root": self.root, "variable_name": self.variable_name}
 
     def differentiate(self) -> "ExpressionAST":
         return ExpressionAST(self.root.diff(), self.variable_name)
@@ -471,7 +567,7 @@ class ExpressionAST:
     def constant_value(self) -> float:
         if not self.is_constant():
             raise ExprError(f"expression {self.to_text()!r} is not constant")
-        return self.root.ev(0.0)
+        return _fold_const(self.root)
 
     def substitute(self, replacement: "ExpressionAST") -> "ExpressionAST":
         """Replace the free variable by another expression's tree."""
@@ -614,7 +710,7 @@ class _Parser:
             if args[idx].has_var():
                 raise ParseError(
                     f"argument {idx + 1} of {name} must be constant", self.source, off)
-            args[idx] = Const(args[idx].ev(0.0))
+            args[idx] = Const(_fold_const(args[idx]))
         return Call(name, tuple(args))
 
 

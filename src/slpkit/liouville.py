@@ -94,7 +94,8 @@ def _hermite_slope(x, x0, x1, t0, t1, d0, d1):
 def _clip(name, value, domain, rel):
     lo, hi = domain
     span = hi - lo
-    if value < lo - rel * (1 + abs(lo) + span) or value > hi + rel * (1 + abs(hi) + span):
+    # written so that NaN fails it too
+    if not lo - rel * (1 + abs(lo) + span) <= value <= hi + rel * (1 + abs(hi) + span):
         raise TransformError(f"{name}={value!r} outside map domain [{lo!r}, {hi!r}]")
     return min(max(value, lo), hi)
 

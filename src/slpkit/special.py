@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from . import expr
-from .expr import Const, FunctionHook, Mul, Sub, _call, register_function
+from .expr import Const, FunctionHook, Mul, Sub, _call, _fold_const, register_function
 
 
 class SpecialFunctionError(ValueError):
@@ -62,8 +62,13 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
+@lru_cache(maxsize=256)
 def _rgamma(x: float) -> float:
-    """1/gamma, zero at the poles (so series terms vanish there)."""
+    """1/gamma, zero at the poles (so series terms vanish there).
+
+    Cached: the series calls it with nu + 1 for the few constant orders of
+    an expression, once per evaluation.
+    """
     if x <= 0.0 and float(x).is_integer():
         return 0.0
     return 1.0 / gamma_fn(x)
@@ -313,7 +318,7 @@ def bessel_ode_residual(params: BowmanParams, c1: float, c2: float, x: float,
 def _d_bessel(name):
     """Derivative hook of name(nu, u): (name(nu-1, u) - name(nu+1, u)) / 2 * u'."""
     def hook(args, dargs):
-        nu = args[0].ev(0.0)
+        nu = _fold_const(args[0])
         inner = args[1]
         lower = _call(name, (Const(nu - 1.0), inner))
         upper = _call(name, (Const(nu + 1.0), inner))

@@ -1,10 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slpkit import expr
-from slpkit.expr import EvalDomainError, ParseError, parse
+from slpkit.expr import (Add, Call, Const, Div, EvalDomainError, ExpressionAST,
+                         Mul, Neg, ParseError, Pow, Sub, Var, parse)
+from slpkit.special import bessel_j, bessel_y
 
 
 def test_parse_basic_values():
@@ -200,3 +205,196 @@ def test_print_round_trip_with_bessel_factors():
     again = parse(ast.to_text())
     for x in (0.5, 1.0, 2.0):
         assert again.evaluate(x) == ast.evaluate(x)
+
+
+# ---------------------------------------------------------------------------
+# reference evaluation: the recursive tree walk that compilation replaced;
+# compiled functions must reproduce its values and its errors exactly
+
+
+def _walk(node, x):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_walk(node.a, x)
+    if isinstance(node, Add):
+        return _walk(node.a, x) + _walk(node.b, x)
+    if isinstance(node, Sub):
+        return _walk(node.a, x) - _walk(node.b, x)
+    if isinstance(node, Mul):
+        return _walk(node.a, x) * _walk(node.b, x)
+    if isinstance(node, Div):
+        num = _walk(node.a, x)
+        den = _walk(node.b, x)
+        if den == 0.0:
+            raise EvalDomainError("division by zero", node.text(), x)
+        return num / den
+    if isinstance(node, Pow):
+        base = _walk(node.a, x)
+        expo = _walk(node.b, x)
+        if base > 0.0:
+            try:
+                v = base ** expo
+            except OverflowError:
+                raise EvalDomainError("overflow in power", node.text(), x) from None
+        elif base == 0.0:
+            if expo > 0.0:
+                v = 0.0
+            else:
+                raise EvalDomainError("zero base with nonpositive exponent", node.text(), x)
+        else:
+            if float(expo).is_integer():
+                try:
+                    v = base ** expo
+                except OverflowError:
+                    raise EvalDomainError("overflow in power", node.text(), x) from None
+            else:
+                raise EvalDomainError("negative base with fractional exponent",
+                                      node.text(), x)
+        if not math.isfinite(v):
+            raise EvalDomainError("nonfinite power", node.text(), x)
+        return v
+    assert isinstance(node, Call)
+    hook = expr.FUNCTIONS[node.name]
+    vals = [_walk(a, x) for a in node.args]
+    try:
+        v = hook.evaluate(vals)
+    except expr._DomainSignal as sig:
+        raise EvalDomainError(str(sig), node.text(), x) from None
+    except (OverflowError, ValueError) as err:
+        raise EvalDomainError(str(err), node.text(), x) from None
+    if not math.isfinite(v):
+        raise EvalDomainError("nonfinite function value", node.text(), x)
+    return v
+
+
+def _walk_evaluate(ast, x):
+    try:
+        v = _walk(ast.root, float(x))
+    except EvalDomainError as err:
+        if "@" in err.fragment:
+            raise EvalDomainError(
+                err.reason, err.fragment.replace("@", ast.variable_name), err.x) from None
+        raise
+    if not math.isfinite(v):
+        raise EvalDomainError("nonfinite result", ast.to_text(), x)
+    return v
+
+
+def _outcome(fn, x):
+    """(type, repr) of the value, or of the exception with its message and x."""
+    try:
+        v = fn(x)
+    except Exception as err:  # any exception must match, not only ExprError
+        return ("raised", type(err), str(err), repr(getattr(err, "x", None)))
+    return ("value", type(v), repr(v))
+
+
+_UNARY_HOOKS = ("exp", "ln", "sqrt", "abs", "cbrt", "sin", "cos")
+_BESSEL_HOOKS = ("besselj", "bessely")
+_SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0, 710.0, -710.0, 1e308,
+                   -1e308, 1e-320, math.inf, -math.inf, math.nan)
+
+# int constants stay ints through +, -, * and **; kept to -1..1 so that no
+# tree within max_leaves builds a tower of integer powers too large to compute
+_constants = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                       st.floats(-50.0, 50.0),
+                       st.integers(-1, 1))
+
+
+def _extend(children):
+    binary = st.sampled_from((Add, Sub, Mul, Div, Pow))
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(lambda cls, a, b: cls(a, b), binary, children, children),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(_UNARY_HOOKS), children),
+        st.builds(lambda name, nu, a: Call(name, (Const(nu), a)),
+                  st.sampled_from(_BESSEL_HOOKS),
+                  st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, -0.5, -1.0, 0.3333, 2.00001)),
+                  children),
+    )
+
+
+trees = st.recursive(st.one_of(st.just(Var()), st.builds(Const, _constants)),
+                     _extend, max_leaves=10)
+
+points = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(), st.integers(-3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(root=trees, xs=st.lists(points, min_size=1, max_size=4),
+       variable=st.sampled_from(("x", "t")))
+def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
+    ast = ExpressionAST(root, variable)
+    for x in xs:
+        assert _outcome(ast.evaluate, x) == _outcome(
+            lambda x: _walk_evaluate(ast, x), x), (ast.to_text(), x)
+
+
+def test_compiled_evaluation_matches_tree_walk_on_each_failure_kind():
+    cases = [
+        ("1/(X-1)", 1.0),                         # division by zero
+        ("(X+1)^0.5", -3.0),                      # negative base, fractional exponent
+        ("X^-1", 0.0),                            # zero base, nonpositive exponent
+        ("10^X", 400.0),                          # overflow in power
+        ("(-10)^X", 401.0),                       # overflow, negative base
+        ("X^2", math.inf),                        # nonfinite power
+        ("ln(X)", -1.0),                          # hook domain signal
+        ("sqrt(X-3)", 2.0),
+        ("exp(X)", 710.0),                        # OverflowError in a hook
+        ("sin(X)", math.inf),                     # ValueError in a hook
+        ("exp(X)", math.inf),                     # nonfinite function value
+        ("besselj(1, X)", -1.0),                  # SpecialFunctionError in a hook
+        ("bessely(0.5, X)", 0.0),
+        ("X*X", 1e200),                           # nonfinite result
+        ("X-X", math.nan),
+        ("-X+3", "2.5"),                          # the caller's x is converted once
+    ]
+    # both operands fail: the left one is evaluated first
+    cases += [(f"ln(X){op}sqrt(X)", -1.0) for op in "+-*/^"]
+    for source, x in cases:
+        for variable in ("x", "t"):
+            ast = parse(source.replace("X", variable), variable)
+            outcome = _outcome(ast.evaluate, x)
+            assert outcome == _outcome(lambda x: _walk_evaluate(ast, x), x), (source, x)
+            assert (outcome[0] == "raised") == (source != "-X+3"), (source, outcome)
+
+
+def test_same_shape_trees_share_one_code_object():
+    a = parse("2*x^3 + besselj(1, x)")
+    b = parse("0.25*t^1.5 + bessely(0.5, t)", "t")
+    assert a.evaluate(1.5) == 2 * 1.5 ** 3 + bessel_j(1.0, 1.5)
+    assert b.evaluate(1.5) == 0.25 * 1.5 ** 1.5 + bessel_y(0.5, 1.5)
+    assert a._fn.__code__ is b._fn.__code__
+    # a different shape compiles its own code
+    c = parse("2*x^3 - besselj(1, x)")
+    c.evaluate(1.5)
+    assert c._fn.__code__ is not a._fn.__code__
+
+
+def test_compiled_state_leaves_eq_hash_and_repr_alone():
+    a = parse("x^2+sin(x)")
+    before = repr(a)
+    hash(a)
+    a.evaluate(0.3)
+    fresh = parse("x^2+sin(x)")
+    assert repr(a) == before == repr(fresh)
+    assert a == fresh
+    assert hash(a) == hash(fresh) == hash((a.root, a.variable_name))
+    assert ExpressionAST(a.root, "t") != a
+    again = pickle.loads(pickle.dumps(a))
+    assert vars(again) == {"root": a.root, "variable_name": "x"}
+    assert again == a and again.evaluate(0.4) == a.evaluate(0.4)
+
+
+def test_constant_folding_matches_tree_walk():
+    for source in ("2^3^2", "-(3/4)^2", "besselj(1, 2)*3", "2+2", "1e308*10", "0^2"):
+        ast = parse(source)
+        assert repr(ast.constant_value()) == repr(_walk(ast.root, 0.0)), source
+    # folded at parse time: the order of a Bessel hook
+    call = parse("besselj(2^-1, x)").root
+    assert call.args[0] == Const(0.5)
+    with pytest.raises(EvalDomainError, match="division by zero in '1/0'"):
+        parse("besselj(1/0, x)")

@@ -8,6 +8,7 @@ import pytest
 
 from slpkit import liouville
 from slpkit.errors import NumericalError
+from slpkit import expr
 from slpkit.expr import parse
 from slpkit.inverse import build_case, case1_build, case4_build
 from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
@@ -289,3 +290,30 @@ def test_map_queries_return_python_floats():
     _assert_float_queries(case4_build(PaineSpec(1.0, 0.1), C1=2.0).map)
     # a cubic cell the first iterate misses, so x comes from a Newton step
     _assert_float_queries(TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [0.5, 2.0]))
+
+
+def test_map_queries_reject_nan():
+    tabulated = build_map(classical_case4(), 1e-10)
+    closed = case4_build(PaineSpec(1.0, 0.1), C1=2.0).map
+    for map_ in (tabulated, closed):
+        for query in (map_.t_of_x, map_.x_of_t):
+            with pytest.raises(TransformError, match=r"=nan outside map domain"):
+                query(float("nan"))
+
+
+def test_invariant_at_x_hashes_no_node_after_the_first_call(monkeypatch):
+    problem = classical_case4()
+    first = invariant_at_x(problem, 0.7)
+    hashed = Counter()
+
+    def counting(original):
+        def __hash__(self):
+            hashed[type(self).__name__] += 1
+            return original(self)
+        return __hash__
+
+    for cls in (expr.Const, expr.Var, expr.Neg, expr.Add, expr.Sub, expr.Mul,
+                expr.Div, expr.Pow, expr.Call):
+        monkeypatch.setattr(cls, "__hash__", counting(cls.__hash__))
+    assert invariant_at_x(problem, 0.7) == first
+    assert hashed == Counter()
