@@ -18,8 +18,7 @@ from .special import (BowmanParams, SpecialFunctionError, bessel_j,
                       bessel_j_zeros, bessel_ode_residual, bessel_y,
                       bessel_y_zeros, gamma_fn)
 from .eigensolver import (SolverError, SymTridiag, discretize_canonical,
-                          discretize_schrodinger, eig_bisect, solve_spectrum,
-                          sturm_count)
+                          discretize_schrodinger, eig_bisect, solve_spectrum)
 from .verify import (VerificationReport, asymptotic_profile,
                      roundtrip_invariant, spectral_match)
 
@@ -37,7 +36,7 @@ __all__ = [
     "eig_bisect", "forward_transform", "gamma_fn", "indicial_roots",
     "invariant_at_x", "paine_schrodinger", "parse",
     "reduce_constant_coeff", "roundtrip_invariant", "solve_spectrum",
-    "spectral_match", "sturm_count", "validate",
+    "spectral_match", "validate",
 ]
 
 __version__ = "0.1.0"

@@ -95,6 +95,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
     problem = load_problem(args.file)
     if not isinstance(problem, CanonicalSLP):
         raise ProblemFileError("transform expects a canonical problem file")

@@ -6,10 +6,16 @@ boundary nodes.  Eigenvalues come from bisection on the Sturm sign count --
 the number of negative pivots of the shifted LDL^T recurrence equals the
 number of eigenvalues below the shift -- bracketed from Gershgorin bounds.
 The count runs on Python floats (the matrix is converted once per bisection),
-and each bisection pass counts every distinct midpoint once: brackets that
-have not separated yet share a midpoint and so share its count.
+one comparison per row for a positive pivot, and each bisection pass counts
+every distinct midpoint once: brackets that have not separated yet share a
+midpoint and so share its count.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
-of the second-order schemes.
+of the second-order schemes.  The fine-grid bisection starts from the same
+Gershgorin brackets and takes the same midpoints, but first certifies, with
+two counts per eigenvalue, bounds around each coarse-grid eigenvalue; the
+count never decreases as the shift grows, so a midpoint outside the bounds
+is decided without a count, and the eigenvalues come out bit for bit the
+same as from a full bisection.
 """
 
 from __future__ import annotations
@@ -63,16 +69,21 @@ def _sturm_counts(rows, shifts, pivmin):
     `rows` is the list of (d_i, e_{i-1}^2) pairs, with e_{-1}^2 = 0, as
     Python floats: the recurrence runs on plain floats, which is the same
     IEEE arithmetic as numpy scalars without boxing a scalar per step.
+    A pivot below pivmin is counted, and one inside (-pivmin, pivmin) is
+    replaced by -pivmin first; this is one comparison for a positive pivot
+    and the same decision as clamping |q| < pivmin and then testing q < 0,
+    for every q including +-0.0 and NaN.
     """
+    npiv = -pivmin
     out = []
     for sigma in shifts:
         cnt = 0
         q = 1.0  # with e_{-1}^2 = 0 the first pivot is d_0 - sigma exactly
         for di, ei in rows:
             q = di - sigma - ei / q
-            if abs(q) < pivmin:
-                q = -pivmin
-            if q < 0.0:
+            if q < pivmin:
+                if q > npiv:
+                    q = npiv
                 cnt += 1
         out.append(cnt)
     return out
@@ -89,18 +100,45 @@ def _sturm_rows(T: SymTridiag):
     return list(zip(T.diag.tolist(), [0.0] + e2.tolist())), _pivmin(e2)
 
 
-def sturm_count(T: SymTridiag, sigma: float) -> int:
-    """Number of eigenvalues of T strictly below the shift."""
-    rows, pivmin = _sturm_rows(T)
-    return _sturm_counts(rows, [float(sigma)], pivmin)[0]
+def _certify(rows, pivmin, near):
+    """Per-eigenvalue bounds that decide a bisection step without a count.
+
+    `near` holds a guess (value, radius) for each of the smallest
+    eigenvalues.  The j-th lower bound holds when count(value - radius) <= j
+    and the upper bound when count(value + radius) > j; a side that fails
+    is tried once more at 16x the radius, then left as NaN, which decides
+    nothing.  Since the count never decreases as the shift grows, any
+    midpoint at or below a held lower bound has count <= j ("not above"),
+    and any midpoint at or above a held upper bound has count > j.
+    """
+    want = np.arange(len(near))
+    center = np.array([c for c, _ in near], dtype=float)
+    radius = np.array([r for _, r in near], dtype=float)
+    wlo = np.full(len(near), np.nan)
+    whi = np.full(len(near), np.nan)
+    for widen in (1.0, 16.0):
+        todo_lo = np.isnan(wlo)
+        todo_hi = np.isnan(whi)
+        lo = center[todo_lo] - widen * radius[todo_lo]
+        hi = center[todo_hi] + widen * radius[todo_hi]
+        counts = np.array(_sturm_counts(rows, lo.tolist() + hi.tolist(), pivmin))
+        wlo[todo_lo] = np.where(counts[:len(lo)] <= want[todo_lo], lo, np.nan)
+        whi[todo_hi] = np.where(counts[len(lo):] > want[todo_hi], hi, np.nan)
+    return wlo, whi
 
 
-def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10) -> list:
-    """The `count` smallest eigenvalues, each bracketed to width <= tol."""
+def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
+    """The `count` smallest eigenvalues, each bracketed to width <= tol.
+
+    `_near` (private, from `solve_spectrum`) holds a (value, radius) guess
+    for each of the `count` eigenvalues; the bounds it certifies skip counts
+    whose outcome they already decide, and the midpoints, and so the
+    result, stay the same.
+    """
     n = T.n
     if not 1 <= count <= n:
         raise DiscretizationError(f"count must be in [1, {n}], got {count}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DiscretizationError(f"tol must be positive, got {tol}")
     d = T.diag
     rows, pivmin = _sturm_rows(T)
@@ -115,14 +153,21 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10) -> list:
     lo = np.full(count, glo - pad)
     hi = np.full(count, ghi + pad)
     want = np.arange(count)
+    if _near is None:
+        wlo = whi = np.full(count, np.nan)
+    else:
+        wlo, whi = _certify(rows, pivmin, _near)
     for _ in range(200):
         if (hi - lo <= tol).all():
             break
         mid = 0.5 * (lo + hi)
-        # brackets share midpoints until they separate; count each once
-        shifts, where = np.unique(mid, return_inverse=True)
-        counts = np.array(_sturm_counts(rows, shifts.tolist(), pivmin))
-        above = counts[where] > want
+        above = mid >= whi
+        undecided = ~(above | (mid <= wlo))
+        if undecided.any():
+            # brackets share midpoints until they separate; count each once
+            shifts, where = np.unique(mid[undecided], return_inverse=True)
+            counts = np.array(_sturm_counts(rows, shifts.tolist(), pivmin))
+            above[undecided] = counts[where] > want[undecided]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     else:
@@ -190,11 +235,13 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
     return SymTridiag(diag, off)
 
 
-def _assemble(problem, n: int) -> SymTridiag:
+def _assemble(problem, n: int):
+    """The matrix on n interior points and its mesh width."""
     if isinstance(problem, SchrodingerSLP):
-        return discretize_schrodinger(problem, n)
+        return (discretize_schrodinger(problem, n),
+                (problem.beta - problem.alpha) / (n + 1))
     if isinstance(problem, CanonicalSLP):
-        return discretize_canonical(problem, n)
+        return discretize_canonical(problem, n), (problem.b - problem.a) / (n + 1)
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
@@ -204,14 +251,18 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True,
 
     The fine grid has 2n+1 interior points so the mesh width is exactly
     halved; with a literal 2n the h^2 terms would not cancel cleanly and
-    the extrapolation would be limited to O(h^2/n).
+    the extrapolation would be limited to O(h^2/n).  The coarse eigenvalues
+    seed the fine-grid bisection: each lambda_j is expected within the
+    scheme's O(h^2) error, taken as lambda_j^2 h^2, of its fine-grid value.
     """
-    lam_n = eig_bisect(_assemble(problem, n), count, tol)
+    T, h = _assemble(problem, n)
+    lam_n = eig_bisect(T, count, tol)
     if not richardson:
         values = lam_n
         errors = [0.0] * count
     else:
-        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1), count, tol)
+        near = [(lam, lam * lam * h * h) for lam in lam_n]
+        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1)[0], count, tol, _near=near)
         values = [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         errors = [abs(l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         # near-degenerate clusters can come out of the two grids in a

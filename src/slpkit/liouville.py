@@ -216,8 +216,8 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     stay resolved.  sqrt(r/p) is evaluated once per point: the node slopes
     and the quadrature share the same values.
     """
-    if quad_tol <= 0.0:
-        raise TransformError("quad_tol must be positive")
+    if not quad_tol > 0.0:  # NaN too: it would refine every cell to depth 45
+        raise TransformError(f"quad_tol must be positive, got {quad_tol}")
     bad = validate(problem)
     if bad:
         raise TransformError("problem failed validation: " + "; ".join(map(str, bad)))

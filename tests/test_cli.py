@@ -125,6 +125,19 @@ def test_transform_divergent_map_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--samples", "1"), "--samples must be at least 2, got 1"),
+    (("--samples", "0"), "--samples must be at least 2, got 0"),
+    (("--quad-tol", "nan"), "quad_tol must be positive, got nan"),
+])
+def test_transform_rejects_bad_numeric_options(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "case4.json", CASE4)
+    code, out, err = run_cli(capsys, "transform", path, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_transform_csv_output(tmp_path, capsys):
     path = write(tmp_path, "case4.json", CASE4)
     csv_path = tmp_path / "out.csv"

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
-                                _sturm_counts, _sturm_rows,
+                                _certify, _sturm_counts, _sturm_rows,
                                 discretize_canonical, discretize_schrodinger,
                                 eig_bisect, laplacian_eigenvalue,
-                                solve_spectrum, sturm_count)
+                                solve_spectrum)
 from slpkit.expr import parse
 from slpkit.problems import (CanonicalSLP, PaineSpec, SchrodingerSLP,
                              paine_schrodinger)
@@ -21,6 +21,12 @@ PI = math.pi
 # shooting (lambda_1 = 1.5198658210993...)
 PAINE_ORACLE = (1.519865838810803, 4.943309840435783, 10.284662654623384,
                 17.559957759454843, 26.782863174254686)
+
+
+def sturm_count(T, sigma):
+    """Number of eigenvalues of T strictly below the shift."""
+    rows, pivmin = _sturm_rows(T)
+    return _sturm_counts(rows, [float(sigma)], pivmin)[0]
 
 
 def free_particle():
@@ -80,6 +86,10 @@ def test_eig_bisect_rejects_bad_arguments():
         eig_bisect(T, 5)
     with pytest.raises(DiscretizationError):
         eig_bisect(T, 2, tol=0.0)
+    with pytest.raises(DiscretizationError, match="nan"):
+        eig_bisect(T, 1, tol=float("nan"))
+    with pytest.raises(DiscretizationError):
+        solve_spectrum(free_particle(), 10, 1, tol=float("nan"))
 
 
 def test_sturm_count_matches_exact_spectrum():
@@ -281,3 +291,98 @@ def test_eig_bisect_matches_oracle_bisection(T, data):
 def test_eig_bisect_bit_identical_on_paine(n):
     T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), n)
     assert eig_bisect(T, 5) == oracle_eig_bisect(T, 5)
+
+
+# ---------------------------------------------------------------------------
+# certified windows: the fine-grid bisection skips counts a bound decides
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sturm_counts_never_decrease_as_the_shift_grows(data):
+    # the premise of the windows: a bound decides every midpoint beyond it
+    T = data.draw(tridiagonals())
+    rows, pivmin = _sturm_rows(T)
+    near = [d + k * pivmin for d in T.diag.tolist() for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+    pool = st.one_of(st.sampled_from(T.diag.tolist()), st.sampled_from(near), entries)
+    shifts = sorted(data.draw(st.lists(pool, min_size=2, max_size=16)))
+    assert_counts_match_oracle(T, shifts)
+    counts = _sturm_counts(rows, shifts, pivmin)
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+@st.composite
+def guesses(draw, T, count):
+    """(value, radius) per eigenvalue: windows that hold, that miss the
+    eigenvalue by less or more than the 16x retry, and of zero width."""
+    exact = np.linalg.eigvalsh(T.dense())[:count].tolist()
+    out = []
+    for lam in exact:
+        radius = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0]))
+        offset = draw(st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0, 100.0, -100.0]))
+        out.append((lam + offset * radius + draw(st.sampled_from([0.0, 1e-9])), radius))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(T=tridiagonals(max_n=12), data=st.data())
+def test_windowed_bisection_matches_oracle_bisection(T, data):
+    count = data.draw(st.integers(1, T.n))
+    near = data.draw(guesses(T, count))
+    assert eig_bisect(T, count, tol=1e-12, _near=near) == oracle_eig_bisect(T, count, tol=1e-12)
+
+
+def test_certified_bounds_bracket_and_decide():
+    T = discretize_schrodinger(free_particle(), 99)
+    exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 4)]
+    rows, pivmin = _sturm_rows(T)
+    # exact guesses hold at once; a window of zero width holds on one side
+    # at most; a guess 4 radii off holds on the retry; 100 radii off, the
+    # side the eigenvalue is not on fails
+    near = [(exact[0], 1e-6), (exact[1] - 1e-6, 0.0), (exact[2] + 4e-6, 1e-6)]
+    wlo, whi = _certify(rows, pivmin, near)
+    assert wlo[0] == exact[0] - 1e-6 and whi[0] == exact[0] + 1e-6
+    assert wlo[1] == exact[1] - 1e-6 and np.isnan(whi[1])
+    assert wlo[2] == exact[2] + 4e-6 - 16e-6 and whi[2] == exact[2] + 4e-6 + 1e-6
+    wlo, whi = _certify(rows, pivmin, [(exact[0] + 1e-4, 1e-6)])
+    assert np.isnan(wlo[0]) and whi[0] == exact[0] + 1e-4 + 1e-6
+
+
+def paine_two_call_solve(n, count):
+    """solve_spectrum as two independent full bisections, then Richardson."""
+    prob = paine_schrodinger(PaineSpec(1.0, 0.1))
+    lam_n = oracle_eig_bisect(discretize_schrodinger(prob, n), count)
+    lam_2n = oracle_eig_bisect(discretize_schrodinger(prob, 2 * n + 1), count)
+    pairs = sorted(((4.0 * l2 - l1) / 3.0, abs(l2 - l1) / 3.0)
+                   for l1, l2 in zip(lam_n, lam_2n))
+    return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
+
+
+@pytest.mark.parametrize("n", [200, 401])
+def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
+    from slpkit import eigensolver
+    shifts = []
+
+    def counting(rows, batch, pivmin):
+        shifts.append((len(rows), len(batch)))
+        return _sturm_counts(rows, batch, pivmin)
+
+    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    spectrum = solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), n, 5)
+    assert (spectrum.eigenvalues, spectrum.error_estimates) == paine_two_call_solve(n, 5)
+    coarse = sum(k for rows, k in shifts if rows == n)
+    fine = sum(k for rows, k in shifts if rows == 2 * n + 1)
+    assert fine < coarse  # twice the rows, fewer counts
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_coarse_grid_windows_certify_on_paine(n):
+    # solve_spectrum's guess: lambda_j within lambda_j^2 h^2 of the fine value
+    prob = paine_schrodinger(PaineSpec(1.0, 0.1))
+    h = PI / (n + 1)
+    near = [(lam, lam * lam * h * h)
+            for lam in eig_bisect(discretize_schrodinger(prob, n), 5)]
+    rows, pivmin = _sturm_rows(discretize_schrodinger(prob, 2 * n + 1))
+    wlo, whi = _certify(rows, pivmin, near)
+    assert wlo.tolist() == [lam - r for lam, r in near]
+    assert whi.tolist() == [lam + r for lam, r in near]

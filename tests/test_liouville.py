@@ -67,6 +67,8 @@ def test_build_map_rejects_invalid_problem_and_tolerance():
         build_map(canonical(r="x", a=-1.0, b=1.0), 1e-10)
     with pytest.raises(TransformError):
         build_map(canonical(), -1.0)
+    with pytest.raises(TransformError, match="nan"):
+        build_map(canonical(), float("nan"))
 
 
 def test_build_map_reports_divergent_integrand():
