@@ -105,25 +105,20 @@ def _certify(rows, pivmin, near):
 
     `near` holds a guess (value, radius) for each of the smallest
     eigenvalues.  The j-th lower bound holds when count(value - radius) <= j
-    and the upper bound when count(value + radius) > j; a side that fails
-    is tried once more at 16x the radius, then left as NaN, which decides
-    nothing.  Since the count never decreases as the shift grows, any
-    midpoint at or below a held lower bound has count <= j ("not above"),
-    and any midpoint at or above a held upper bound has count > j.
+    and the upper bound when count(value + radius) > j; a side that fails is
+    left as NaN, which decides nothing.  Since the count never decreases as
+    the shift grows, any midpoint at or below a held lower bound has
+    count <= j ("not above"), and any midpoint at or above a held upper
+    bound has count > j.
     """
     want = np.arange(len(near))
     center = np.array([c for c, _ in near], dtype=float)
     radius = np.array([r for _, r in near], dtype=float)
-    wlo = np.full(len(near), np.nan)
-    whi = np.full(len(near), np.nan)
-    for widen in (1.0, 16.0):
-        todo_lo = np.isnan(wlo)
-        todo_hi = np.isnan(whi)
-        lo = center[todo_lo] - widen * radius[todo_lo]
-        hi = center[todo_hi] + widen * radius[todo_hi]
-        counts = np.array(_sturm_counts(rows, lo.tolist() + hi.tolist(), pivmin))
-        wlo[todo_lo] = np.where(counts[:len(lo)] <= want[todo_lo], lo, np.nan)
-        whi[todo_hi] = np.where(counts[len(lo):] > want[todo_hi], hi, np.nan)
+    lo = center - radius
+    hi = center + radius
+    counts = np.array(_sturm_counts(rows, lo.tolist() + hi.tolist(), pivmin))
+    wlo = np.where(counts[:len(near)] <= want, lo, np.nan)
+    whi = np.where(counts[len(near):] > want, hi, np.nan)
     return wlo, whi
 
 
@@ -174,8 +169,8 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
         raise SolverError(
             f"bisection failed to bracket within 200 iterations "
             f"(bounds [{glo}, {ghi}], tol {tol})")
-    # brackets bisect independently; inside a near-degenerate cluster the
-    # floating-point sign count can waver by one, so restore global order
+    # brackets bisect independently, so two that overlap within tol can
+    # end with their midpoints out of order; restore global order
     return sorted(float(v) for v in 0.5 * (lo + hi))
 
 
