@@ -1,4 +1,4 @@
-"""Deterministic JSON emission shared by the CLI and the verification layer.
+"""Deterministic JSON emission for the CLI.
 
 Numbers are written with 17 significant digits so every double round-trips
 exactly; dictionaries serialize in insertion order, which the callers keep

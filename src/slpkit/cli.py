@@ -34,6 +34,19 @@ class ProblemFileError(ValueError):
     pass
 
 
+def _is_number(value) -> bool:
+    # bool is a subclass of int, but true/false are not numbers in a problem file
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _coefficient(path: str, coeffs: dict, key: str, variable: str):
+    value = coeffs[key]
+    if not (isinstance(value, str) or _is_number(value)):
+        raise ProblemFileError(
+            f"{path}: coefficient {key!r} must be an expression string or a number")
+    return parse_expr(str(value), variable)
+
+
 def load_problem(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -53,7 +66,7 @@ def load_problem(path: str):
     if not isinstance(coeffs, dict):
         raise ProblemFileError(f"{path}: coefficients must be an object")
     if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-            or not all(isinstance(v, (int, float)) for v in interval)):
+            or not all(_is_number(v) for v in interval)):
         raise ProblemFileError(f"{path}: interval must be [lo, hi]")
     if bc != "dirichlet":
         raise ProblemFileError(f"{path}: only 'dirichlet' boundary conditions are supported")
@@ -63,15 +76,15 @@ def load_problem(path: str):
         if missing:
             raise ProblemFileError(f"{path}: canonical form needs coefficients {missing}")
         problem = CanonicalSLP(
-            p=parse_expr(str(coeffs["p"]), "x"),
-            q=parse_expr(str(coeffs["q"]), "x"),
-            r=parse_expr(str(coeffs["r"]), "x"),
+            p=_coefficient(path, coeffs, "p", "x"),
+            q=_coefficient(path, coeffs, "q", "x"),
+            r=_coefficient(path, coeffs, "r", "x"),
             a=lo, b=hi)
     else:
         if "invariant" not in coeffs:
             raise ProblemFileError(f"{path}: schrodinger form needs coefficients.invariant")
         problem = SchrodingerSLP(
-            invariant=parse_expr(str(coeffs["invariant"]), "t"),
+            invariant=_coefficient(path, coeffs, "invariant", "t"),
             alpha=lo, beta=hi)
     bad = validate(problem)
     if bad:
@@ -117,14 +130,18 @@ def _cmd_transform(args) -> int:
         "t": ts,
         "invariant": values,
     }
-    _emit(payload)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "invariant"])
-            for t, v in zip(ts, values):
-                writer.writerow([format(t, ".17g"), format(v, ".17g")])
+        # written before the JSON, so an unwritable path leaves stdout empty
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["t", "invariant"])
+                for t, v in zip(ts, values):
+                    writer.writerow([format(t, ".17g"), format(v, ".17g")])
+        except OSError as err:
+            raise ValueError(f"cannot write {args.csv}: {err.strerror}") from None
         print(f"wrote {args.csv}", file=sys.stderr)
+    _emit(payload)
     return 0
 
 

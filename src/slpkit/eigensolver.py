@@ -240,8 +240,7 @@ def _assemble(problem, n: int):
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
-def solve_spectrum(problem, n: int, count: int, richardson: bool = True,
-                   tol: float = 1e-10) -> Spectrum:
+def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spectrum:
     """Leading eigenvalues, optionally Richardson-combined across two grids.
 
     The fine grid has 2n+1 interior points so the mesh width is exactly
@@ -251,13 +250,13 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True,
     scheme's O(h^2) error, taken as lambda_j^2 h^2, of its fine-grid value.
     """
     T, h = _assemble(problem, n)
-    lam_n = eig_bisect(T, count, tol)
+    lam_n = eig_bisect(T, count)
     if not richardson:
         values = lam_n
         errors = [0.0] * count
     else:
         near = [(lam, lam * lam * h * h) for lam in lam_n]
-        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1)[0], count, tol, _near=near)
+        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1)[0], count, _near=near)
         values = [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         errors = [abs(l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         # near-degenerate clusters can come out of the two grids in a

@@ -239,9 +239,9 @@ class Pow(Node):
             return _mul(_mul(Const(c), _pow(a, Const(c - 1.0))), a.diff())
         if not a.has_var():
             # d(a^v) = a^v * ln(a) * v'
-            return _mul(_mul(self, _call("ln", (a,))), b.diff())
+            return _mul(_mul(self, Call("ln", (a,))), b.diff())
         # general: u^v * (v'*ln u + v*u'/u)
-        term = _add(_mul(b.diff(), _call("ln", (a,))), _mul(b, _div(a.diff(), a)))
+        term = _add(_mul(b.diff(), Call("ln", (a,))), _mul(b, _div(a.diff(), a)))
         return _mul(self, term)
 
     def text(self, prec=0):
@@ -344,10 +344,6 @@ def _pow(a: Node, b: Node) -> Node:
     return Pow(a, b)
 
 
-def _call(name: str, args: tuple) -> Node:
-    return Call(name, args)
-
-
 # ---------------------------------------------------------------------------
 # function registry
 
@@ -398,26 +394,26 @@ def _ev_cbrt(v):
 
 register_function(FunctionHook(
     "exp", 1, _ev_exp,
-    lambda a, d: _mul(_call("exp", a), d[0])))
+    lambda a, d: _mul(Call("exp", a), d[0])))
 register_function(FunctionHook(
     "ln", 1, _ev_ln,
     lambda a, d: _div(d[0], a[0])))
 register_function(FunctionHook(
     "sin", 1, lambda v: math.sin(v[0]),
-    lambda a, d: _mul(_call("cos", a), d[0])))
+    lambda a, d: _mul(Call("cos", a), d[0])))
 register_function(FunctionHook(
     "cos", 1, lambda v: math.cos(v[0]),
-    lambda a, d: _neg(_mul(_call("sin", a), d[0]))))
+    lambda a, d: _neg(_mul(Call("sin", a), d[0]))))
 register_function(FunctionHook(
     "sqrt", 1, _ev_sqrt,
-    lambda a, d: _div(d[0], _mul(Const(2.0), _call("sqrt", a)))))
+    lambda a, d: _div(d[0], _mul(Const(2.0), Call("sqrt", a)))))
 register_function(FunctionHook(
     # derivative is sign(u)*u', written u/abs(u) so that it raises at u = 0
     "abs", 1, _ev_abs,
-    lambda a, d: _mul(_div(a[0], _call("abs", a)), d[0])))
+    lambda a, d: _mul(_div(a[0], Call("abs", a)), d[0])))
 register_function(FunctionHook(
     "cbrt", 1, _ev_cbrt,
-    lambda a, d: _div(d[0], _mul(Const(3.0), _pow(_call("cbrt", a), Const(2.0))))))
+    lambda a, d: _div(d[0], _mul(Const(3.0), _pow(Call("cbrt", a), Const(2.0))))))
 
 
 # ---------------------------------------------------------------------------
@@ -560,32 +556,6 @@ class ExpressionAST:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def is_constant(self) -> bool:
-        return not self.root.has_var()
-
-    def constant_value(self) -> float:
-        if not self.is_constant():
-            raise ExprError(f"expression {self.to_text()!r} is not constant")
-        return _fold_const(self.root)
-
-    def substitute(self, replacement: "ExpressionAST") -> "ExpressionAST":
-        """Replace the free variable by another expression's tree."""
-
-        def rebuild(node: Node) -> Node:
-            if isinstance(node, Var):
-                return replacement.root
-            if isinstance(node, Const):
-                return node
-            if isinstance(node, Neg):
-                return Neg(rebuild(node.a))
-            if isinstance(node, (Add, Sub, Mul, Div, Pow)):
-                return type(node)(rebuild(node.a), rebuild(node.b))
-            if isinstance(node, Call):
-                return Call(node.name, tuple(rebuild(a) for a in node.args))
-            raise ExprError(f"unknown node {node!r}")
-
-        return ExpressionAST(rebuild(self.root), replacement.variable_name)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ increasing and interval orientation is preserved.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .expr import Call, Const, Div, Mul, Pow, Var, ExpressionAST, ExprError
+from .expr import Call, Const, Div, Mul, Pow, ExpressionAST, ExprError
 from .problems import CanonicalSLP, SchrodingerSLP, validate
 
 
@@ -333,22 +332,3 @@ def forward_transform(problem: CanonicalSLP, quad_tol: float = 1e-10):
         beta=beta,
     )
     return reduced, map_
-
-
-def reduce_constant_coeff(problem: CanonicalSLP) -> SchrodingerSLP:
-    """Constant p and r: rescale t = eta*x, eta = sqrt(r/p), potential p*q/r^2."""
-    if not problem.p.is_constant() or not problem.r.is_constant():
-        raise TransformError("reduce_constant_coeff requires constant p and r")
-    p0 = problem.p.constant_value()
-    r0 = problem.r.constant_value()
-    if p0 <= 0.0 or r0 <= 0.0:
-        raise TransformError(f"constant p and r must be positive, got p={p0}, r={r0}")
-    eta = math.sqrt(r0 / p0)
-    t_over_eta = ExpressionAST(Div(Var(), Const(eta)), "t")
-    q_sub = problem.q.substitute(t_over_eta)
-    potential = ExpressionAST(Mul(Const(p0 / (r0 * r0)), q_sub.root), "t")
-    return SchrodingerSLP(
-        invariant=potential,
-        alpha=eta * problem.a,
-        beta=eta * problem.b,
-    )

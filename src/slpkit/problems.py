@@ -83,6 +83,10 @@ class Violation:
         return f"[{self.code}] {self.message}"
 
 
+# equispaced points, endpoints included, at which validate evaluates p, r or I
+_VALIDATE_SAMPLES = 201
+
+
 def _check_interval(lo: float, hi: float, out: list) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         out.append(Violation("interval", f"endpoints must be finite, got [{lo}, {hi}]"))
@@ -91,9 +95,9 @@ def _check_interval(lo: float, hi: float, out: list) -> None:
 
 
 def _sample_positive(name: str, fn: ExpressionAST, lo: float, hi: float,
-                     samples: int, out: list) -> None:
-    for i in range(samples):
-        x = lo + (hi - lo) * i / (samples - 1)
+                     out: list) -> None:
+    for i in range(_VALIDATE_SAMPLES):
+        x = lo + (hi - lo) * i / (_VALIDATE_SAMPLES - 1)
         try:
             v = fn.evaluate(x)
         except ExprError as err:
@@ -104,21 +108,19 @@ def _sample_positive(name: str, fn: ExpressionAST, lo: float, hi: float,
             return
 
 
-def validate(problem, samples: int = 201) -> list:
+def validate(problem) -> list:
     """Check a problem record; returns a list of violations (empty = accepted)."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     out: list = []
     if isinstance(problem, CanonicalSLP):
         _check_interval(problem.a, problem.b, out)
         if not out:
-            _sample_positive("p", problem.p, problem.a, problem.b, samples, out)
-            _sample_positive("r", problem.r, problem.a, problem.b, samples, out)
+            _sample_positive("p", problem.p, problem.a, problem.b, out)
+            _sample_positive("r", problem.r, problem.a, problem.b, out)
     elif isinstance(problem, SchrodingerSLP):
         _check_interval(problem.alpha, problem.beta, out)
         if not out:
-            for i in range(samples):
-                t = problem.alpha + (problem.beta - problem.alpha) * i / (samples - 1)
+            for i in range(_VALIDATE_SAMPLES):
+                t = problem.alpha + (problem.beta - problem.alpha) * i / (_VALIDATE_SAMPLES - 1)
                 try:
                     problem.invariant.evaluate(t)
                 except ExprError as err:

@@ -58,7 +58,7 @@ def roundtrip_invariant(result: InverseResult, spec: PaineSpec,
 
 
 def spectral_match(result: InverseResult, spec: PaineSpec, count: int = 5,
-                   n: int = 2000, samples: int = 101) -> VerificationReport:
+                   n: int = 2000) -> VerificationReport:
     """Solve both forms with Richardson extrapolation and compare.
 
     Exact cases pass when the round-trip residual is within 1e-8 and every
@@ -77,7 +77,7 @@ def spectral_match(result: InverseResult, spec: PaineSpec, count: int = 5,
                  zip(spec_c.eigenvalues, spec_s.eigenvalues))
     budgets = tuple(GAP_BUDGET_FACTOR * (ec + es) for ec, es in
                     zip(spec_c.error_estimates, spec_s.error_estimates))
-    residual = roundtrip_invariant(result, spec, samples)
+    residual = roundtrip_invariant(result, spec)
     if result.exact:
         passed = residual <= ROUNDTRIP_TOL and all(
             g <= b for g, b in zip(gaps, budgets))

@@ -81,6 +81,39 @@ def test_solve_rejects_malformed_expression(tmp_path, capsys):
     assert "offset" in err
 
 
+COEFFICIENT_TYPE = "must be an expression string or a number"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({**FREE, "interval": [False, True]}, "interval must be [lo, hi]"),
+    ({**FREE, "interval": [0.0, True]}, "interval must be [lo, hi]"),
+    ({**FREE, "coefficients": {"invariant": None}},
+     f"coefficient 'invariant' {COEFFICIENT_TYPE}"),
+    ({**FREE, "coefficients": {"invariant": True}},
+     f"coefficient 'invariant' {COEFFICIENT_TYPE}"),
+    ({**FREE, "coefficients": {"invariant": [1]}},
+     f"coefficient 'invariant' {COEFFICIENT_TYPE}"),
+    ({**IDENTITY, "coefficients": {"p": "1", "q": None, "r": "1"}},
+     f"coefficient 'q' {COEFFICIENT_TYPE}"),
+])
+def test_solve_rejects_malformed_fields(tmp_path, capsys, payload, message):
+    path = write(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_numeric_coefficients_match_their_text(tmp_path, capsys):
+    numeric = {**IDENTITY, "coefficients": {"p": 1, "q": 0, "r": 1.0}}
+    outputs = []
+    for name, payload in (("text.json", IDENTITY), ("numeric.json", numeric)):
+        code, out, _ = run_cli(capsys, "solve", write(tmp_path, name, payload),
+                               "--n", "200", "--count", "2")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_numerical_failure_exit_code(tmp_path, capsys):
     path = write(tmp_path, "dip.json", DIP_P)
     code, _, err = run_cli(capsys, "solve", path, "--n", "1999", "--count", "2")
@@ -151,6 +184,15 @@ def test_transform_csv_output(tmp_path, capsys):
     assert rows[0] == ["t", "invariant"]
     assert len(rows) == 12
     assert float(rows[1][1]) == pytest.approx(100.0, rel=1e-10)
+
+
+def test_transform_unwritable_csv_path(tmp_path, capsys):
+    path = write(tmp_path, "case4.json", CASE4)
+    csv_path = tmp_path / "no-such-dir" / "out.csv"
+    code, out, err = run_cli(capsys, "transform", path, "--samples", "11",
+                             "--csv", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {csv_path}: No such file or directory\n"
 
 
 # ---------------------------------------------------------------------------

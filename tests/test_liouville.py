@@ -12,8 +12,7 @@ from slpkit import expr
 from slpkit.expr import parse
 from slpkit.inverse import build_case, case1_build, case4_build
 from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
-                              build_map, forward_transform, invariant_at_x,
-                              reduce_constant_coeff)
+                              build_map, forward_transform, invariant_at_x)
 from slpkit.problems import CanonicalSLP, PaineSpec, validate
 
 PI = math.pi
@@ -121,23 +120,6 @@ def test_forward_transform_case1_roundtrip():
         t = PI * j / 102
         sup = max(sup, abs(reduced.invariant.evaluate(t) - 2.0 / (t + 0.1) ** 2))
     assert sup <= 1e-8
-
-
-def test_reduce_constant_coeff():
-    reduced = reduce_constant_coeff(canonical())
-    assert (reduced.alpha, reduced.beta) == (0.0, PI)
-    assert reduced.invariant.evaluate(1.0) == 0.0
-
-    reduced = reduce_constant_coeff(canonical(p="4", q="1", r="1", b=1.0))
-    assert (reduced.alpha, reduced.beta) == (0.0, 0.5)
-    assert reduced.invariant.evaluate(0.3) == pytest.approx(4.0)
-
-    reduced = reduce_constant_coeff(canonical(p="1", q="x", r="4", b=1.0))
-    assert (reduced.alpha, reduced.beta) == (0.0, 2.0)
-    assert reduced.invariant.evaluate(1.0) == pytest.approx(1.0 / 16.0 * 0.5)
-
-    with pytest.raises(TransformError):
-        reduce_constant_coeff(canonical(p="x+1"))
 
 
 def test_x_of_t_examples():

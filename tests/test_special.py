@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from slpkit.expr import parse
-from slpkit.special import (BowmanParams, SpecialFunctionError, bessel_j,
-                            bessel_j_zeros, bessel_ode_residual, bessel_y,
-                            bessel_y_zeros, gamma_fn)
+from slpkit.special import (SpecialFunctionError, bessel_j, bessel_j_zeros,
+                            bessel_y, bessel_y_zeros, gamma_fn)
 
 
 def test_gamma_classical_values():
@@ -91,27 +90,66 @@ def test_scaled_bessel_satisfies_reduced_ode(k, kind):
         assert abs(residual) <= 1e-6, (k, kind, tau, residual)
 
 
-def test_bowman_params_derive_order():
-    params = BowmanParams(p_bar=-0.5, alpha_bar=1.0, beta_bar_sq=-0.75, r_bar=1.0)
-    assert params.q_bar == pytest.approx(1.0)
-    with pytest.raises(SpecialFunctionError):
-        BowmanParams(p_bar=0.5, alpha_bar=1.0, beta_bar_sq=4.0, r_bar=1.0)
+# ---------------------------------------------------------------------------
+# mpmath oracle: the bounds are the accuracy the README states
+
+J_ABS_TOL = 2e-12
+Y_TOL = 5e-9  # relative to max(1, |Y|)
+GAMMA_REL_TOL = 1e-13
 
 
-def test_bessel_ode_residual_certifies_solution():
-    params = BowmanParams(p_bar=-0.5, alpha_bar=1.0, beta_bar_sq=-0.75, r_bar=1.0)
-    assert abs(bessel_ode_residual(params, 1.0, 0.0, 2.0)) <= 1e-6
-    assert abs(bessel_ode_residual(params, 0.3, 0.7, 2.0)) <= 1e-6
-    assert bessel_ode_residual(params, 0.0, 0.0, 2.0) == 0.0
+def _log_uniform(rng, lo, hi):
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def test_bessel_ode_residual_rejects_wrong_order():
-    params = BowmanParams(p_bar=-0.5, alpha_bar=1.0, beta_bar_sq=-0.75, r_bar=1.0)
+def _check_bessel(mpmath, nu, x):
+    with mpmath.workdps(30):
+        ref_j = float(mpmath.besselj(nu, x))
+        ref_y = float(mpmath.bessely(nu, x))
+    assert abs(bessel_j(nu, x) - ref_j) <= J_ABS_TOL, (nu, x)
+    assert abs(bessel_y(nu, x) - ref_y) <= Y_TOL * max(1.0, abs(ref_y)), (nu, x)
 
-    def wrong(z):  # order q_bar/r_bar + 1 instead of q_bar/r_bar
-        return z**0.5 * bessel_j(2.0, z)
 
-    assert abs(bessel_ode_residual(params, 1.0, 0.0, 2.0, candidate=wrong)) > 1e-2
+def test_bessel_matches_mpmath_on_random_sample():
+    import mpmath
+
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        _check_bessel(mpmath, float(rng.uniform(0.0, 5.0)), _log_uniform(rng, 1e-3, 50.0))
+
+
+def test_bessel_matches_mpmath_near_integer_orders():
+    import mpmath
+
+    rng = np.random.default_rng(11)
+    # inside the 2e-4 blend window, at any argument
+    for _ in range(150):
+        n = int(rng.integers(0, 6))
+        nu = max(0.0, n + float(rng.uniform(-2e-4, 2e-4)))
+        _check_bessel(mpmath, nu, _log_uniform(rng, 1e-3, 50.0))
+    # the window's edges below the series/asymptotic crossover at x = 12,
+    # where the connection formula's 1/|nu - n| loss is largest
+    for n in range(6):
+        for delta in (-2.0001e-4, -1.999e-4, 1.999e-4, 2.0001e-4):
+            if n + delta < 0.0:
+                continue
+            for x in np.linspace(11.0, 12.0, 11):
+                _check_bessel(mpmath, n + delta, float(x))
+
+
+def test_gamma_matches_mpmath_across_reflection_split():
+    import mpmath
+
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 300:
+        x = float(rng.uniform(-4.5, 30.0))
+        if x < 0.5 and abs(x - round(x)) < 0.01:
+            continue  # the reflection's sin(pi x) loses digits next to a pole
+        with mpmath.workdps(30):
+            ref = float(mpmath.gamma(x))
+        assert abs(gamma_fn(x) - ref) <= GAMMA_REL_TOL * abs(ref), x
+        checked += 1
 
 
 def test_zero_finding_matches_literature():
