@@ -19,12 +19,20 @@ time; evaluation either returns a finite float or raises a domain error
 naming the offending subexpression, never a silent NaN.
 
 Evaluation is compiled: on first use each tree becomes one straight-line
-Python function that performs the same float operations and hook calls, in
-the same order, as a recursive walk of the tree would, without the per-node
-dispatch.  Constant folding goes through the same functions.  The generated
-source depends only on the tree's shape (constants, hooks and nodes are
-bound as globals), and code objects are cached by source, so a new problem
-that differs from an earlier one only in its constants compiles nothing.
+Python function, without the per-node dispatch, in which each distinct
+subtree is evaluated once.  Subtrees are matched by identity, then by class
+and the values of their children; constants by type and repr, so 0.0 and
+-0.0, or 2 and 2.0, stay apart.  Values and errors are those of a recursive
+walk of the tree, with fewer hook calls where subtrees repeat, as they do
+in derivative trees.  A tree that combines several expressions evaluates
+them interleaved, so where several fail at one x its error may name a
+different node than evaluating them one by one would (the invariant of
+liouville at p*r = 0 exactly evaluates w' before w).  Constant folding goes
+through the same functions.  The generated source depends only on the
+tree's shape and on which of its subtrees are equal (constants, hooks and
+nodes are bound as globals), and code objects are cached by source, so a
+new problem that differs from an earlier one only in its constants
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +82,10 @@ class Node:
         """Append this node's statements to em; return the name of its value."""
         raise NotImplementedError
 
+    def key(self, em: "_Emitter") -> tuple:
+        # the class and the value names of the children, which are its fields
+        return (type(self), *[em.value(getattr(self, f)) for f in self.__slots__])
+
     def diff(self) -> "Node":
         raise NotImplementedError
 
@@ -93,6 +105,10 @@ class Const(Node):
 
     def emit(self, em):
         return em.bind("c", self.value)
+
+    def key(self, em):
+        # by repr, so 0.0 and -0.0, or 2 and 2.0, stay apart
+        return (type(self.value), repr(self.value))
 
     def diff(self):
         return Const(0.0)
@@ -129,7 +145,7 @@ class Neg(Node):
     a: Node
 
     def emit(self, em):
-        return em.assign(f"-{self.a.emit(em)}")
+        return em.assign(f"-{em.value(self.a)}")
 
     def diff(self):
         return _neg(self.a.diff())
@@ -147,8 +163,7 @@ class Add(Node):
     b: Node
 
     def emit(self, em):
-        a = self.a.emit(em)
-        return em.assign(f"{a} + {self.b.emit(em)}")
+        return em.assign(f"{em.value(self.a)} + {em.value(self.b)}")
 
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
@@ -166,8 +181,7 @@ class Sub(Node):
     b: Node
 
     def emit(self, em):
-        a = self.a.emit(em)
-        return em.assign(f"{a} - {self.b.emit(em)}")
+        return em.assign(f"{em.value(self.a)} - {em.value(self.b)}")
 
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
@@ -185,8 +199,7 @@ class Mul(Node):
     b: Node
 
     def emit(self, em):
-        a = self.a.emit(em)
-        return em.assign(f"{a} * {self.b.emit(em)}")
+        return em.assign(f"{em.value(self.a)} * {em.value(self.b)}")
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
@@ -204,8 +217,7 @@ class Div(Node):
     b: Node
 
     def emit(self, em):
-        num = self.a.emit(em)
-        den = self.b.emit(em)
+        num, den = em.value(self.a), em.value(self.b)
         em.lines += [f"if {den} == 0.0:",
                      f"    raise _fail('division by zero', {em.bind('n', self)}, V, x)"]
         return em.assign(f"{num} / {den}")
@@ -227,8 +239,7 @@ class Pow(Node):
     b: Node
 
     def emit(self, em):
-        base = self.a.emit(em)
-        expo = self.b.emit(em)
+        base, expo = em.value(self.a), em.value(self.b)
         return em.assign(f"_power({base}, {expo}, {em.bind('n', self)}, V, x)")
 
     def diff(self):
@@ -259,8 +270,11 @@ class Call(Node):
 
     def emit(self, em):
         hook = em.bind("h", FUNCTIONS[self.name].evaluate)
-        args = ", ".join([a.emit(em) for a in self.args])
+        args = ", ".join([em.value(a) for a in self.args])
         return em.assign(f"_apply({hook}, [{args}], {em.bind('n', self)}, V, x)")
+
+    def key(self, em):
+        return (Call, self.name, *[em.value(a) for a in self.args])
 
     def diff(self):
         hook = FUNCTIONS[self.name]
@@ -419,7 +433,7 @@ register_function(FunctionHook(
 # ---------------------------------------------------------------------------
 # compilation: one straight-line Python function per tree
 #
-# Every node becomes one assignment (a division also gets its zero check).
+# Each distinct node becomes one assignment (a division also gets its zero check).
 # Powers and function calls go through _power and _apply rather than having
 # their branches written out per node: inlined, those branches tripled the
 # compiler's peak memory on the largest derivative trees.
@@ -428,15 +442,27 @@ register_function(FunctionHook(
 class _Emitter:
     """Source lines of one compiled tree, and the objects its names stand for.
 
-    Names depend only on the tree's shape: constants, hooks and nodes (the
-    latter for error texts) are bound as globals of the function, never
-    written into the source, so trees that differ only in their constants,
-    their function names or their variable name share one code object.
+    Names depend only on the tree's shape and equal subtrees: constants,
+    hooks and nodes (the latter for error texts) are bound as globals of the
+    function, never written into the source, so trees that differ only in
+    their constants, function names or variable name share one code object.
     """
 
     def __init__(self):
         self.lines: list[str] = []
         self.env: dict[str, object] = {}
+        self.names: dict = {}  # id(node) or node.key(self) -> value name
+
+    def value(self, node: Node) -> str:
+        """The name of node's value; each distinct subtree is emitted once."""
+        name = self.names.get(id(node))
+        if name is None:
+            key = node.key(self)
+            name = self.names.get(key)
+            if name is None:
+                name = self.names[key] = node.emit(self)
+            self.names[id(node)] = name
+        return name
 
     def bind(self, prefix: str, obj) -> str:
         # interned: every compiled function keeps its own bindings dict
@@ -500,7 +526,7 @@ def _compile(root: Node, variable: str) -> Callable[[float], float]:
     """root as a function of x: its value, or EvalDomainError naming the
     failing subexpression (the variable printed as `variable`)."""
     em = _Emitter()
-    result = root.emit(em)
+    result = em.value(root)
     body = "".join(f"    {line}\n" for line in em.lines)
     source = f"def _f(x):\n{body}    return {result}\n"
     env = {"__builtins__": builtins, "_fail": _fail, "_power": _power, "_apply": _apply,

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from .expr import Add, Call, Const, Mul, Pow, Sub, Var, ExpressionAST
 from .liouville import TransformMap
 from .problems import CanonicalSLP, PaineSpec, validate
-from .special import bessel_j, bessel_j_zeros, bessel_y, bessel_y_zeros, gamma_fn
+from .special import (SpecialFunctionError, bessel_j, bessel_j_zeros, bessel_y,
+                      bessel_y_zeros, gamma_fn)
 
 CASE_LABELS = ("case1", "case2-A1", "case2-A2", "case2-B", "case2-C1",
                "case2-C2", "case3-J", "case3-Y", "case4", "case4-general")
@@ -399,7 +400,10 @@ def _bessel_guard(kind: str, nu: float, values: tuple, label: str):
     zeros_of = bessel_j_zeros if kind == "J" else bessel_y_zeros
     lo = max(min(values) - 1.0, 1e-6 if kind == "J" else 5e-2)
     hi = max(values) + 1.0
-    zeros = zeros_of(nu, lo, hi)
+    try:
+        zeros = zeros_of(nu, lo, hi)
+    except SpecialFunctionError as err:  # the scaled interval is too long to scan
+        raise ConstructionError(f"{label}: endpoint guard failed: {err}") from None
     for value in values:
         for zero in zeros:
             if abs(value - zero) <= 1e-8:
@@ -559,19 +563,27 @@ def build_case(label: str, spec: PaineSpec, *, q0: float | None = None,
             raise ConstructionError(f"{label} requires parameter {name}")
         return value
 
-    if label == "case1":
-        return case1_build(spec, r0=r0 if r0 is not None else 1.0,
-                           x0=x0 if x0 is not None else 0.0,
-                           branch=branch, k34_branch=k34_branch)
-    if label in ("case2-A1", "case2-A2", "case2-B", "case2-C1", "case2-C2"):
-        return case2_build(spec, need("q0", q0), x0 if x0 is not None else 0.0,
-                           variant=label.split("-")[1])
-    if label in ("case3-J", "case3-Y"):
-        return case3_build(spec, need("q0", q0), need("r0", r0),
-                           shift=x0 if x0 is not None else 0.0,
-                           kind=label.split("-")[1])
-    if label == "case4":
-        return case4_build(spec, need("C1", C1), x0)
-    if label == "case4-general":
-        return case4_general(spec, need("C1", C1), need("n_r", n_r))
+    for name, value in (("q0", q0), ("r0", r0), ("C1", C1), ("x0", x0), ("n_r", n_r)):
+        if value is not None and not math.isfinite(value):
+            raise ConstructionError(f"{label}: {name} must be finite, got {value!r}")
+    try:
+        if label == "case1":
+            return case1_build(spec, r0=r0 if r0 is not None else 1.0,
+                               x0=x0 if x0 is not None else 0.0,
+                               branch=branch, k34_branch=k34_branch)
+        if label in ("case2-A1", "case2-A2", "case2-B", "case2-C1", "case2-C2"):
+            return case2_build(spec, need("q0", q0), x0 if x0 is not None else 0.0,
+                               variant=label.split("-")[1])
+        if label in ("case3-J", "case3-Y"):
+            return case3_build(spec, need("q0", q0), need("r0", r0),
+                               shift=x0 if x0 is not None else 0.0,
+                               kind=label.split("-")[1])
+        if label == "case4":
+            return case4_build(spec, need("C1", C1), x0)
+        if label == "case4-general":
+            return case4_general(spec, need("C1", C1), need("n_r", n_r))
+    except ArithmeticError as err:  # overflow or division by zero in the constants
+        raise ConstructionError(
+            f"{label}: floating-point failure while building ({type(err).__name__}: {err})"
+        ) from None
     raise ConstructionError(f"unknown case label {label!r}; expected one of {CASE_LABELS}")

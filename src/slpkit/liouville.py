@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .expr import Call, Const, Div, Mul, Pow, ExpressionAST, ExprError
+from .expr import Add, Call, Const, Div, Mul, Pow, Sub, ExpressionAST, ExprError
 from .problems import CanonicalSLP, SchrodingerSLP, validate
 
 
@@ -259,38 +259,18 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
 # the invariant in x-space
 
 
-class _InvariantEvaluator:
-    """I at t(x), computed from symbolic x-derivatives:
-
-    I = q/r + [2 (w'/w)^2 - w''/w] (p/r) - (w'/w) * s * s',  s = sqrt(p/r).
-    """
-
-    def __init__(self, problem: CanonicalSLP):
-        self.problem = problem
-        self.w = weight_ast(problem)
-        self.wp = self.w.differentiate()
-        self.wpp = self.wp.differentiate()
-        var = problem.p.variable_name
-        self.s = ExpressionAST(Call("sqrt", (Div(problem.p.root, problem.r.root),)), var)
-        self.sp = self.s.differentiate()
-
-    def value(self, x: float) -> float:
-        pv = self.problem.p.evaluate(x)
-        qv = self.problem.q.evaluate(x)
-        rv = self.problem.r.evaluate(x)
-        wv = self.w.evaluate(x)
-        wpv = self.wp.evaluate(x)
-        wppv = self.wpp.evaluate(x)
-        sv = self.s.evaluate(x)
-        spv = self.sp.evaluate(x)
-        ratio = wpv / wv
-        return (qv / rv + (2.0 * ratio * ratio - wppv / wv) * (pv / rv)
-                - ratio * sv * spv)
-
-
 @lru_cache(maxsize=128)
-def _cached_evaluator(problem: CanonicalSLP) -> _InvariantEvaluator:
-    return _InvariantEvaluator(problem)
+def _invariant(problem: CanonicalSLP) -> ExpressionAST:
+    """I = q/r + [2 R R - w''/w] (p/r) - R s s' with R = w'/w, s = sqrt(p/r),
+    as one expression over x, operations grouped and ordered as written."""
+    p, q, r = problem.p.root, problem.q.root, problem.r.root
+    w = weight_ast(problem).root
+    wp = w.diff()
+    ratio = Div(wp, w)
+    s = Call("sqrt", (Div(p, r),))
+    bracket = Sub(Mul(Mul(Const(2.0), ratio), ratio), Div(wp.diff(), w))
+    root = Sub(Add(Div(q, r), Mul(bracket, Div(p, r))), Mul(Mul(ratio, s), s.diff()))
+    return ExpressionAST(root, problem.p.variable_name)
 
 
 def invariant_at_x(problem: CanonicalSLP, x: float) -> float:
@@ -299,19 +279,18 @@ def invariant_at_x(problem: CanonicalSLP, x: float) -> float:
     The value is computed purely from p, q, r and their symbolic
     derivatives at x; the map fixes only where on the t-axis it lives.
     """
-    return _cached_evaluator(problem).value(float(x))
+    return _invariant(problem).evaluate(x)
 
 
 class TabulatedInvariant:
     """Map-backed evaluator of I(t) produced by forward_transform."""
 
     def __init__(self, problem: CanonicalSLP, map_: TransformMap):
-        self.problem = problem
         self.map = map_
-        self._eval = _cached_evaluator(problem)
+        self._invariant = _invariant(problem)
 
     def evaluate(self, t: float) -> float:
-        return self._eval.value(self.map.x_of_t(t))
+        return self._invariant.evaluate(self.map.x_of_t(t))
 
 
 # ---------------------------------------------------------------------------

@@ -207,12 +207,21 @@ def bessel_y(nu: float, x: float) -> float:
     return _y_connection(nu, x)
 
 
-def _zeros_of(fn, lo: float, hi: float, step: float = 0.05) -> list[float]:
+_SCAN_STEP = 0.05
+# about 0.4 s of Bessel evaluations; case3 builds with q0/r0 near 1 scan < 100
+_SCAN_MAX_POINTS = 100_000
+
+
+def _zeros_of(fn, lo: float, hi: float) -> list[float]:
     """Zeros of a smooth oscillatory function by scan + bisection."""
     zeros = []
     if hi <= lo:
         return zeros
-    count = max(2, int(math.ceil((hi - lo) / step)) + 1)
+    count = max(2, math.ceil((hi - lo) / _SCAN_STEP) + 1)
+    if count > _SCAN_MAX_POINTS:
+        raise SpecialFunctionError(
+            f"zero scan of [{lo!r}, {hi!r}] at step {_SCAN_STEP} needs more than "
+            f"{_SCAN_MAX_POINTS} points")
     prev_x = lo
     prev_f = fn(prev_x)
     for i in range(1, count):

@@ -293,6 +293,29 @@ def test_verify_rejects_bad_parameters(capsys):
     assert "k must be positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "case1", "--k", "1e300"], "case1: floating-point failure"),
+    (["verify", "case1", "--k", "1e300"], "case1: floating-point failure"),
+    (["invert", "case3-J", "--k", "1", "--q0", "1", "--r0", "inf"],
+     "case3-J: r0 must be finite, got inf"),
+    (["invert", "case3-J", "--k", "1", "--q0", "nan", "--r0", "1"],
+     "case3-J: q0 must be finite, got nan"),
+    (["invert", "case4", "--k", "1", "--C1", "2", "--x0", "nan"],
+     "case4: x0 must be finite, got nan"),
+    (["invert", "case4", "--k", "1", "--C1", "inf"], "case4: C1 must be finite, got inf"),
+    (["invert", "case4-general", "--k", "1", "--C1", "2", "--nr", "nan"],
+     "case4-general: n_r must be finite, got nan"),
+    (["invert", "case3-Y", "--k", "1", "--q0", "1", "--r0", "1e-300"],
+     "case3-Y: endpoint guard failed: zero scan of [1e+149, "),
+])
+def test_extreme_construction_parameters_are_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 # ---------------------------------------------------------------------------
 # determinism and schemas
 

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slpkit import expr
@@ -295,6 +295,8 @@ def _extend(children):
     return st.one_of(
         st.builds(Neg, children),
         st.builds(lambda cls, a, b: cls(a, b), binary, children, children),
+        # one child object in both places: compiled once, walked twice
+        st.builds(lambda cls, a: cls(a, a), binary, children),
         st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(_UNARY_HOOKS), children),
         st.builds(lambda name, nu, a: Call(name, (Const(nu), a)),
                   st.sampled_from(_BESSEL_HOOKS),
@@ -312,11 +314,21 @@ points = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(), st.integers(-3
 @settings(max_examples=400, deadline=None)
 @given(root=trees, xs=st.lists(points, min_size=1, max_size=4),
        variable=st.sampled_from(("x", "t")))
+# constants that compare equal but must stay apart: 0.0 * -0.0 is -0.0, and
+# 2 ** (1 * 2.0) is the float 4.0
+@example(root=Mul(Const(0.0), Const(-0.0)), xs=[1.0], variable="x")
+@example(root=Pow(Const(2), Mul(Var(), Const(2.0))), xs=[1], variable="x")
 def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
     ast = ExpressionAST(root, variable)
-    for x in xs:
-        assert _outcome(ast.evaluate, x) == _outcome(
-            lambda x: _walk_evaluate(ast, x), x), (ast.to_text(), x)
+    checked = [ast]
+    try:
+        checked.append(ast.differentiate())  # shares subtrees with ast and itself
+    except expr.ExprError:
+        pass  # a constant exponent that does not evaluate
+    for tree in checked:
+        for x in xs:
+            assert _outcome(tree.evaluate, x) == _outcome(
+                lambda x: _walk_evaluate(tree, x), x), (tree.to_text(), x)
 
 
 def test_compiled_evaluation_matches_tree_walk_on_each_failure_kind():

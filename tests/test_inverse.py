@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -313,6 +314,14 @@ def test_case3_rejects_bad_parameters():
         case3_build(spec, q0=1.0, r0=-1.0)
     with pytest.raises(ConstructionError):
         case3_build(spec, q0=1.0, r0=1.0, kind="K")
+
+
+def test_case3_zero_scan_is_bounded():
+    # tau_bar = m/sqrt(r0) ~ 1e149: a 0.05-step scan would need ~6e151 points
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError, match=r"case3-Y: .*zero scan of \[1e\+149"):
+        build_case("case3-Y", PaineSpec(1.0, 0.1), q0=1.0, r0=1e-300)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from slpkit import liouville
 from slpkit.errors import NumericalError
 from slpkit import expr
-from slpkit.expr import parse
-from slpkit.inverse import build_case, case1_build, case4_build
+from slpkit.expr import Call, Div, EvalDomainError, ExpressionAST, parse
+from slpkit.inverse import CASE_LABELS, build_case, case1_build, case4_build
 from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
                               build_map, forward_transform, invariant_at_x)
 from slpkit.problems import CanonicalSLP, PaineSpec, validate
@@ -301,3 +302,81 @@ def test_invariant_at_x_hashes_no_node_after_the_first_call(monkeypatch):
         monkeypatch.setattr(cls, "__hash__", counting(cls.__hash__))
     assert invariant_at_x(problem, 0.7) == first
     assert hashed == Counter()
+
+
+# ---------------------------------------------------------------------------
+# the invariant as one expression against its eight components
+
+# the constants of `slp invert` in the benchmark's INVERT_ARGS
+INVERSE_CASES = {
+    "case1": (2.0, 0.1, {"r0": 1.0}),
+    "case2-A1": (0.75, 0.1, {"q0": 1.0}),
+    "case2-A2": (0.75, 1.5, {"q0": 1.0}),
+    "case2-B": (3.0, 0.1, {"q0": 1.0}),
+    "case2-C1": (1.0, 0.1, {"q0": 2.0}),
+    "case2-C2": (1.0, 1.2, {"q0": 2.0}),
+    "case3-J": (0.75, 0.1, {"q0": 1.0, "r0": 1.0}),
+    "case3-Y": (0.75, 0.1, {"q0": 1.0, "r0": 1.0}),
+    "case4": (1.0, 0.1, {"C1": 2.0}),
+    "case4-general": (1.0, 0.1, {"C1": 2.0, "n_r": 2.99}),
+}
+
+
+def _inverse_problem(label):
+    k, m, params = INVERSE_CASES[label]
+    return build_case(label, PaineSpec(k, m), **params).canonical
+
+
+def _componentwise_invariant(problem, x):
+    """p, q, r, w, w', w'', s, s' evaluated one by one, then
+    I = q/r + (2 R^2 - w''/w) (p/r) - R s s',  R = w'/w,  s = sqrt(p/r)."""
+    w = liouville.weight_ast(problem)
+    wp = w.differentiate()
+    s = ExpressionAST(Call("sqrt", (Div(problem.p.root, problem.r.root),)),
+                      problem.p.variable_name)
+    pv, qv, rv = problem.p.evaluate(x), problem.q.evaluate(x), problem.r.evaluate(x)
+    wv, wpv, wppv = w.evaluate(x), wp.evaluate(x), wp.differentiate().evaluate(x)
+    sv, spv = s.evaluate(x), s.differentiate().evaluate(x)
+    ratio = wpv / wv
+    return qv / rv + (2.0 * ratio * ratio - wppv / wv) * (pv / rv) - ratio * sv * spv
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_invariant_matches_componentwise_reference(label):
+    problem = _inverse_problem(label)
+    a, b = problem.a, problem.b
+    # 201 points of the interval, and points off it where components fail
+    xs = [a + (b - a) * j / 200 for j in range(201)] + [0.0, a - 1.0, b + 1.0, 1e300, -1e300]
+    failures = 0
+    for x in xs:
+        try:
+            expected = _componentwise_invariant(problem, x)
+        except (EvalDomainError, ArithmeticError):
+            expected = math.nan
+        if math.isfinite(expected):
+            assert invariant_at_x(problem, x).hex() == expected.hex(), x
+        else:
+            failures += 1
+            with pytest.raises(EvalDomainError):
+                invariant_at_x(problem, x)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("label, name", [("case3-J", "besselj"), ("case3-Y", "bessely")])
+def test_invariant_evaluates_each_bessel_factor_once(monkeypatch, label, name):
+    # orders nu-2 .. nu+2 of p, p' and p'' (nu = 1): five distinct calls
+    problem = _inverse_problem(label)
+    x = 0.5 * (problem.a + problem.b)
+    calls = []
+    hook = expr.FUNCTIONS[name]
+
+    def counting(args):
+        calls.append(tuple(args))
+        return hook.evaluate(args)
+
+    monkeypatch.setitem(expr.FUNCTIONS, name, replace(hook, evaluate=counting))
+    # a fresh expression, past the cache, so it compiles with the counting hook
+    value = liouville._invariant.__wrapped__(problem).evaluate(x)
+    assert value == invariant_at_x(problem, x)
+    assert len(calls) <= 5
+    assert len(set(calls)) == len(calls)

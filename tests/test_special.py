@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slpkit import special
 from slpkit.expr import parse
 from slpkit.special import (SpecialFunctionError, bessel_j, bessel_j_zeros,
                             bessel_y, bessel_y_zeros, gamma_fn)
@@ -162,6 +163,19 @@ def test_zero_finding_matches_literature():
     # y_{1,1..3} = 2.1971413260, 5.4296810407, 8.5960058683
     assert yzeros[0] == pytest.approx(2.1971413260, abs=1e-8)
     assert yzeros[2] == pytest.approx(8.5960058683, abs=1e-8)
+
+
+def test_zero_scan_refuses_intervals_over_its_point_cap(monkeypatch):
+    # at 0.05 steps, [1e-9, 5000.1] takes 100,003 points
+    with pytest.raises(SpecialFunctionError, match=r"zero scan of \[1e-09, 5000\.1\]"):
+        bessel_j_zeros(1.0, 0.0, 5000.1)
+    with pytest.raises(SpecialFunctionError, match="more than 100000 points"):
+        bessel_y_zeros(1.0, 1.0, 1e300)
+    # the cap itself is allowed: [1, 11] takes 201 points
+    monkeypatch.setattr(special, "_SCAN_MAX_POINTS", 201)
+    assert len(bessel_j_zeros(1.0, 1.0, 11.0)) == 3
+    with pytest.raises(SpecialFunctionError, match="more than 201 points"):
+        bessel_j_zeros(1.0, 1.0, 11.01)
 
 
 def test_bessel_derivative_hooks_match_finite_differences():
