@@ -10,12 +10,15 @@ one comparison per row for a positive pivot, and each bisection pass counts
 every distinct midpoint once: brackets that have not separated yet share a
 midpoint and so share its count.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
-of the second-order schemes.  The fine-grid bisection starts from the same
-Gershgorin brackets and takes the same midpoints, but first certifies, with
-two counts per eigenvalue, bounds around each coarse-grid eigenvalue; the
-count never decreases as the shift grows, so a midpoint outside the bounds
-is decided without a count, and the eigenvalues come out bit for bit the
-same as from a full bisection.
+of the second-order schemes.  Each grid's bisection starts from the same
+Gershgorin brackets and takes the same midpoints as a plain bisection, but
+first certifies, with two counts per eigenvalue, bounds around a guess of
+each eigenvalue: the fine grid's guesses are the coarse grid's eigenvalues,
+the coarse grid's come from a grid of n // 8 points, and Newton steps on
+det(T - sigma I) move each guess to within about one rounding error of the
+largest entry.  The count never decreases as the shift grows, so a midpoint
+outside the bounds is decided without a count, and the eigenvalues come out
+bit for bit the same as from a full bisection.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ import numpy as np
 from .errors import NumericalError
 from .expr import ExprError
 from .problems import CanonicalSLP, SchrodingerSLP, Spectrum
+
+
+_EPS = float(np.finfo(float).eps)
+# Newton refinement of the window guesses (see _polish)
+_NEWTON_STEPS = 6
+_SETTLE = 1e4
+# the grid that supplies the coarse grid's guesses has n // _GUESS_DIV points;
+# its eigenvalues are off by its O(h^2) error anyway, so a loose tol will do
+_GUESS_DIV = 8
+_GUESS_TOL = 1e-4
 
 
 class SolverError(NumericalError):
@@ -100,6 +113,54 @@ def _sturm_rows(T: SymTridiag):
     return list(zip(T.diag.tolist(), [0.0] + e2.tolist())), _pivmin(e2)
 
 
+def _newton_step(rows, pivmin, sigma):
+    """One Newton step on det(T - sigma I): sigma - det/det', or NaN.
+
+    det'/det is the sum of q_i'/q_i over the pivots of the count's
+    recurrence (same arithmetic, same clamp), with
+    q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2.
+    """
+    npiv = -pivmin
+    q = 1.0
+    dq = 0.0
+    s = 0.0
+    for di, ei in rows:
+        r = ei / q
+        dq = r * dq / q - 1.0
+        q = di - sigma - r
+        if npiv < q < pivmin:
+            q = npiv
+        s += dq / q
+    return sigma - 1.0 / s if 0.0 < abs(s) < math.inf else math.nan
+
+
+def _polish(rows, pivmin, near, tight):
+    """Each guess (value, radius) Newton-refined to (value', tight).
+
+    The iteration stops once a step s is at most _SETTLE * tight: Newton
+    converges quadratically, leaving an error of about s^2 / gap, below
+    tight unless another eigenvalue lies within about _SETTLE^2 * tight.
+    A guess whose iteration does not settle within _NEWTON_STEPS steps, or
+    leaves the finite numbers, is kept as it is.  Nothing here is trusted:
+    the windows are certified by counts afterwards.
+    """
+    out = []
+    for guess in near:
+        sigma = guess[0]
+        window = guess
+        for _ in range(_NEWTON_STEPS):
+            nxt = _newton_step(rows, pivmin, sigma)
+            if not math.isfinite(nxt):
+                break
+            step = abs(nxt - sigma)
+            sigma = nxt
+            if step <= _SETTLE * tight:
+                window = (sigma, tight)
+                break
+        out.append(window)
+    return out
+
+
 def _certify(rows, pivmin, near):
     """Per-eigenvalue bounds that decide a bisection step without a count.
 
@@ -122,21 +183,10 @@ def _certify(rows, pivmin, near):
     return wlo, whi
 
 
-def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
-    """The `count` smallest eigenvalues, each bracketed to width <= tol.
-
-    `_near` (private, from `solve_spectrum`) holds a (value, radius) guess
-    for each of the `count` eigenvalues; the bounds it certifies skip counts
-    whose outcome they already decide, and the midpoints, and so the
-    result, stay the same.
-    """
+def _bisect(T: SymTridiag, rows, pivmin, count: int, tol: float, wlo, whi) -> list:
+    """Bisection from the Gershgorin brackets; held bounds decide without a count."""
     n = T.n
-    if not 1 <= count <= n:
-        raise DiscretizationError(f"count must be in [1, {n}], got {count}")
-    if not tol > 0.0:
-        raise DiscretizationError(f"tol must be positive, got {tol}")
     d = T.diag
-    rows, pivmin = _sturm_rows(T)
     radius = np.zeros(n)
     if n > 1:
         absed = np.abs(T.offdiag)
@@ -148,10 +198,6 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
     lo = np.full(count, glo - pad)
     hi = np.full(count, ghi + pad)
     want = np.arange(count)
-    if _near is None:
-        wlo = whi = np.full(count, np.nan)
-    else:
-        wlo, whi = _certify(rows, pivmin, _near)
     for _ in range(200):
         if (hi - lo <= tol).all():
             break
@@ -172,6 +218,32 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
     # brackets bisect independently, so two that overlap within tol can
     # end with their midpoints out of order; restore global order
     return sorted(float(v) for v in 0.5 * (lo + hi))
+
+
+def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
+    """The `count` smallest eigenvalues, each bracketed to width <= tol.
+
+    `_near` (private, from `solve_spectrum`) holds a (value, radius) guess
+    for each of the `count` eigenvalues.  Newton steps move each guess onto
+    its eigenvalue, and the bounds certified around it skip counts whose
+    outcome they already decide; the midpoints, and so the result, stay
+    the same.
+    """
+    n = T.n
+    if not 1 <= count <= n:
+        raise DiscretizationError(f"count must be in [1, {n}], got {count}")
+    if not tol > 0.0:
+        raise DiscretizationError(f"tol must be positive, got {tol}")
+    rows, pivmin = _sturm_rows(T)
+    if _near is None:
+        wlo = whi = np.full(count, np.nan)
+    else:
+        # about one rounding error of the largest entry: the size of the
+        # region where the computed count can disagree with the exact one
+        scale = float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max(initial=0.0))
+        tight = max(_EPS * scale, tol)
+        wlo, whi = _certify(rows, pivmin, _polish(rows, pivmin, _near, tight))
+    return _bisect(T, rows, pivmin, count, tol, wlo, whi)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +312,28 @@ def _assemble(problem, n: int):
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
+def _guesses(problem, n: int, count: int):
+    """(value, radius) guesses for the n-point grid from an n // 8 grid.
+
+    The small grid's eigenvalues differ from the n-point ones by the
+    scheme's O(h^2) error, taken as lambda_j^2 h^2 for its mesh width h.
+    None when that grid is too small for `count` eigenvalues or cannot be
+    solved: its points are not the n-point grid's, and a failure there
+    must not change what the n-point solve reports.
+    """
+    m = n // _GUESS_DIV
+    if count < 1 or m < max(50, 4 * count):
+        return None
+    try:
+        T, h = _assemble(problem, m)
+        rows, pivmin = _sturm_rows(T)
+        none = np.full(count, np.nan)
+        values = _bisect(T, rows, pivmin, count, _GUESS_TOL, none, none)
+    except SolverError:
+        return None
+    return [(lam, lam * lam * h * h) for lam in values]
+
+
 def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spectrum:
     """Leading eigenvalues, optionally Richardson-combined across two grids.
 
@@ -248,9 +342,10 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
     the extrapolation would be limited to O(h^2/n).  The coarse eigenvalues
     seed the fine-grid bisection: each lambda_j is expected within the
     scheme's O(h^2) error, taken as lambda_j^2 h^2, of its fine-grid value.
+    The coarse bisection is seeded the same way from an n // 8 grid.
     """
     T, h = _assemble(problem, n)
-    lam_n = eig_bisect(T, count)
+    lam_n = eig_bisect(T, count, _near=_guesses(problem, n, count))
     if not richardson:
         values = lam_n
         errors = [0.0] * count

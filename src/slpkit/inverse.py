@@ -113,6 +113,10 @@ def _const_ast(value: float, variable: str = "x") -> ExpressionAST:
 
 def _finish(case_label: str, p, q, r, a: float, b: float, t_ast, x_ast,
             exact: bool, validity: ValidityInfo, extras: dict) -> InverseResult:
+    if a == b:
+        raise ConstructionError(
+            f"{case_label}: interval collapsed to one float, a=b={a!r}; "
+            "the shift is too large for its width")
     if not a < b:
         raise ConstructionError(f"{case_label}: interval inversion, a={a!r} >= b={b!r}")
     canonical = CanonicalSLP(p=p, q=q, r=r, a=a, b=b)
@@ -433,6 +437,10 @@ def case3_build(spec: PaineSpec, q0: float, r0: float, shift: float = 0.0,
     s = math.sqrt(abs(q0) / r0)
     tau_bar_lo, tau_bar_hi = s * m, s * (math.pi + m)
     label = f"case3-{kind}"
+    if not all(map(math.isfinite, (s, tau_bar_lo, tau_bar_hi))):
+        raise ConstructionError(
+            f"{label}: scaled Bessel argument sqrt(|q0|/r0)*(t+m) overflows "
+            f"for q0={q0!r}, r0={r0!r}")
     zeros = _bessel_guard(kind, nu, (tau_bar_lo, tau_bar_hi), label)
     warnings = []
     for zero in zeros:

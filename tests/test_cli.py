@@ -307,6 +307,12 @@ def test_verify_rejects_bad_parameters(capsys):
      "case4-general: n_r must be finite, got nan"),
     (["invert", "case3-Y", "--k", "1", "--q0", "1", "--r0", "1e-300"],
      "case3-Y: endpoint guard failed: zero scan of [1e+149, "),
+    (["invert", "case3-Y", "--k", "1", "--q0", "1e300", "--r0", "1e-300"],
+     "case3-Y: scaled Bessel argument sqrt(|q0|/r0)*(t+m) overflows "
+     "for q0=1e+300, r0=1e-300"),
+    (["invert", "case1", "--k", "1", "--x0", "1e300"],
+     "case1: interval collapsed to one float, a=b=-1e+300; "
+     "the shift is too large for its width"),
 ])
 def test_extreme_construction_parameters_are_rejected(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

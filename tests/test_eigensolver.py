@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
-                                _certify, _sturm_counts, _sturm_rows,
+                                _certify, _newton_step, _sturm_counts, _sturm_rows,
                                 discretize_canonical, discretize_schrodinger,
                                 eig_bisect, laplacian_eigenvalue,
                                 solve_spectrum)
@@ -358,17 +358,30 @@ def paine_two_call_solve(n, count):
 def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
     from slpkit import eigensolver
     shifts = []
+    newton = []
 
     def counting(rows, batch, pivmin):
         shifts.append((len(rows), len(batch)))
         return _sturm_counts(rows, batch, pivmin)
 
+    def newton_counting(rows, pivmin, sigma):
+        newton.append(len(rows))
+        return _newton_step(rows, pivmin, sigma)
+
     monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
-    spectrum = solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), n, 5)
+    monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
+    prob = paine_schrodinger(PaineSpec(1.0, 0.1))
+    spectrum = solve_spectrum(prob, n, 5)
     assert (spectrum.eigenvalues, spectrum.error_estimates) == paine_two_call_solve(n, 5)
-    coarse = sum(k for rows, k in shifts if rows == n)
-    fine = sum(k for rows, k in shifts if rows == 2 * n + 1)
-    assert fine < coarse  # twice the rows, fewer counts
+    # a Newton pass costs less than three counts
+    cost = {size: sum(k for rows, k in shifts if rows == size)
+            + 3 * newton.count(size) for size in (n, 2 * n + 1)}
+    for size, seeded in ((n, n // 8 >= 50), (2 * n + 1, True)):
+        shifts.clear()
+        eig_bisect(discretize_schrodinger(prob, size), 5)
+        plain = sum(k for _, k in shifts)
+        # a seeded grid skips most of a plain bisection's counts
+        assert cost[size] < plain / 2 if seeded else cost[size] == plain
 
 
 @pytest.mark.parametrize("n", [200, 2000])
@@ -382,3 +395,48 @@ def test_coarse_grid_windows_certify_on_paine(n):
     wlo, whi = _certify(rows, pivmin, near)
     assert wlo.tolist() == [lam - r for lam, r in near]
     assert whi.tolist() == [lam + r for lam, r in near]
+
+
+# ---------------------------------------------------------------------------
+# Newton-refined guesses: they move the windows, never the result
+
+
+def test_newton_step_matches_the_dense_spectrum():
+    # det'/det = -sum_k 1/(lambda_k - sigma), so a step is sigma + 1/that sum
+    T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), 60)
+    exact = np.linalg.eigvalsh(T.dense())
+    rows, pivmin = _sturm_rows(T)
+    for sigma in (0.5, 3.0, 10.0, 40.0):
+        expected = sigma + 1.0 / float(np.sum(1.0 / (exact - sigma)))
+        assert _newton_step(rows, pivmin, sigma) == pytest.approx(expected, rel=1e-12)
+
+
+def test_refined_windows_hold_tightly_on_paine():
+    from slpkit.eigensolver import _EPS, _guesses, _polish
+    prob = paine_schrodinger(PaineSpec(1.0, 0.1))
+    T = discretize_schrodinger(prob, 2000)
+    rows, pivmin = _sturm_rows(T)
+    tight = _EPS * (float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max()))
+    near = _guesses(prob, 2000, 5)
+    polished = _polish(rows, pivmin, near, tight)
+    assert [r for _, r in polished] == [tight] * 5
+    wlo, whi = _certify(rows, pivmin, polished)
+    assert not np.isnan(wlo).any() and not np.isnan(whi).any()
+    # the windows hold the eigenvalues the plain bisection finds
+    plain = eig_bisect(T, 5)
+    assert (wlo <= plain).all() and (np.array(plain) <= whi).all()
+
+
+def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):
+    from slpkit import eigensolver
+    # a dip of p at a midpoint of the 50-point guess grid that no midpoint
+    # of the 400-point grid comes near
+    dip = 10.5 / 51
+    prob = CanonicalSLP(parse(f"1 - 1.5*exp(-((x-{dip!r})/0.00001)^2)"),
+                        parse("0"), parse("1"), 0.0, 1.0)
+    with pytest.raises(SolverError):
+        discretize_canonical(prob, 50)
+    assert eigensolver._guesses(prob, 400, 3) is None
+    seeded = solve_spectrum(prob, 400, 3)
+    monkeypatch.setattr(eigensolver, "_guesses", lambda problem, n, count: None)
+    assert solve_spectrum(prob, 400, 3) == seeded

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from slpkit.inverse import (ConstructionError, build_case,
+from slpkit.inverse import (ConstructionError, _finish, build_case,
                             c_family_exact_displacement, case1_build,
                             case2_build, case3_build, case4_build,
                             case4_general, gamma_triangle, indicial_roots)
@@ -389,6 +389,14 @@ def test_case4_general_near_upper_power_limit():
 def test_case4_rejects_nonpositive_c1():
     with pytest.raises(ConstructionError):
         case4_build(PaineSpec(1.0, 0.1), C1=0.0)
+
+
+def test_finish_still_reports_an_inverted_interval():
+    # a == b (a shift that swamps the width) is covered by the CLI test of
+    # extreme construction parameters; a > b keeps the inversion message
+    c = case4_build(PaineSpec(1.0, 0.1), C1=2.0).canonical
+    with pytest.raises(ConstructionError, match=r"interval inversion, a=1\.0 >= b=0\.5"):
+        _finish("case4", c.p, c.q, c.r, 1.0, 0.5, None, None, True, None, {})
 
 
 # ---------------------------------------------------------------------------
