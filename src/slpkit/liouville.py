@@ -42,6 +42,7 @@ class QuadratureError(NumericalError):
 # adaptive Simpson quadrature
 
 _MAX_DEPTH = 48
+_MAX_CELL_DEPTH = 45  # map refinement: halvings of a base cell
 
 
 def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
@@ -58,8 +59,15 @@ def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
     if depth >= _MAX_DEPTH:
         raise QuadratureError("quadrature did not converge", a, b)
     half = 0.5 * eps
-    return (_simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
-            + _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1))
+    # the half whose outer samples sum larger first: a pole sits there, and
+    # a non-integrable one fails before its neighbours are resolved
+    if frm + fb > fa + flm:
+        r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
+        l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+    else:
+        l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+        r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
+    return l + r
 
 
 def _adaptive_simpson(fn, lo, hi, flo, fhi, tol):
@@ -214,8 +222,17 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     than quad_tol, so endpoint derivative blow-ups (the power-law maps)
     stay resolved.  sqrt(r/p) is evaluated once per point: the node slopes
     and the quadrature share the same values.
+
+    Work goes first where sqrt(r/p) is largest, since a non-integrable
+    point sits there: base cells in decreasing order of their endpoint
+    sum, in each cell the Simpson half at the larger endpoint slope first
+    (and inside the quadrature the half with the larger outer samples).
+    Each cell's integrals are a function of the cell alone and are summed
+    in x order afterwards, so a map is bit-identical to one built left to
+    right.  Where sqrt(r/p) fails at several points, the error names the
+    first one this order reaches.
     """
-    if not quad_tol > 0.0:  # NaN too: it would refine every cell to depth 45
+    if not quad_tol > 0.0:  # NaN too: no cell would ever be accepted
         raise TransformError(f"quad_tol must be positive, got {quad_tol}")
     bad = validate(problem)
     if bad:
@@ -232,27 +249,39 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     grid = np.linspace(problem.a, problem.b, _BASE_NODES).tolist()
     # the whole grid first: a failing node is reported before any point between nodes
     svals = [sigma(x) for x in grid]
-    xs, ts, ds = [grid[0]], [0.0], [svals[0]]
-    t = 0.0
-    for i in range(_BASE_NODES - 1):
-        # depth-first, left half first, so cells come out in x order
+    # accepted pieces in visit order: right end, integral, slope
+    xs, integrals, ds = [grid[0]], [0.0], [svals[0]]
+    ends = np.array(svals)
+    # largest endpoint sum first; the stable sort keeps equal sums in x order
+    for i in np.argsort(-(ends[:-1] + ends[1:]), kind="stable").tolist():
+        # depth-first, left half first, so a cell's pieces come out in x order
         stack = [(grid[i], grid[i + 1], svals[i], svals[i + 1], 0)]
         while stack:
             x0, x1, s0, s1, depth = stack.pop()
             xm = 0.5 * (x0 + x1)
             sm = sigma(xm)
-            left = _adaptive_simpson(sigma, x0, xm, s0, sm, half_tol)
-            right = _adaptive_simpson(sigma, xm, x1, sm, s1, half_tol)
+            if s1 > s0:
+                right = _adaptive_simpson(sigma, xm, x1, sm, s1, half_tol)
+                left = _adaptive_simpson(sigma, x0, xm, s0, sm, half_tol)
+            else:
+                left = _adaptive_simpson(sigma, x0, xm, s0, sm, half_tol)
+                right = _adaptive_simpson(sigma, xm, x1, sm, s1, half_tol)
             predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
-            if abs(predicted - left) <= quad_tol or depth >= 45:
-                t += left + right
+            if abs(predicted - left) <= quad_tol:
                 xs.append(x1)
-                ts.append(t)
+                integrals.append(left + right)
                 ds.append(s1)
+            elif depth >= _MAX_CELL_DEPTH:
+                raise QuadratureError("map refinement did not converge", x0, x1)
             else:
                 stack.append((xm, x1, sm, s1, depth + 1))
                 stack.append((x0, xm, s0, sm, depth + 1))
-    return TransformMap.tabulated(xs, ts, ds)
+    # back to x order: pieces of different base cells do not overlap and one
+    # cell's come in x order, so a stable sort on the right ends is exact
+    order = np.argsort(xs, kind="stable")
+    # a running sum in x order: the additions of a left-to-right pass, in its order
+    ts = np.cumsum(np.take(integrals, order))
+    return TransformMap.tabulated(np.take(xs, order), ts, np.take(ds, order))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slpkit import liouville
 from slpkit.errors import NumericalError
@@ -77,6 +79,28 @@ def test_build_map_reports_divergent_integrand():
     assert validate(bad) == []
     with pytest.raises(QuadratureError):
         build_map(bad, 1e-10)
+
+
+def test_build_map_reaches_a_non_integrable_point_first(monkeypatch):
+    # the cells and halves where sqrt(r/p) is largest go first, so the
+    # descent lands on the pole after about two evaluations per level
+    # instead of first resolving every neighbour of it (148,122 evaluations)
+    seen = _count_sigma(monkeypatch)
+    with pytest.raises(QuadratureError, match=r"at 0\.511 ") as err:
+        build_map(canonical(p="(x-0.511)^2", b=1.0), 1e-10)
+    assert err.value.lo == err.value.hi == 0.511
+    assert sum(seen.values()) <= 2 * 2048
+
+
+def test_build_map_refuses_a_cell_at_the_depth_cap(monkeypatch):
+    # case1 (k=2) refines to depth 20 at its left end; a cap of 3 must fail
+    # loudly there rather than accept an unconverged cell
+    monkeypatch.setattr(liouville, "_MAX_CELL_DEPTH", 3)
+    problem = case1_build(PaineSpec(2.0, 0.1), r0=1.0).canonical
+    with pytest.raises(QuadratureError, match="map refinement did not converge") as err:
+        build_map(problem, 1e-10)
+    assert err.value.lo == problem.a
+    assert err.value.hi - err.value.lo == pytest.approx((problem.b - problem.a) / 2048 / 8)
 
 
 def test_invariant_constant_coefficients():
@@ -231,6 +255,7 @@ def _oracle_build_map(problem, quad_tol, base_nodes=2049):
     ("case1", 2.0, {"r0": 1.0}, 3104),
     ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}, None),
     ("case4-general", 1.0, {"C1": 2.0, "n_r": 2.99}, None),
+    ("case3-J", 0.75, {"q0": 1.0, "r0": 1.0}, None),
 ])
 def test_build_map_matches_reference_bit_for_bit(label, k, params, nodes):
     problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
@@ -243,7 +268,8 @@ def test_build_map_matches_reference_bit_for_bit(label, k, params, nodes):
         assert len(m._xs) == nodes
 
 
-def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
+def _count_sigma(monkeypatch):
+    """Counter of the points at which build_map evaluates sqrt(r/p)."""
     seen = Counter()
     sigma_ast = liouville._sigma_ast
 
@@ -256,6 +282,38 @@ def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
             return self.expr.evaluate(x)
 
     monkeypatch.setattr(liouville, "_sigma_ast", lambda problem: Counting(sigma_ast(problem)))
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(-1.0, 2.0), w=st.floats(1e-3, 1.0),
+       a=st.floats(-1.0, 0.9), width=st.floats(1e-3, 1.0))
+def test_simpson_step_matches_x_order_bit_for_bit(c, w, a, width):
+    # visiting the larger half first must change neither the result's bits
+    # nor the points evaluated, only the order in which they are reached
+    b = a + width
+    results = []
+    for step in (liouville._simpson_step, _oracle_simpson_step):
+        seen = Counter()
+
+        def fn(x):
+            seen[x] += 1
+            return 1.0 / ((x - c) ** 2 + w * w)
+
+        fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        extra = () if step is liouville._simpson_step else (liouville._MAX_DEPTH,)
+        try:
+            results.append((step(fn, a, b, fa, fm, fb, whole, 1e-10, 0, *extra).hex(), seen))
+        except QuadratureError:
+            # a cell a few ulps wide cannot meet the floor (c = a, w = 1e-3
+            # does it); either order stops at the first such cell it reaches
+            results.append(None)
+    assert results[0] == results[1]
+
+
+def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
+    seen = _count_sigma(monkeypatch)
     m = build_map(classical_case4(), 1e-10)
     assert len(m._xs) == 2049  # no cell refined
     assert set(m._xs) <= set(seen)
