@@ -5,7 +5,8 @@ substitution u = w v, w = (p r)^(-1/4), takes a canonical problem to the
 reduced form -v'' + I(t) v = lambda v while preserving eigenvalues.  This
 module builds that map numerically (tabulated with monotone cubic Hermite
 interpolation between nodes, exact slopes sqrt(r/p) at the nodes; nodes,
-slopes and quadrature come from one sqrt(r/p) evaluation per point), exposes
+slopes and quadrature share their sqrt(r/p) values, evaluated once per point
+where a base cell does not refine and at most twice where it does), exposes
 the potential I through its x-space expression, and inverts the map.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
@@ -14,6 +15,7 @@ increasing and interval orientation is preserved.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,8 +222,18 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     Starts from a uniform grid and bisects any cell whose cubic Hermite
     interpolant misses the quadrature value at the cell midpoint by more
     than quad_tol, so endpoint derivative blow-ups (the power-law maps)
-    stay resolved.  sqrt(r/p) is evaluated once per point: the node slopes
-    and the quadrature share the same values.
+    stay resolved.  The node slopes and the quadrature share their
+    sqrt(r/p) values.  A base cell that does not refine evaluates each
+    point once: its midpoint and its two Simpson halves are disjoint.  A
+    refined base cell keeps a table of its values from the first halving
+    on: the halves reach their parent's points once more, and every
+    deeper point is evaluated once, so no point is evaluated more than
+    twice (x = 0 aside: 0.0 and -0.0 are one key, so neither is stored).
+    The unrefined cell fills no table, since most cells never refine and
+    would only pay for storing values no one asks for again.
+    A hit returns the value of the same float, a failure is never stored,
+    and distinct points are first reached in the same order, so the table
+    changes neither a map's bits nor the point an error names.
 
     Work goes first where sqrt(r/p) is largest, since a non-integrable
     point sits there: base cells in decreasing order of their endpoint
@@ -232,8 +244,9 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     right.  Where sqrt(r/p) fails at several points, the error names the
     first one this order reaches.
     """
-    if not quad_tol > 0.0:  # NaN too: no cell would ever be accepted
-        raise TransformError(f"quad_tol must be positive, got {quad_tol}")
+    # NaN: no cell would ever be accepted; inf: every cell would be
+    if not 0.0 < quad_tol < math.inf:
+        raise TransformError(f"quad_tol must be positive and finite, got {quad_tol}")
     bad = validate(problem)
     if bad:
         raise TransformError("problem failed validation: " + "; ".join(map(str, bad)))
@@ -244,6 +257,16 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
             return sigma_expr.evaluate(x)
         except ExprError as err:
             raise QuadratureError(f"sqrt(r/p) not evaluable mid-integration: {err}", x, x) from None
+
+    memo = {}  # sqrt(r/p) at the points of the current base cell
+
+    def remembered(x: float) -> float:
+        s = memo.get(x)
+        if s is None:
+            s = sigma(x)
+            if x:  # 0.0 and -0.0 are one key, but sqrt(r/p) may tell them apart
+                memo[x] = s
+        return s
 
     half_tol = 0.5 * (quad_tol / (_BASE_NODES - 1))
     grid = np.linspace(problem.a, problem.b, _BASE_NODES).tolist()
@@ -256,16 +279,19 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     for i in np.argsort(-(ends[:-1] + ends[1:]), kind="stable").tolist():
         # depth-first, left half first, so a cell's pieces come out in x order
         stack = [(grid[i], grid[i + 1], svals[i], svals[i + 1], 0)]
+        memo.clear()
         while stack:
             x0, x1, s0, s1, depth = stack.pop()
+            # the unrefined cell reaches no point twice; its halves revisit its points
+            fn = remembered if depth else sigma
             xm = 0.5 * (x0 + x1)
-            sm = sigma(xm)
+            sm = fn(xm)
             if s1 > s0:
-                right = _adaptive_simpson(sigma, xm, x1, sm, s1, half_tol)
-                left = _adaptive_simpson(sigma, x0, xm, s0, sm, half_tol)
+                right = _adaptive_simpson(fn, xm, x1, sm, s1, half_tol)
+                left = _adaptive_simpson(fn, x0, xm, s0, sm, half_tol)
             else:
-                left = _adaptive_simpson(sigma, x0, xm, s0, sm, half_tol)
-                right = _adaptive_simpson(sigma, xm, x1, sm, s1, half_tol)
+                left = _adaptive_simpson(fn, x0, xm, s0, sm, half_tol)
+                right = _adaptive_simpson(fn, xm, x1, sm, s1, half_tol)
             predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
             if abs(predicted - left) <= quad_tol:
                 xs.append(x1)

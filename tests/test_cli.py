@@ -28,6 +28,8 @@ CASE4 = {"form": "canonical",
          "interval": [0.0, 2.098996393322564], "bc": "dirichlet"}
 BAD_WEIGHT = {"form": "canonical", "coefficients": {"p": "1", "q": "0", "r": "x"},
               "interval": [-1.0, 1.0], "bc": "dirichlet"}
+CASE1 = {"form": "canonical", "coefficients": {"p": "(5*x)^1.6", "q": "0", "r": "1"},
+         "interval": [2.0000000000000003e-06, 71.58502696213006], "bc": "dirichlet"}
 SINGULAR_P = {"form": "canonical", "coefficients": {"p": "(x-0.511)^2", "q": "0", "r": "1"},
               "interval": [0.0, 1.0], "bc": "dirichlet"}
 DIP_P = {"form": "canonical",
@@ -161,7 +163,8 @@ def test_transform_divergent_map_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--samples", "1"), "--samples must be at least 2, got 1"),
     (("--samples", "0"), "--samples must be at least 2, got 0"),
-    (("--quad-tol", "nan"), "quad_tol must be positive, got nan"),
+    (("--quad-tol", "nan"), "quad_tol must be positive and finite, got nan"),
+    (("--quad-tol", "inf"), "quad_tol must be positive and finite, got inf"),
 ])
 def test_transform_rejects_bad_numeric_options(tmp_path, capsys, argv, message):
     path = write(tmp_path, "case4.json", CASE4)
@@ -348,6 +351,8 @@ def test_repeated_invocations_are_byte_identical(tmp_path, capsys):
 PINNED_SHA256 = {
     "transform": "7a1a6bebe9b10871e73711e763c3bf53ba91414f9c63ec30118a217d53e7af8e",
     "transform.csv": "55b3c5410e2410ecbedd33a414245af72d47d1e1e561f30ad2a81466e86cfb43",
+    # case1 (k=2, r0=1): its map refines at the left end, where case4's never does
+    "transform case1": "bccfa3d452cf074974a1b837bf02230ca50f266baab790448300955e2bce054a",
     "solve": "921a666bc43bfcef85d722971a5c1edbb9dc7428b9dc70854ef0060502b98d93",
     "verify": "4f41340134aa90d02990bac97e2e74aac54dc83d5e40a9566565d7aee9958876",
 }
@@ -363,6 +368,10 @@ def test_outputs_match_pinned_bytes(tmp_path, capsys):
     assert code == 0
     assert sha(out.encode()) == PINNED_SHA256["transform"]
     assert sha(csv_path.read_bytes()) == PINNED_SHA256["transform.csv"]
+
+    code, out, err = run_cli(capsys, "transform", write(tmp_path, "case1.json", CASE1))
+    assert (code, err) == (0, "")
+    assert sha(out.encode()) == PINNED_SHA256["transform case1"]
 
     code, out, err = run_cli(capsys, "solve", write(tmp_path, "paine.json", PAINE),
                              "--n", "200", "--count", "5", "--richardson")

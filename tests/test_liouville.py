@@ -71,6 +71,9 @@ def test_build_map_rejects_invalid_problem_and_tolerance():
         build_map(canonical(), -1.0)
     with pytest.raises(TransformError, match="nan"):
         build_map(canonical(), float("nan"))
+    # an infinite tolerance would accept the unrefined grid as it stands
+    with pytest.raises(TransformError, match="positive and finite, got inf"):
+        build_map(canonical(), math.inf)
 
 
 def test_build_map_reports_divergent_integrand():
@@ -318,6 +321,23 @@ def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
     assert len(m._xs) == 2049  # no cell refined
     assert set(m._xs) <= set(seen)
     assert max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("label, k, params, total", [
+    # refined cells that re-evaluated their parent's points would make 203,963
+    ("case1", 2.0, {"r0": 1.0}, 75_000),
+    ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}, None),
+])
+def test_build_map_evaluates_a_refined_cell_at_most_twice_per_point(monkeypatch, label, k,
+                                                                   params, total):
+    # a refined base cell's halves re-reach its points once; deeper points are shared
+    problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
+    seen = _count_sigma(monkeypatch)
+    m = build_map(problem, 1e-10)
+    assert len(m._xs) > 2049  # some cell refined
+    assert max(seen.values()) == 2
+    if total is not None:
+        assert sum(seen.values()) <= total
 
 
 def _assert_float_queries(m):
