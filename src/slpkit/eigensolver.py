@@ -12,13 +12,14 @@ midpoint and so share its count.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
 of the second-order schemes.  Each grid's bisection starts from the same
 Gershgorin brackets and takes the same midpoints as a plain bisection, but
-first certifies, with two counts per eigenvalue, bounds around a guess of
-each eigenvalue: the fine grid's guesses are the coarse grid's eigenvalues,
-the coarse grid's come from a grid of n // 8 points, and Newton steps on
-det(T - sigma I) move each guess to within about one rounding error of the
-largest entry.  The count never decreases as the shift grows, so a midpoint
-outside the bounds is decided without a count, and the eigenvalues come out
-bit for bit the same as from a full bisection.
+first takes a guess of each eigenvalue -- the fine grid's guesses are the
+coarse grid's eigenvalues, the coarse grid's those of a grid of n // 8
+points -- and moves it by Newton steps on det(T - sigma I) to within about
+one rounding error of the largest entry.  Where the steps settle, two
+counts certify tight bounds around the result; a guess that does not
+settle gets none.  The count never decreases as the shift grows, so a
+midpoint outside the bounds is decided without a count, and the
+eigenvalues come out bit for bit the same as from a full bisection.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .problems import CanonicalSLP, SchrodingerSLP, Spectrum
 
 
 _EPS = float(np.finfo(float).eps)
-# Newton refinement of the window guesses (see _polish)
+# Newton refinement of the window guesses (see _windows)
 _NEWTON_STEPS = 6
 _SETTLE = 1e4
 # the grid that supplies the coarse grid's guesses has n // _GUESS_DIV points;
@@ -134,20 +135,24 @@ def _newton_step(rows, pivmin, sigma):
     return sigma - 1.0 / s if 0.0 < abs(s) < math.inf else math.nan
 
 
-def _polish(rows, pivmin, near, tight):
-    """Each guess (value, radius) Newton-refined to (value', tight).
+def _windows(rows, pivmin, guesses, tight):
+    """Per-eigenvalue bounds that decide a bisection step without a count.
 
-    The iteration stops once a step s is at most _SETTLE * tight: Newton
-    converges quadratically, leaving an error of about s^2 / gap, below
-    tight unless another eigenvalue lies within about _SETTLE^2 * tight.
-    A guess whose iteration does not settle within _NEWTON_STEPS steps, or
-    leaves the finite numbers, is kept as it is.  Nothing here is trusted:
-    the windows are certified by counts afterwards.
+    Newton steps move each guess of the j-th smallest eigenvalue onto it;
+    the iteration settles once a step s is at most _SETTLE * tight, leaving
+    an error of about s^2 / gap, below tight unless another eigenvalue lies
+    within about _SETTLE^2 * tight.  Nothing here is trusted: a guess that
+    settles at c gets the lower bound c - tight when count(c - tight) <= j
+    and the upper bound c + tight when count(c + tight) > j, and a side
+    that fails is left as NaN, which decides nothing.  A guess that does
+    not settle within _NEWTON_STEPS steps, or leaves the finite numbers,
+    gets no bounds and costs no count.  Since the count never decreases as
+    the shift grows, any midpoint at or below a held lower bound has
+    count <= j ("not above"), and any midpoint at or above a held upper
+    bound has count > j.
     """
-    out = []
-    for guess in near:
-        sigma = guess[0]
-        window = guess
+    want, centers = [], []
+    for j, sigma in enumerate(guesses):
         for _ in range(_NEWTON_STEPS):
             nxt = _newton_step(rows, pivmin, sigma)
             if not math.isfinite(nxt):
@@ -155,31 +160,17 @@ def _polish(rows, pivmin, near, tight):
             step = abs(nxt - sigma)
             sigma = nxt
             if step <= _SETTLE * tight:
-                window = (sigma, tight)
+                want.append(j)
+                centers.append(sigma)
                 break
-        out.append(window)
-    return out
-
-
-def _certify(rows, pivmin, near):
-    """Per-eigenvalue bounds that decide a bisection step without a count.
-
-    `near` holds a guess (value, radius) for each of the smallest
-    eigenvalues.  The j-th lower bound holds when count(value - radius) <= j
-    and the upper bound when count(value + radius) > j; a side that fails is
-    left as NaN, which decides nothing.  Since the count never decreases as
-    the shift grows, any midpoint at or below a held lower bound has
-    count <= j ("not above"), and any midpoint at or above a held upper
-    bound has count > j.
-    """
-    want = np.arange(len(near))
-    center = np.array([c for c, _ in near], dtype=float)
-    radius = np.array([r for _, r in near], dtype=float)
-    lo = center - radius
-    hi = center + radius
-    counts = np.array(_sturm_counts(rows, lo.tolist() + hi.tolist(), pivmin))
-    wlo = np.where(counts[:len(near)] <= want, lo, np.nan)
-    whi = np.where(counts[len(near):] > want, hi, np.nan)
+    wlo = np.full(len(guesses), np.nan)
+    whi = np.full(len(guesses), np.nan)
+    if want:
+        lo = np.array(centers) - tight
+        hi = np.array(centers) + tight
+        counts = np.array(_sturm_counts(rows, lo.tolist() + hi.tolist(), pivmin))
+        wlo[want] = np.where(counts[:len(want)] <= want, lo, np.nan)
+        whi[want] = np.where(counts[len(want):] > want, hi, np.nan)
     return wlo, whi
 
 
@@ -223,17 +214,16 @@ def _bisect(T: SymTridiag, rows, pivmin, count: int, tol: float, wlo, whi) -> li
 def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
     """The `count` smallest eigenvalues, each bracketed to width <= tol.
 
-    `_near` (private, from `solve_spectrum`) holds a (value, radius) guess
-    for each of the `count` eigenvalues.  Newton steps move each guess onto
-    its eigenvalue, and the bounds certified around it skip counts whose
-    outcome they already decide; the midpoints, and so the result, stay
-    the same.
+    `_near` (private, from `solve_spectrum`) holds a guess of each of the
+    `count` eigenvalues.  Newton steps move each guess onto its eigenvalue,
+    and the bounds certified around it skip counts whose outcome they
+    already decide; the midpoints, and so the result, stay the same.
     """
     n = T.n
     if not 1 <= count <= n:
         raise DiscretizationError(f"count must be in [1, {n}], got {count}")
-    if not tol > 0.0:
-        raise DiscretizationError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DiscretizationError(f"tol must be positive and finite, got {tol}")
     rows, pivmin = _sturm_rows(T)
     if _near is None:
         wlo = whi = np.full(count, np.nan)
@@ -242,7 +232,7 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
         # region where the computed count can disagree with the exact one
         scale = float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max(initial=0.0))
         tight = max(_EPS * scale, tol)
-        wlo, whi = _certify(rows, pivmin, _polish(rows, pivmin, _near, tight))
+        wlo, whi = _windows(rows, pivmin, _near, tight)
     return _bisect(T, rows, pivmin, count, tol, wlo, whi)
 
 
@@ -302,21 +292,18 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
     return SymTridiag(diag, off)
 
 
-def _assemble(problem, n: int):
-    """The matrix on n interior points and its mesh width."""
+def _assemble(problem, n: int) -> SymTridiag:
+    """The matrix on n interior points."""
     if isinstance(problem, SchrodingerSLP):
-        return (discretize_schrodinger(problem, n),
-                (problem.beta - problem.alpha) / (n + 1))
+        return discretize_schrodinger(problem, n)
     if isinstance(problem, CanonicalSLP):
-        return discretize_canonical(problem, n), (problem.b - problem.a) / (n + 1)
+        return discretize_canonical(problem, n)
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
 def _guesses(problem, n: int, count: int):
-    """(value, radius) guesses for the n-point grid from an n // 8 grid.
+    """Guesses of the n-point grid's eigenvalues: those of an n // 8 grid.
 
-    The small grid's eigenvalues differ from the n-point ones by the
-    scheme's O(h^2) error, taken as lambda_j^2 h^2 for its mesh width h.
     None when that grid is too small for `count` eigenvalues or cannot be
     solved: its points are not the n-point grid's, and a failure there
     must not change what the n-point solve reports.
@@ -325,13 +312,12 @@ def _guesses(problem, n: int, count: int):
     if count < 1 or m < max(50, 4 * count):
         return None
     try:
-        T, h = _assemble(problem, m)
+        T = _assemble(problem, m)
         rows, pivmin = _sturm_rows(T)
         none = np.full(count, np.nan)
-        values = _bisect(T, rows, pivmin, count, _GUESS_TOL, none, none)
+        return _bisect(T, rows, pivmin, count, _GUESS_TOL, none, none)
     except SolverError:
         return None
-    return [(lam, lam * lam * h * h) for lam in values]
 
 
 def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spectrum:
@@ -340,18 +326,15 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
     The fine grid has 2n+1 interior points so the mesh width is exactly
     halved; with a literal 2n the h^2 terms would not cancel cleanly and
     the extrapolation would be limited to O(h^2/n).  The coarse eigenvalues
-    seed the fine-grid bisection: each lambda_j is expected within the
-    scheme's O(h^2) error, taken as lambda_j^2 h^2, of its fine-grid value.
-    The coarse bisection is seeded the same way from an n // 8 grid.
+    are the fine-grid bisection's guesses, and the eigenvalues of an n // 8
+    grid are the coarse bisection's.
     """
-    T, h = _assemble(problem, n)
-    lam_n = eig_bisect(T, count, _near=_guesses(problem, n, count))
+    lam_n = eig_bisect(_assemble(problem, n), count, _near=_guesses(problem, n, count))
     if not richardson:
         values = lam_n
         errors = [0.0] * count
     else:
-        near = [(lam, lam * lam * h * h) for lam in lam_n]
-        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1)[0], count, _near=near)
+        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1), count, _near=lam_n)
         values = [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         errors = [abs(l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         # near-degenerate clusters can come out of the two grids in a

@@ -362,10 +362,6 @@ def _pow(a: Node, b: Node) -> Node:
 # function registry
 
 
-class _DomainSignal(ValueError):
-    """Raised inside function hooks; rewrapped with expression context."""
-
-
 @dataclass(frozen=True)
 class FunctionHook:
     name: str
@@ -388,13 +384,13 @@ def _ev_exp(v):
 
 def _ev_ln(v):
     if v[0] <= 0.0:
-        raise _DomainSignal("ln of nonpositive argument")
+        raise ValueError("ln of nonpositive argument")
     return math.log(v[0])
 
 
 def _ev_sqrt(v):
     if v[0] < 0.0:
-        raise _DomainSignal("sqrt of negative argument")
+        raise ValueError("sqrt of negative argument")
     return math.sqrt(v[0])
 
 
@@ -507,8 +503,6 @@ def _power(base, expo, node: "Pow", variable: str, x: float):
 def _apply(hook, args: list, node: "Call", variable: str, x: float):
     try:
         v = hook(args)
-    except _DomainSignal as sig:
-        raise _fail(str(sig), node, variable, x) from None
     except (OverflowError, ValueError) as err:
         raise _fail(str(err), node, variable, x) from None
     if not math.isfinite(v):

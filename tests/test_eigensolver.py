@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
-                                _certify, _newton_step, _sturm_counts, _sturm_rows,
+                                _newton_step, _sturm_counts, _sturm_rows, _windows,
                                 discretize_canonical, discretize_schrodinger,
                                 eig_bisect, laplacian_eigenvalue,
                                 solve_spectrum)
@@ -88,6 +88,10 @@ def test_eig_bisect_rejects_bad_arguments():
         eig_bisect(T, 2, tol=0.0)
     with pytest.raises(DiscretizationError, match="nan"):
         eig_bisect(T, 1, tol=float("nan"))
+    # an infinite tol would return the Gershgorin midpoints, here [2, 2, 2]
+    second_difference = SymTridiag(np.full(3, 2.0), np.full(2, -1.0))
+    with pytest.raises(DiscretizationError, match="inf"):
+        eig_bisect(second_difference, 3, tol=math.inf)
 
 
 def test_sturm_count_matches_exact_spectrum():
@@ -309,17 +313,20 @@ def test_sturm_counts_never_decrease_as_the_shift_grows(data):
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+# a guess off by these amounts settles on its eigenvalue, on a neighbour,
+# or nowhere within the Newton steps
+OFFSETS = [0.0, 1e-12, -1e-12, 1e-9, 1e-6, -1e-3, 0.1, -1.0, 8.0, -100.0, 1e6]
+
+
 @st.composite
 def guesses(draw, T, count):
-    """(value, radius) per eigenvalue: windows that hold, that miss the
-    eigenvalue by a few radii or by many, and of zero width."""
+    """A float per eigenvalue: exact, off by a little or a lot, anywhere,
+    or a value no Newton step starts from."""
     exact = np.linalg.eigvalsh(T.dense())[:count].tolist()
-    out = []
-    for lam in exact:
-        radius = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0]))
-        offset = draw(st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0, 100.0, -100.0]))
-        out.append((lam + offset * radius + draw(st.sampled_from([0.0, 1e-9])), radius))
-    return out
+    return [draw(st.one_of(st.sampled_from(OFFSETS).map(lam.__add__),
+                           st.floats(-1e3, 1e3, allow_nan=False),
+                           st.sampled_from([math.nan, math.inf, -math.inf])))
+            for lam in exact]
 
 
 @settings(max_examples=120, deadline=None)
@@ -334,14 +341,16 @@ def test_certified_bounds_bracket_and_decide():
     T = discretize_schrodinger(free_particle(), 99)
     exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 4)]
     rows, pivmin = _sturm_rows(T)
-    # exact guesses hold on both sides; a window of zero width holds on one
-    # side at most; a guess off by more than its radius fails on the side
-    # the eigenvalue is not on
-    near = [(exact[0], 1e-6), (exact[1] - 1e-6, 0.0), (exact[2] + 4e-6, 1e-6)]
-    wlo, whi = _certify(rows, pivmin, near)
-    assert wlo[0] == exact[0] - 1e-6 and whi[0] == exact[0] + 1e-6
-    assert wlo[1] == exact[1] - 1e-6 and np.isnan(whi[1])
-    assert np.isnan(wlo[2]) and whi[2] == exact[2] + 4e-6 + 1e-6
+    tight = 1e-9
+    # each guess settles on the eigenvalue nearest to it: the first on its
+    # own, which both sides certify; the second on the third eigenvalue,
+    # so its lower side (count <= 1) fails; the third on the second, so
+    # its upper side (count > 2) fails
+    wlo, whi = _windows(rows, pivmin, [exact[0] + 1e-3, exact[2], exact[1] + 0.1], tight)
+    assert wlo[0] < exact[0] < whi[0]
+    assert whi[0] - wlo[0] == pytest.approx(2.0 * tight)
+    assert np.isnan(wlo[1]) and exact[2] < whi[1] <= exact[2] + 2.0 * tight
+    assert exact[1] - 2.0 * tight <= wlo[2] < exact[1] and np.isnan(whi[2])
 
 
 def paine_two_call_solve(n, count):
@@ -384,19 +393,6 @@ def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
         assert cost[size] < plain / 2 if seeded else cost[size] == plain
 
 
-@pytest.mark.parametrize("n", [200, 2000])
-def test_coarse_grid_windows_certify_on_paine(n):
-    # solve_spectrum's guess: lambda_j within lambda_j^2 h^2 of the fine value
-    prob = paine_schrodinger(PaineSpec(1.0, 0.1))
-    h = PI / (n + 1)
-    near = [(lam, lam * lam * h * h)
-            for lam in eig_bisect(discretize_schrodinger(prob, n), 5)]
-    rows, pivmin = _sturm_rows(discretize_schrodinger(prob, 2 * n + 1))
-    wlo, whi = _certify(rows, pivmin, near)
-    assert wlo.tolist() == [lam - r for lam, r in near]
-    assert whi.tolist() == [lam + r for lam, r in near]
-
-
 # ---------------------------------------------------------------------------
 # Newton-refined guesses: they move the windows, never the result
 
@@ -412,19 +408,41 @@ def test_newton_step_matches_the_dense_spectrum():
 
 
 def test_refined_windows_hold_tightly_on_paine():
-    from slpkit.eigensolver import _EPS, _guesses, _polish
+    from slpkit.eigensolver import _EPS, _guesses
     prob = paine_schrodinger(PaineSpec(1.0, 0.1))
     T = discretize_schrodinger(prob, 2000)
     rows, pivmin = _sturm_rows(T)
     tight = _EPS * (float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max()))
-    near = _guesses(prob, 2000, 5)
-    polished = _polish(rows, pivmin, near, tight)
-    assert [r for _, r in polished] == [tight] * 5
-    wlo, whi = _certify(rows, pivmin, polished)
+    wlo, whi = _windows(rows, pivmin, _guesses(prob, 2000, 5), tight)
     assert not np.isnan(wlo).any() and not np.isnan(whi).any()
+    # c -+ tight, each rounded to the nearest float
+    assert (np.abs(whi - wlo - 2.0 * tight) <= np.spacing(whi)).all()
     # the windows hold the eigenvalues the plain bisection finds
     plain = eig_bisect(T, 5)
     assert (wlo <= plain).all() and (np.array(plain) <= whi).all()
+
+
+def test_guesses_that_never_settle_cost_no_count(monkeypatch):
+    from slpkit import eigensolver
+    T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), 200)
+    rows, pivmin = _sturm_rows(T)
+    shifts = []
+
+    def counting(rows, batch, pivmin):
+        shifts.append(len(batch))
+        return _sturm_counts(rows, batch, pivmin)
+
+    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    plain = eig_bisect(T, 5)
+    plain_counts = sum(shifts)
+    monkeypatch.setattr(eigensolver, "_NEWTON_STEPS", 0)
+    shifts.clear()
+    wlo, whi = _windows(rows, pivmin, plain, 1e-9)
+    assert shifts == []
+    assert np.isnan(wlo).all() and np.isnan(whi).all()
+    # with no windows the seeded bisection is the plain one, count for count
+    assert eig_bisect(T, 5, _near=plain) == plain == oracle_eig_bisect(T, 5)
+    assert sum(shifts) == plain_counts
 
 
 def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):

@@ -247,8 +247,6 @@ def _walk(node, x):
     vals = [_walk(a, x) for a in node.args]
     try:
         v = hook.evaluate(vals)
-    except expr._DomainSignal as sig:
-        raise EvalDomainError(str(sig), node.text(), x) from None
     except (OverflowError, ValueError) as err:
         raise EvalDomainError(str(err), node.text(), x) from None
     if not math.isfinite(v):
