@@ -11,7 +11,18 @@ right-associative and binding tighter than unary minus (``-x^2`` reads as
 ``-(x^2)``), and function applications.  Built-in functions are exp, ln,
 sin, cos, sqrt, abs and cbrt; further named functions (the Bessel factors
 used by the constant-coefficient inversions) can be registered at import
-time and then print and re-parse like any other call.
+time and then print and re-parse like any other call.  Whitespace may
+surround any token.  An expression nested more than 50 levels deep raises
+ParseError: each parenthesis, sign, exponent and call argument opens a
+level, and so does each operator of a chain such as ``x+x+x``, since every
+later stage recurses over the tree.
+
+One operator table: the binary node classes (Add, Sub, Mul, Div, Pow)
+share the body of ``_Binary``, and each carries only its symbol ``op``, its
+precedences ``prec = (left operand, right operand, own)`` and its
+derivative.  The printer and the parser read ``prec``, so printing and
+re-parsing agree, and the emitter writes ``op`` as the Python operator; Div
+adds a zero check and Pow calls ``_power`` instead.
 
 Trees are never rewritten beyond constant folding: correctness over
 canonical form.  Fractional powers require a positive base at evaluation
@@ -158,63 +169,55 @@ class Neg(Node):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(Node):
+class _Binary(Node):
+    """a op b.  Each subclass sets ``op`` and ``prec = (left, right, own)``,
+    the precedences its operands print at and its own."""
+
     a: Node
     b: Node
 
     def emit(self, em):
-        return em.assign(f"{em.value(self.a)} + {em.value(self.b)}")
+        return em.assign(f"{em.value(self.a)} {self.op} {em.value(self.b)}")
+
+    def key(self, em):
+        # the subclasses' own __slots__ are empty, so Node.key would see no fields
+        return (type(self), em.value(self.a), em.value(self.b))
+
+    def text(self, prec=0):
+        left, right, own = self.prec
+        return self._wrap(self.a.text(left) + self.op + self.b.text(right), prec, own)
+
+    def has_var(self):
+        return self.a.has_var() or self.b.has_var()
+
+
+class Add(_Binary):
+    __slots__ = ()
+    op, prec = "+", (10, 11, 10)
 
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
 
-    def text(self, prec=0):
-        return self._wrap(self.a.text(10) + "+" + self.b.text(11), prec, 10)
 
-    def has_var(self):
-        return self.a.has_var() or self.b.has_var()
-
-
-@dataclass(frozen=True, slots=True)
-class Sub(Node):
-    a: Node
-    b: Node
-
-    def emit(self, em):
-        return em.assign(f"{em.value(self.a)} - {em.value(self.b)}")
+class Sub(_Binary):
+    __slots__ = ()
+    op, prec = "-", (10, 11, 10)
 
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
 
-    def text(self, prec=0):
-        return self._wrap(self.a.text(10) + "-" + self.b.text(11), prec, 10)
 
-    def has_var(self):
-        return self.a.has_var() or self.b.has_var()
-
-
-@dataclass(frozen=True, slots=True)
-class Mul(Node):
-    a: Node
-    b: Node
-
-    def emit(self, em):
-        return em.assign(f"{em.value(self.a)} * {em.value(self.b)}")
+class Mul(_Binary):
+    __slots__ = ()
+    op, prec = "*", (20, 21, 20)
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
 
-    def text(self, prec=0):
-        return self._wrap(self.a.text(20) + "*" + self.b.text(21), prec, 20)
 
-    def has_var(self):
-        return self.a.has_var() or self.b.has_var()
-
-
-@dataclass(frozen=True, slots=True)
-class Div(Node):
-    a: Node
-    b: Node
+class Div(_Binary):
+    __slots__ = ()
+    op, prec = "/", (20, 21, 20)
 
     def emit(self, em):
         num, den = em.value(self.a), em.value(self.b)
@@ -226,17 +229,11 @@ class Div(Node):
         num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
         return _div(num, _pow(self.b, Const(2.0)))
 
-    def text(self, prec=0):
-        return self._wrap(self.a.text(20) + "/" + self.b.text(21), prec, 20)
 
-    def has_var(self):
-        return self.a.has_var() or self.b.has_var()
-
-
-@dataclass(frozen=True, slots=True)
-class Pow(Node):
-    a: Node
-    b: Node
+class Pow(_Binary):
+    __slots__ = ()
+    # exponent at precedence 25 so unary minus in it stays bare: x^-2
+    op, prec = "^", (31, 25, 30)
 
     def emit(self, em):
         base, expo = em.value(self.a), em.value(self.b)
@@ -254,13 +251,6 @@ class Pow(Node):
         # general: u^v * (v'*ln u + v*u'/u)
         term = _add(_mul(b.diff(), Call("ln", (a,))), _mul(b, _div(a.diff(), a)))
         return _mul(self, term)
-
-    def text(self, prec=0):
-        # exponent at precedence 25 so unary minus in it stays bare: x^-2
-        return self._wrap(self.a.text(31) + "^" + self.b.text(25), prec, 30)
-
-    def has_var(self):
-        return self.a.has_var() or self.b.has_var()
 
 
 @dataclass(frozen=True, slots=True)
@@ -584,30 +574,38 @@ class ExpressionAST:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<end>\Z))"
 )
 
-_BINARY_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
+_BINARY = {cls.op: cls for cls in (Add, Sub, Mul, Div)}
+
+# deepest nesting parse accepts.  Compiling, printing, hashing and
+# differentiating recurse over the tree, and the invariant holds second
+# derivatives of p and r, several times deeper than p and r: at 50 levels of
+# ((x^x)^x)... its compilation takes ~830 of Python's 1000 frames, at 61 it
+# overflows them
+_MAX_NESTING = 50
 
 
 class _Parser:
+    """Precedence climbing.  Each method takes the number of groups open
+    around it (parentheses, signs, exponents, call arguments), which bounds
+    the parser's own recursion, and returns (node, height), the height
+    counting node levels, which bounds the recursion over the tree."""
+
     def __init__(self, source: str, variable: str):
         self.source = source
         self.variable = variable
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(source):
+        pos, kind = 0, None
+        while kind != "end":
             m = _TOKEN_RE.match(source, pos)
             if m is None:
                 raise ParseError("unexpected character", source, pos)
-            if m.lastgroup == "num":
-                self.tokens.append(("num", m.group("num"), m.start("num")))
-            elif m.lastgroup == "ident":
-                self.tokens.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
-        self.tokens.append(("end", "", len(source)))
         self.i = 0
 
     def peek(self):
@@ -623,76 +621,82 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", self.source, off)
 
+    def check_nesting(self, depth: int, off: int):
+        if depth > _MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.source, off)
+
     def parse(self) -> Node:
-        node = self.binary(0)
+        node, _ = self.binary(0, 0)
         kind, val, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", self.source, off)
         return node
 
-    def binary(self, min_prec: int) -> Node:
-        left = self.unary()
+    def binary(self, min_prec: int, level: int) -> tuple[Node, int]:
+        left, height = self.unary(level)
         while True:
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in _BINARY_PREC:
-                return left
-            prec = _BINARY_PREC[val]
-            if prec < min_prec:
-                return left
+            _, val, off = self.peek()
+            self.check_nesting(height, off)
+            cls = _BINARY.get(val)  # only operator tokens are spelled + - * /
+            if cls is None or cls.prec[2] < min_prec:
+                return left, height
             self.take()
-            right = self.binary(prec + 1)
-            cls = {"+": Add, "-": Sub, "*": Mul, "/": Div}[val]
-            left = cls(left, right)
+            right, right_height = self.binary(cls.prec[1], level)
+            left, height = cls(left, right), 1 + max(height, right_height)
 
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
+    def unary(self, level: int) -> tuple[Node, int]:
+        kind, val, off = self.peek()
+        self.check_nesting(level, off)
         if kind == "op" and val == "-":
             self.take()
-            return Neg(self.unary())
+            node, height = self.unary(level + 1)
+            return Neg(node), 1 + height
         if kind == "op" and val == "+":
             self.take()
-            return self.unary()
-        return self.power()
+            return self.unary(level + 1)
+        return self.power(level)
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self, level: int) -> tuple[Node, int]:
+        base, height = self.atom(level)
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            return Pow(base, self.unary())
-        return base
+            expo, expo_height = self.unary(level + 1)
+            return Pow(base, expo), 1 + max(height, expo_height)
+        return base, height
 
-    def atom(self) -> Node:
+    def atom(self, level: int) -> tuple[Node, int]:
         kind, val, off = self.take()
         if kind == "num":
-            return Const(float(val))
+            return Const(float(val)), 0
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
-                return self.call(val, off)
+                return self.call(val, off, level)
             if val == self.variable:
-                return Var()
+                return Var(), 0
             raise ParseError(f"unknown identifier {val!r}", self.source, off)
         if kind == "op" and val == "(":
-            node = self.binary(0)
+            group = self.binary(0, level + 1)
             self.expect_op(")")
-            return node
+            return group
         raise ParseError(f"unexpected token {val or 'end of input'!r}", self.source, off)
 
-    def call(self, name: str, off: int) -> Node:
+    def call(self, name: str, off: int, level: int) -> tuple[Node, int]:
         if name not in FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", self.source, off)
         hook = FUNCTIONS[name]
         self.expect_op("(")
-        args = [self.binary(0)]
+        parsed = [self.binary(0, level + 1)]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == ",":
                 self.take()
-                args.append(self.binary(0))
+                parsed.append(self.binary(0, level + 1))
             else:
                 break
         self.expect_op(")")
+        args = [arg for arg, _ in parsed]
         if len(args) != hook.arity:
             raise ParseError(
                 f"{name} takes {hook.arity} argument(s), got {len(args)}", self.source, off)
@@ -701,7 +705,7 @@ class _Parser:
                 raise ParseError(
                     f"argument {idx + 1} of {name} must be constant", self.source, off)
             args[idx] = Const(_fold_const(args[idx]))
-        return Call(name, tuple(args))
+        return Call(name, tuple(args)), 1 + max(height for _, height in parsed)
 
 
 def parse(source: str, variable: str = "x") -> ExpressionAST:

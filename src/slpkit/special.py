@@ -81,7 +81,9 @@ def _rgamma(x: float) -> float:
 def _series_j(nu: float, x: float) -> float:
     # ascending series; caller guarantees nu is not a negative integer
     half = 0.5 * x
-    term = half**nu * _rgamma(nu + 1.0)
+    # below 1e-323 the halving underflows to 0, which a negative order
+    # cannot be raised to; x**nu / 2**nu is the same power without it
+    term = (half**nu if half > 0.0 else x**nu * 2.0**-nu) * _rgamma(nu + 1.0)
     total = term
     q = half * half
     for m in range(1, 400):

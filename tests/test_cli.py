@@ -83,6 +83,26 @@ def test_solve_rejects_malformed_expression(tmp_path, capsys):
     assert "offset" in err
 
 
+def test_solve_accepts_whitespace_after_an_expression(tmp_path, capsys):
+    bare = {**IDENTITY, "coefficients": {"p": "1+x^2", "q": "x", "r": "1"}}
+    spaced = {**IDENTITY, "coefficients": {"p": "1+x^2 ", "q": "x \t", "r": "1\n"}}
+    outputs = [run_cli(capsys, "solve", write(tmp_path, f"{i}.json", payload),
+                       "--n", "200", "--count", "2")
+               for i, payload in enumerate((bare, spaced))]
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 300 + "x" + ")" * 300, "-" * 2000 + "x", "+".join(["x"] * 5000)])
+def test_solve_rejects_deep_nesting(tmp_path, capsys, source):
+    path = write(tmp_path, "deep.json",
+                 {**IDENTITY, "coefficients": {"p": "1", "q": source, "r": "1"}})
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out) == (2, "")
+    assert "expression nested too deeply" in err
+
+
 COEFFICIENT_TYPE = "must be an expression string or a number"
 
 

@@ -1,14 +1,18 @@
 import math
+import operator
 import pickle
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slpkit import expr
 from slpkit.expr import (Add, Call, Const, Div, EvalDomainError, ExpressionAST,
                          Mul, Neg, ParseError, Pow, Sub, Var, parse)
+from slpkit.liouville import invariant_at_x
+from slpkit.problems import CanonicalSLP
 from slpkit.special import bessel_j, bessel_y
 
 
@@ -60,6 +64,39 @@ def test_parse_errors_carry_offsets():
     assert "argument" in str(err.value)
     with pytest.raises(ParseError):
         parse("foo(x)")
+
+
+def test_whitespace_may_surround_every_token():
+    assert parse("x^2 \t") == parse("x^2") == parse(" \n x ^ 2 \n")
+    assert parse(" besselj( 1 , x ) ") == parse("besselj(1,x)")
+
+
+# each shape nests one level per repetition; ((x^x)^x)... has the deepest
+# second derivative per level of any shape tried
+NESTED = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "signs": lambda n: "-" * n + "x",
+    "sum": lambda n: "+".join(["x"] * (n + 1)),
+    "quotients": lambda n: "/".join(["x"] * (n + 1)),
+    "powers": lambda n: "(" * (n - 1) + "x" + "^x)" * (n - 1) + "^x",
+    "exponents": lambda n: "^".join(["1.001"] * n) + "^x",
+    "calls": lambda n: "sin(" * n + "x" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_beyond_the_bound_is_a_parse_error(shape):
+    for depth in (expr._MAX_NESTING + 1, 300, 5000):
+        with pytest.raises(ParseError, match="expression nested too deeply"):
+            parse(NESTED[shape](depth))
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_at_the_bound_compiles_the_invariant(shape):
+    deep = parse(NESTED[shape](expr._MAX_NESTING))
+    one = parse("1+x")
+    for p, q, r in ((deep, one, one), (one, deep, one), (one, one, deep)):
+        assert math.isfinite(invariant_at_x(CanonicalSLP(p, q, r, 0.5, 1.5), 1.1))
 
 
 def test_bessel_hook_requires_constant_order():
@@ -303,8 +340,12 @@ def _extend(children):
     )
 
 
-trees = st.recursive(st.one_of(st.just(Var()), st.builds(Const, _constants)),
-                     _extend, max_leaves=10)
+def _trees(constants, max_leaves):
+    leaves = st.one_of(st.just(Var()), st.builds(Const, constants))
+    return st.recursive(leaves, _extend, max_leaves=max_leaves)
+
+
+trees = _trees(_constants, 10)
 
 points = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(), st.integers(-3, 3))
 
@@ -394,3 +435,75 @@ def test_constant_folding_matches_tree_walk():
     assert call.args[0] == Const(0.5)
     with pytest.raises(EvalDomainError, match="division by zero in '1/0'"):
         parse("besselj(1/0, x)")
+
+
+# ---------------------------------------------------------------------------
+# printing trees built without the parser, so without parentheses
+
+# finite floats only: -0.0 prints as 0, and an int constant re-parses as a float
+_printable_constants = st.one_of(
+    st.sampled_from([v for v in _SPECIAL_FLOATS if math.isfinite(v)]),
+    st.floats(allow_nan=False, allow_infinity=False)).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=_trees(_printable_constants, 10),
+       xs=st.lists(points, min_size=1, max_size=3), variable=st.sampled_from(("x", "t")))
+def test_print_parse_print_is_a_fixpoint(root, xs, variable):
+    ast = ExpressionAST(root, variable)
+    text = ast.to_text()
+    again = parse(text, variable)
+    assert again.to_text() == text
+    for x in xs:
+        assert _outcome(again.evaluate, x) == _outcome(ast.evaluate, x), (text, x)
+
+
+# ---------------------------------------------------------------------------
+# Node.diff against sympy.diff, both evaluated at 30 digits
+
+X = sympy.Symbol("x", real=True)
+_SYMPY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+              Div: operator.truediv, Pow: operator.pow}
+_SYMPY_HOOKS = {
+    "exp": sympy.exp, "ln": sympy.log, "sin": sympy.sin, "cos": sympy.cos,
+    "sqrt": sympy.sqrt, "besselj": sympy.besselj, "bessely": sympy.bessely,
+    # through u**2, whose derivatives sympy writes without re() and im()
+    "abs": lambda u: sympy.sqrt(u ** 2),
+    "cbrt": lambda u: u * (u ** 2) ** sympy.Rational(-1, 3),
+}
+
+
+def _to_sympy(node):
+    if isinstance(node, Const):
+        return sympy.Float(node.value, 30)
+    if isinstance(node, Var):
+        return X
+    if isinstance(node, Neg):
+        return -_to_sympy(node.a)
+    if isinstance(node, Call):
+        return _SYMPY_HOOKS[node.name](*[_to_sympy(a) for a in node.args])
+    return _SYMPY_OPS[type(node)](_to_sympy(node.a), _to_sympy(node.b))
+
+
+_small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.5)),
+                             st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=_trees(_small_constants, 8), x=st.floats(-3.0, 3.0))
+@example(root=Call("besselj", (Const(0.5), Var())), x=5e-324)
+def test_diff_matches_sympy(root, x):
+    ast = ExpressionAST(root)
+    try:
+        derivative = ast.differentiate()
+        values = (ast.evaluate(x), derivative.evaluate(x))
+    except expr.ExprError:
+        return  # outside the domain of the tree or of its derivative
+    if max(abs(v) for v in values) > 1e6:
+        return
+    at = {X: sympy.Float(x, 30)}
+    ours = complex(_to_sympy(derivative.root).evalf(30, subs=at))
+    reference = complex(sympy.diff(_to_sympy(root), X).evalf(30, subs=at))
+    # constants the derivative folds in floating point (exponents, Bessel
+    # orders) stay exact in sympy
+    assert abs(ours - reference) <= 1e-12 * (1.0 + abs(reference)), (ast.to_text(), x)

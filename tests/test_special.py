@@ -37,6 +37,15 @@ def test_bessel_j_small_argument_limit():
     assert abs(bessel_j(0.0, 1e-8) - 1.0) < 1e-12
 
 
+def test_bessel_j_at_the_smallest_subnormal_arguments():
+    # 0.5 * x underflows to 0 here; J_{-1/2}(x) = sqrt(2/(pi x)) cos(x)
+    for x in (5e-324, 1e-323):
+        assert bessel_j(-0.5, x) == pytest.approx(math.sqrt(2.0 / math.pi) / math.sqrt(x))
+        assert bessel_j(0.5, x) == pytest.approx(math.sqrt(2.0 / math.pi) * math.sqrt(x))
+    with pytest.raises(OverflowError):
+        bessel_j(-2.5, 5e-324)
+
+
 def test_bessel_j_requires_positive_argument():
     with pytest.raises(SpecialFunctionError):
         bessel_j(1.0, 0.0)
