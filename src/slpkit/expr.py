@@ -12,10 +12,11 @@ right-associative and binding tighter than unary minus (``-x^2`` reads as
 sin, cos, sqrt, abs and cbrt; further named functions (the Bessel factors
 used by the constant-coefficient inversions) can be registered at import
 time and then print and re-parse like any other call.  Whitespace may
-surround any token.  An expression nested more than 50 levels deep raises
-ParseError: each parenthesis, sign, exponent and call argument opens a
-level, and so does each operator of a chain such as ``x+x+x``, since every
-later stage recurses over the tree.
+surround any token.  parse applies two bounds and raises ParseError beyond
+either: at most 50 groups (parentheses, signs, exponents, call arguments)
+open at once, since the parser recurses over them, and a tree at most 50
+operators, signs and calls tall from root to leaf (``x+x+x`` is two tall),
+since every later stage recurses over the tree.
 
 One operator table: the binary node classes (Add, Sub, Mul, Div, Pow)
 share the body of ``_Binary``, and each carries only its symbol ``op``, its
@@ -94,8 +95,10 @@ class Node:
         raise NotImplementedError
 
     def key(self, em: "_Emitter") -> tuple:
-        # the class and the value names of the children, which are its fields
-        return (type(self), *[em.value(getattr(self, f)) for f in self.__slots__])
+        # the class and the value names of the children, which are its fields;
+        # map, not a comprehension, adds no frame to the recursion over the tree
+        children = [getattr(self, f) for f in self.__match_args__]
+        return (type(self), *map(em.value, children))
 
     def diff(self) -> "Node":
         raise NotImplementedError
@@ -178,10 +181,6 @@ class _Binary(Node):
 
     def emit(self, em):
         return em.assign(f"{em.value(self.a)} {self.op} {em.value(self.b)}")
-
-    def key(self, em):
-        # the subclasses' own __slots__ are empty, so Node.key would see no fields
-        return (type(self), em.value(self.a), em.value(self.b))
 
     def text(self, prec=0):
         left, right, own = self.prec
@@ -580,11 +579,11 @@ _TOKEN_RE = re.compile(
 
 _BINARY = {cls.op: cls for cls in (Add, Sub, Mul, Div)}
 
-# deepest nesting parse accepts.  Compiling, printing, hashing and
-# differentiating recurse over the tree, and the invariant holds second
-# derivatives of p and r, several times deeper than p and r: at 50 levels of
-# ((x^x)^x)... its compilation takes ~830 of Python's 1000 frames, at 61 it
-# overflows them
+# the most groups open at once, and the tallest tree, parse accepts.
+# Compiling, printing, hashing and differentiating recurse over the tree, and
+# the invariant holds second derivatives of p and r, several times taller
+# than p and r: at 50 levels of ((x^x)^x)... its compilation takes ~830 of
+# Python's 1000 frames, at 61 it overflows them
 _MAX_NESTING = 50
 
 

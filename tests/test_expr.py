@@ -1,10 +1,8 @@
 import math
-import operator
 import pickle
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +95,18 @@ def test_nesting_at_the_bound_compiles_the_invariant(shape):
     one = parse("1+x")
     for p, q, r in ((deep, one, one), (one, deep, one), (one, one, deep)):
         assert math.isfinite(invariant_at_x(CanonicalSLP(p, q, r, 0.5, 1.5), 1.1))
+
+
+def test_groups_and_tree_height_are_bounded_apart():
+    # 50 parentheses around a sum 50 operators tall: both bounds just met
+    n = expr._MAX_NESTING
+    inside = NESTED["parentheses"](n).replace("x", NESTED["sum"](n))
+    assert parse(inside) == parse(NESTED["sum"](n))
+    one = parse("1+x")
+    assert math.isfinite(invariant_at_x(CanonicalSLP(parse(inside), one, one, 0.5, 1.5), 1.1))
+    for outside in ("(" + inside + ")", inside.replace("x", "x+x", 1)):
+        with pytest.raises(ParseError, match="expression nested too deeply"):
+            parse(outside)
 
 
 def test_bessel_hook_requires_constant_order():
@@ -456,54 +466,3 @@ def test_print_parse_print_is_a_fixpoint(root, xs, variable):
     assert again.to_text() == text
     for x in xs:
         assert _outcome(again.evaluate, x) == _outcome(ast.evaluate, x), (text, x)
-
-
-# ---------------------------------------------------------------------------
-# Node.diff against sympy.diff, both evaluated at 30 digits
-
-X = sympy.Symbol("x", real=True)
-_SYMPY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv, Pow: operator.pow}
-_SYMPY_HOOKS = {
-    "exp": sympy.exp, "ln": sympy.log, "sin": sympy.sin, "cos": sympy.cos,
-    "sqrt": sympy.sqrt, "besselj": sympy.besselj, "bessely": sympy.bessely,
-    # through u**2, whose derivatives sympy writes without re() and im()
-    "abs": lambda u: sympy.sqrt(u ** 2),
-    "cbrt": lambda u: u * (u ** 2) ** sympy.Rational(-1, 3),
-}
-
-
-def _to_sympy(node):
-    if isinstance(node, Const):
-        return sympy.Float(node.value, 30)
-    if isinstance(node, Var):
-        return X
-    if isinstance(node, Neg):
-        return -_to_sympy(node.a)
-    if isinstance(node, Call):
-        return _SYMPY_HOOKS[node.name](*[_to_sympy(a) for a in node.args])
-    return _SYMPY_OPS[type(node)](_to_sympy(node.a), _to_sympy(node.b))
-
-
-_small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.5)),
-                             st.floats(-3.0, 3.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(root=_trees(_small_constants, 8), x=st.floats(-3.0, 3.0))
-@example(root=Call("besselj", (Const(0.5), Var())), x=5e-324)
-def test_diff_matches_sympy(root, x):
-    ast = ExpressionAST(root)
-    try:
-        derivative = ast.differentiate()
-        values = (ast.evaluate(x), derivative.evaluate(x))
-    except expr.ExprError:
-        return  # outside the domain of the tree or of its derivative
-    if max(abs(v) for v in values) > 1e6:
-        return
-    at = {X: sympy.Float(x, 30)}
-    ours = complex(_to_sympy(derivative.root).evalf(30, subs=at))
-    reference = complex(sympy.diff(_to_sympy(root), X).evalf(30, subs=at))
-    # constants the derivative folds in floating point (exponents, Bessel
-    # orders) stay exact in sympy
-    assert abs(ours - reference) <= 1e-12 * (1.0 + abs(reference)), (ast.to_text(), x)
