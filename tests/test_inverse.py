@@ -1,9 +1,11 @@
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
+from slpkit import _serialize
 from slpkit.inverse import (ConstructionError, _finish, build_case,
                             c_family_exact_displacement, case1_build,
                             case2_build, case3_build, case4_build,
@@ -433,3 +435,43 @@ def test_every_construction_validates_and_pins_endpoints():
         assert res.extras["delta0"] != 0.0
         assert res.extras["gamma0"] != 0.0
         assert res.map.t_text and res.map.x_text
+
+
+# ---------------------------------------------------------------------------
+# pinned output and label dispatch
+
+# sha256 of the serialized construction for cases the benchmark's `slp invert`
+# pins do not reach, so a refactor of the builders changes no byte of them
+CONSTRUCTION_SHA256 = [
+    ("case1", (2.0, 0.1), {"branch": "minus"},
+     "cafe4fba27956d503944b6871def790ede9b9ceaf0578a6d6d6e357fdf253ad4"),
+    ("case1", (0.75, 1.0), {"r0": 1.5, "x0": 0.3, "k34_branch": "power"},
+     "ba81ddc7130497bd6630e1ebc29d5d9d58399cfde3bcec12a30685c8bdbfd147"),
+    ("case1", (0.75, 1.0), {"r0": 1.5, "x0": 0.3, "k34_branch": "exponential"},
+     "8cc5077d409db9d6dc188012b29fb196de90331cd7cedd00e15c3944472508c1"),
+    ("case2-C2", (1.0, 1.2), {"q0": 2.0, "x0": 0.2},
+     "ac038ee2f45d302bb8185ee7ff996e757939b619c8834fa35da9e3ef7fbdd595"),
+    ("case2-A2", (0.75, 0.1), {"q0": 1.0},
+     "14898628fd51e853c9634961a52e162a434ae778577241bfc5cd9b67e4d00a88"),
+    ("case3-Y", (1.0, 0.1), {"q0": 1.0, "r0": 1.0, "x0": 0.25},
+     "fe9cc0ffc424af305fc8a5c8317f9f5303ffe526f17e3c64b3290b445eadc103"),
+    ("case4", (1.0, 0.1), {"C1": 2.0, "x0": 0.0},
+     "230d4ac24d400a0dab3ed8b033ca14fda13809834b059f2b233f9274c935df54"),
+]
+
+
+@pytest.mark.parametrize("label, km, params, digest", CONSTRUCTION_SHA256)
+def test_construction_output_is_pinned(label, km, params, digest):
+    res = build_case(label, PaineSpec(*km), **params)
+    text = _serialize.dumps(_serialize.inverse_result_dict(res))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_build_case_rejects_unknown_label():
+    with pytest.raises(ConstructionError, match=r"unknown case label 'case3-K'"):
+        build_case("case3-K", PaineSpec(0.75, 0.1), q0=1.0, r0=1.0)
+
+
+def test_build_case_names_a_missing_parameter():
+    with pytest.raises(ConstructionError, match=r"^case2-B requires parameter q0$"):
+        build_case("case2-B", PaineSpec(3.0, 0.1))
