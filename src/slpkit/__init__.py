@@ -11,8 +11,7 @@ from .liouville import (QuadratureError, TabulatedInvariant, TransformError,
                         TransformMap, build_map, forward_transform,
                         invariant_at_x)
 from .inverse import (CASE_LABELS, ConstructionError, IndicialRoots,
-                      InverseResult, ValidityInfo, build_case, case1_build,
-                      case2_build, case3_build, case4_build, case4_general,
+                      InverseResult, ValidityInfo, build_case, case2_build,
                       indicial_roots)
 from .special import (SpecialFunctionError, bessel_j, bessel_j_zeros,
                       bessel_y, bessel_y_zeros, gamma_fn)
@@ -30,8 +29,7 @@ __all__ = [
     "TransformError", "TransformMap", "ValidityInfo", "VerificationReport",
     "Violation", "asymptotic_profile", "bessel_j", "bessel_j_zeros",
     "bessel_y", "bessel_y_zeros", "build_case",
-    "build_map", "case1_build", "case2_build", "case3_build", "case4_build",
-    "case4_general", "discretize_canonical", "discretize_schrodinger",
+    "build_map", "case2_build", "discretize_canonical", "discretize_schrodinger",
     "eig_bisect", "forward_transform", "gamma_fn", "indicial_roots",
     "invariant_at_x", "paine_schrodinger", "parse",
     "roundtrip_invariant", "solve_spectrum",

@@ -1,10 +1,9 @@
 """Inverse constructions for the reciprocal-quadratic potential family.
 
 Given the reduced-form problem -v'' + k/(t+m)^2 v = lambda v on (0, pi)
-with Dirichlet conditions, each constructor below produces a canonical
-problem -(p u')' + q u = lambda r u together with the closed-form x <-> t
-map realizing it.  Which construction applies is governed by the choice of
-potential/weight family:
+with Dirichlet conditions, `build_case(label, spec, ...)` produces a
+canonical problem -(p u')' + q u = lambda r u together with the closed-form
+x <-> t map realizing it.  The label names the potential/weight family:
 
 * case1      -- q = 0, r constant: power-law p (both indicial branches;
                 for k = 3/4 a power and an exponential form exist).
@@ -131,21 +130,15 @@ def _finish(case_label: str, p, q, r, a: float, b: float, t_ast, x_ast,
                          validity=validity, case_label=case_label, extras=extras)
 
 
-def _exact_validity() -> ValidityInfo:
-    return ValidityInfo(None, None, None, ())
-
-
-def _near_integer(value: float, tol: float = 1e-9):
-    n = round(value)
-    return n if abs(value - n) < tol else None
+_EXACT = ValidityInfo(None, None, None, ())
 
 
 # ---------------------------------------------------------------------------
 # case 1: vanishing potential, constant weight
 
 
-def case1_build(spec: PaineSpec, r0: float = 1.0, x0: float = 0.0,
-                branch: str = "plus", k34_branch: str = "power") -> InverseResult:
+def _case1(spec: PaineSpec, r0: float, x0: float, branch: str,
+           k34_branch: str) -> InverseResult:
     """Power-law leading coefficient from the indicial root rho.
 
     `branch` selects the +/- root for k != 3/4 (the minus root is re-checked
@@ -173,8 +166,7 @@ def case1_build(spec: PaineSpec, r0: float = 1.0, x0: float = 0.0,
         x_ast = _t_ast(Sub(_scale(1.0 / r0, Call("ln", (Add(Var(), Const(m)),))), Const(x0)))
         extras = {"x0": x0, "r0": r0, "k": k, "m": m, "rho": -0.5,
                   "delta0": 1.0 / m, "gamma0": 1.0 / (math.pi + m)}
-        return _finish("case1", p, q, r, a, b, t_ast, x_ast, True,
-                       _exact_validity(), extras)
+        return _finish("case1", p, q, r, a, b, t_ast, x_ast, True, _EXACT, extras)
 
     if is_k34:
         rho = 1.5
@@ -199,62 +191,62 @@ def case1_build(spec: PaineSpec, r0: float = 1.0, x0: float = 0.0,
               "two_rho_plus_one": two_rho_p1, "p_exponent": expo,
               "r0_ring": r0 ** ((2.0 * rho - 1.0) / two_rho_p1),
               "delta0": m ** (2.0 * rho), "gamma0": (math.pi + m) ** (2.0 * rho)}
-    return _finish("case1", p, q, r, a, b, t_ast, x_ast, True,
-                   _exact_validity(), extras)
+    return _finish("case1", p, q, r, a, b, t_ast, x_ast, True, _EXACT, extras)
 
 
 # ---------------------------------------------------------------------------
 # case 2: constant potential, quadratic weight
 
 
-def _check_c_guard(mu: float, m: float, offset: float, label: str, what: str):
-    """mu*ln(m) must stay away from pi*(n - offset); offset 0.5 for the
-    cosine family, 0 for the sine family."""
-    value = mu * math.log(m) / math.pi + offset
-    n = _near_integer(value)
-    if n is not None:
-        raise ConstructionError(
-            f"{label}: degenerate {what} (mu*ln({m!r}) = pi*({n} - {offset})); "
-            "the endpoint coefficient vanishes")
+def _c_validity(label: str, mu: float, m: float, offset: float, family: str,
+                truncation: str) -> ValidityInfo:
+    """Guards, warnings and trust region of the oscillatory C1 (cosine,
+    offset 0.5) and C2 (sine, offset 0) families.
 
-
-def _interior_zero_warnings(mu: float, m: float, offset: float, family: str):
-    """t-values where the oscillatory p factor vanishes inside (0, pi)."""
-    warnings = []
+    The p factor vanishes where mu*ln(tau) = pi*(n - offset): at an endpoint
+    that is a degenerate construction, inside (0, pi) a warning.
+    """
     tau_lo, tau_hi = m, math.pi + m
     v_lo = mu * math.log(tau_lo) / math.pi + offset
     v_hi = mu * math.log(tau_hi) / math.pi + offset
-    n = math.ceil(min(v_lo, v_hi))
-    while n <= math.floor(max(v_lo, v_hi)):
+    for what, tau, value in (("delta0", tau_lo, v_lo), ("gamma0", tau_hi, v_hi)):
+        n = round(value)
+        if abs(value - n) < 1e-9:
+            raise ConstructionError(
+                f"{label}: degenerate {what} (mu*ln({tau!r}) = pi*({n} - {offset})); "
+                "the endpoint coefficient vanishes")
+    warnings = [f"asymptotic construction: map truncated at the {truncation} term about tau = 1"]
+    for n in range(math.ceil(v_lo), math.floor(v_hi) + 1):  # mu > 0, so v_lo <= v_hi
         tau_star = math.exp((n - offset) * math.pi / mu)
         if tau_lo < tau_star < tau_hi:
             warnings.append(
                 f"p vanishes inside the interval ({family} zero at t = {tau_star - m!r})")
-        n += 1
-    return warnings
-
-
-def _c_trust(m: float) -> tuple:
+    span = max(abs(m - 1.0), abs(math.pi + m - 1.0))
+    if span > 0.5:
+        warnings.append(
+            f"interval reaches |tau - 1| = {span!r}, outside the trust radius 0.5")
     lo = max(0.0, 1.0 - m - 0.5)
     hi = min(math.pi, 1.0 - m + 0.5)
-    return (lo, hi) if lo < hi else (None, None)
+    if not lo < hi:
+        lo = hi = None
+    return ValidityInfo(1.0 - m, lo, hi, tuple(warnings))
 
 
-def case2_build(spec: PaineSpec, q0: float, x0: float = 0.0,
-                variant: str = "auto") -> InverseResult:
-    """Quadratic-weight constructions, routed by the indicial discriminant.
+def case2_build(spec: PaineSpec, q0: float, x0: float = 0.0) -> InverseResult:
+    """Quadratic-weight construction routed by the indicial discriminant:
+    A1 for equal roots, B for real-distinct, C1 for complex."""
+    variant = {"equal": "A1", "real-distinct": "B",
+               "complex": "C1"}[indicial_roots(spec.k, q0).kind]
+    return _case2(variant, spec, q0, x0)
 
-    auto selects A1 for equal roots, B for real-distinct, C1 for complex;
-    A2 and C2 (the second independent solutions) are opt-in.
-    """
+
+def _case2(variant: str, spec: PaineSpec, q0: float, x0: float) -> InverseResult:
+    """The five quadratic-weight constructions; A2 and C2 are the second
+    independent solutions of the equal and complex indicial roots."""
     if q0 == 0.0:
         raise ConstructionError("case2 requires a nonzero constant potential q0")
-    if variant not in ("auto", "A1", "A2", "B", "C1", "C2"):
-        raise ConstructionError(f"unknown case2 variant {variant!r}")
     k, m = spec.k, spec.m
     roots = indicial_roots(k, q0)
-    if variant == "auto":
-        variant = {"equal": "A1", "real-distinct": "B", "complex": "C1"}[roots.kind]
     kind_needed = {"A1": "equal", "A2": "equal", "B": "real-distinct",
                    "C1": "complex", "C2": "complex"}[variant]
     if roots.kind != kind_needed:
@@ -272,8 +264,7 @@ def case2_build(spec: PaineSpec, q0: float, x0: float = 0.0,
         x_ast = _t_ast(Sub(Call("ln", (Add(Var(), Const(m)),)), Const(x0)))
         extras = {"x0": x0, "q0": q0, "k": k, "m": m, "rho": 0.5,
                   "delta0": m, "gamma0": math.pi + m}
-        return _finish("case2-A1", p, q, r, a, b, t_ast, x_ast, True,
-                       _exact_validity(), extras)
+        return _finish("case2-A1", p, q, r, a, b, t_ast, x_ast, True, _EXACT, extras)
 
     if variant == "A2":
         log_m = math.log(m)
@@ -314,13 +305,11 @@ def case2_build(spec: PaineSpec, q0: float, x0: float = 0.0,
         extras = {"x0": x0, "q0": q0, "k": k, "m": m, "rho": rho,
                   "two_rho_minus_one": c2,
                   "delta0": m ** (2.0 * rho), "gamma0": (math.pi + m) ** (2.0 * rho)}
-        return _finish("case2-B", p, q, r, a, b, t_ast, x_ast, True,
-                       _exact_validity(), extras)
+        return _finish("case2-B", p, q, r, a, b, t_ast, x_ast, True, _EXACT, extras)
 
     mu = roots.mu
     if variant == "C1":
-        _check_c_guard(mu, m, 0.5, "case2-C1", "delta0")
-        _check_c_guard(mu, math.pi + m, 0.5, "case2-C1", "gamma0")
+        validity = _c_validity("case2-C1", mu, m, 0.5, "cosine", "linear")
         a = -x0 + m - 1.0
         b = -x0 + math.pi + m - 1.0
         tau = _x_plus(x0 + 1.0)  # linearized tau = 1 + x + x0
@@ -330,23 +319,13 @@ def case2_build(spec: PaineSpec, q0: float, x0: float = 0.0,
         r = _ast(Pow(tau, Const(2.0)))
         t_ast = _ast(Sub(_x_plus(x0 + 1.0), Const(m)))
         x_ast = _t_ast(Add(Var(), Const(m - 1.0 - x0)))
-        warnings = [
-            "asymptotic construction: map truncated at the linear term about tau = 1"]
-        warnings += _interior_zero_warnings(mu, m, 0.5, "cosine")
-        span = max(abs(m - 1.0), abs(math.pi + m - 1.0))
-        if span > 0.5:
-            warnings.append(
-                f"interval reaches |tau - 1| = {span!r}, outside the trust radius 0.5")
-        lo, hi = _c_trust(m)
         extras = {"x0": x0, "q0": q0, "k": k, "m": m, "mu": mu,
                   "delta0": m * math.cos(mu * math.log(m)) ** 2,
                   "gamma0": (math.pi + m) * math.cos(mu * math.log(math.pi + m)) ** 2}
-        return _finish("case2-C1", p, q, r, a, b, t_ast, x_ast, False,
-                       ValidityInfo(1.0 - m, lo, hi, tuple(warnings)), extras)
+        return _finish("case2-C1", p, q, r, a, b, t_ast, x_ast, False, validity, extras)
 
     # C2
-    _check_c_guard(mu, m, 0.0, "case2-C2", "delta0")
-    _check_c_guard(mu, math.pi + m, 0.0, "case2-C2", "gamma0")
+    validity = _c_validity("case2-C2", mu, m, 0.0, "sine", "cubic")
     mu2_3 = mu * mu / 3.0
     a = -x0 + mu2_3 * (m - 1.0) ** 3
     b = -x0 + mu2_3 * (math.pi + m - 1.0) ** 3
@@ -359,19 +338,10 @@ def case2_build(spec: PaineSpec, q0: float, x0: float = 0.0,
     t_ast = _ast(Sub(Add(Const(1.0), Call("cbrt", (_scale(3.0 / (mu * mu), _x_plus(x0)),))),
                      Const(m)))
     x_ast = _t_ast(Sub(_scale(mu2_3, Pow(Add(Var(), Const(m - 1.0)), Const(3.0))), Const(x0)))
-    warnings = [
-        "asymptotic construction: map truncated at the cubic term about tau = 1"]
-    warnings += _interior_zero_warnings(mu, m, 0.0, "sine")
-    span = max(abs(m - 1.0), abs(math.pi + m - 1.0))
-    if span > 0.5:
-        warnings.append(
-            f"interval reaches |tau - 1| = {span!r}, outside the trust radius 0.5")
-    lo, hi = _c_trust(m)
     extras = {"x0": x0, "q0": q0, "k": k, "m": m, "mu": mu,
               "delta0": m * math.sin(mu * math.log(m)) ** 2,
               "gamma0": (math.pi + m) * math.sin(mu * math.log(math.pi + m)) ** 2}
-    return _finish("case2-C2", p, q, r, a, b, t_ast, x_ast, False,
-                   ValidityInfo(1.0 - m, lo, hi, tuple(warnings)), extras)
+    return _finish("case2-C2", p, q, r, a, b, t_ast, x_ast, False, validity, extras)
 
 
 def c_family_exact_displacement(mu: float, tau: float, family: str) -> float:
@@ -417,8 +387,7 @@ def _bessel_guard(kind: str, nu: float, values: tuple, label: str):
     return zeros
 
 
-def case3_build(spec: PaineSpec, q0: float, r0: float, shift: float = 0.0,
-                kind: str = "J") -> InverseResult:
+def _case3(kind: str, spec: PaineSpec, q0: float, r0: float, shift: float) -> InverseResult:
     """Bessel-coefficient constructions; exact only asymptotically.
 
     The J branch comes from the small-argument expansion (trust region
@@ -426,8 +395,6 @@ def case3_build(spec: PaineSpec, q0: float, r0: float, shift: float = 0.0,
     (trust region tau_bar well above 1).  `shift` is the free integration
     constant (x0 for J, x1 for Y).
     """
-    if kind not in ("J", "Y"):
-        raise ConstructionError(f"kind must be 'J' or 'Y', got {kind!r}")
     if q0 == 0.0:
         raise ConstructionError("case3 requires nonzero constant potential q0")
     if r0 <= 0.0:
@@ -503,10 +470,10 @@ def case3_build(spec: PaineSpec, q0: float, r0: float, shift: float = 0.0,
 # case 4: reciprocal-linear transformation weight
 
 
-def case4_build(spec: PaineSpec, C1: float, x0: float | None = None) -> InverseResult:
+def _case4(spec: PaineSpec, C1: float, x0: float | None) -> InverseResult:
     """Polynomial p, q, r from the reciprocal-linear weight 1/(C1 (t+m)).
 
-    Defaults x0 so the left endpoint sits at zero; the classical values
+    x0 = None shifts the left endpoint to zero; the classical values
     k=1, m=0.1, C1=2 give p=(x+sqrt(0.2))^3, q=4(x+sqrt(0.2)),
     r=(x+sqrt(0.2))^5 on (0, sqrt(2 pi + 0.2) - sqrt(0.2)).
     """
@@ -526,11 +493,10 @@ def case4_build(spec: PaineSpec, C1: float, x0: float | None = None) -> InverseR
     extras = {"x0": x0, "C1": C1, "k": k, "m": m,
               "C0": C1 * m, "Q0": C1 * C1 * k,
               "delta0": (C1 * m) ** 2, "gamma0": C1 * C1 * (math.pi + m) ** 2}
-    return _finish("case4", p, q, r, a, b, t_ast, x_ast, True,
-                   _exact_validity(), extras)
+    return _finish("case4", p, q, r, a, b, t_ast, x_ast, True, _EXACT, extras)
 
 
-def case4_general(spec: PaineSpec, C1: float, n_r: float) -> InverseResult:
+def _case4_general(spec: PaineSpec, C1: float, n_r: float) -> InverseResult:
     """Generalized powers: q ~ B^(n_r - 2), r ~ B^n_r with B = C1 (t+m),
     admissible for 2 < n_r < 3; n_r = 5/2 recovers the polynomial case."""
     if C1 <= 0.0:
@@ -554,8 +520,7 @@ def case4_general(spec: PaineSpec, C1: float, n_r: float) -> InverseResult:
                        Const(x0)))
     extras = {"x0": x0, "C1": C1, "k": k, "m": m, "n_q": n_q, "n_r": n_r,
               "delta0": (C1 * m) ** 2, "gamma0": C1 * C1 * (math.pi + m) ** 2}
-    return _finish("case4-general", p, q, r, a, b, t_ast, x_ast, True,
-                   _exact_validity(), extras)
+    return _finish("case4-general", p, q, r, a, b, t_ast, x_ast, True, _EXACT, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +531,21 @@ def build_case(label: str, spec: PaineSpec, *, q0: float | None = None,
                r0: float | None = None, C1: float | None = None,
                x0: float | None = None, branch: str = "plus",
                k34_branch: str = "power", n_r: float | None = None) -> InverseResult:
+    """Build the construction named by `label`, one of CASE_LABELS.
+
+    The parameters each label reads (it ignores the others):
+
+    * case1         -- r0 (default 1), x0 (default 0), branch ("plus" or
+                       "minus"), k34_branch ("power" or "exponential", read
+                       at k = 3/4 only)
+    * case2-*       -- q0, x0 (default 0)
+    * case3-J/Y     -- q0, r0, x0 (default 0; the shift x1 of the Y map)
+    * case4         -- C1, x0 (default: the shift that puts a at 0)
+    * case4-general -- C1, n_r in (2, 3); the shift always puts a at 0
+
+    A missing or non-finite parameter, an unknown label, a violated
+    constraint or a floating-point failure raises ConstructionError.
+    """
     def need(name, value):
         if value is None:
             raise ConstructionError(f"{label} requires parameter {name}")
@@ -574,22 +554,18 @@ def build_case(label: str, spec: PaineSpec, *, q0: float | None = None,
     for name, value in (("q0", q0), ("r0", r0), ("C1", C1), ("x0", x0), ("n_r", n_r)):
         if value is not None and not math.isfinite(value):
             raise ConstructionError(f"{label}: {name} must be finite, got {value!r}")
+    shift = x0 if x0 is not None else 0.0
     try:
         if label == "case1":
-            return case1_build(spec, r0=r0 if r0 is not None else 1.0,
-                               x0=x0 if x0 is not None else 0.0,
-                               branch=branch, k34_branch=k34_branch)
+            return _case1(spec, r0 if r0 is not None else 1.0, shift, branch, k34_branch)
         if label in ("case2-A1", "case2-A2", "case2-B", "case2-C1", "case2-C2"):
-            return case2_build(spec, need("q0", q0), x0 if x0 is not None else 0.0,
-                               variant=label.split("-")[1])
+            return _case2(label.split("-")[1], spec, need("q0", q0), shift)
         if label in ("case3-J", "case3-Y"):
-            return case3_build(spec, need("q0", q0), need("r0", r0),
-                               shift=x0 if x0 is not None else 0.0,
-                               kind=label.split("-")[1])
+            return _case3(label.split("-")[1], spec, need("q0", q0), need("r0", r0), shift)
         if label == "case4":
-            return case4_build(spec, need("C1", C1), x0)
+            return _case4(spec, need("C1", C1), x0)
         if label == "case4-general":
-            return case4_general(spec, need("C1", C1), need("n_r", n_r))
+            return _case4_general(spec, need("C1", C1), need("n_r", n_r))
     except ArithmeticError as err:  # overflow or division by zero in the constants
         raise ConstructionError(
             f"{label}: floating-point failure while building ({type(err).__name__}: {err})"

@@ -163,9 +163,9 @@ def test_constant_weight_scales_spectrum():
 
 
 def test_cross_form_eigenvalues_case4():
-    from slpkit.inverse import case4_build
+    from slpkit.inverse import build_case
     spec = PaineSpec(1.0, 0.1)
-    res = case4_build(spec, C1=2.0)
+    res = build_case("case4", spec, C1=2.0)
     canon = solve_spectrum(res.canonical, 2000, 5, richardson=True)
     schrod = solve_spectrum(paine_schrodinger(spec), 2000, 5, richardson=True)
     for c, s, ec, es in zip(canon.eigenvalues, schrod.eigenvalues,

@@ -7,9 +7,8 @@ import pytest
 
 from slpkit import _serialize
 from slpkit.inverse import (ConstructionError, _finish, build_case,
-                            c_family_exact_displacement, case1_build,
-                            case2_build, case3_build, case4_build,
-                            case4_general, gamma_triangle, indicial_roots)
+                            c_family_exact_displacement, case2_build,
+                            gamma_triangle, indicial_roots)
 from slpkit.liouville import invariant_at_x
 from slpkit.problems import PaineSpec, validate
 
@@ -58,7 +57,7 @@ def test_indicial_boundary_routes_to_equal():
         k = float(rng.uniform(0.1, 8.0))
         q0 = k + 0.25  # discriminant exactly zero
         assert indicial_roots(k, q0).kind == "equal"
-        res = case2_build(PaineSpec(k, 0.1), q0=q0, variant="auto")
+        res = case2_build(PaineSpec(k, 0.1), q0=q0)
         assert res.case_label == "case2-A1"
 
 
@@ -68,7 +67,7 @@ def test_indicial_boundary_routes_to_equal():
 
 def test_case1_plus_classical_displays():
     spec = PaineSpec(2.0, 0.1)
-    res = case1_build(spec, r0=1.0, x0=0.0, branch="plus")
+    res = build_case("case1", spec, r0=1.0, x0=0.0, branch="plus")
     assert res.exact
     assert res.canonical.a == pytest.approx(0.1**5 / 5.0, rel=1e-13)
     assert res.canonical.b == pytest.approx((PI + 0.1) ** 5 / 5.0, rel=1e-13)
@@ -82,7 +81,7 @@ def test_case1_plus_classical_displays():
 
 def test_case1_minus_branch():
     spec = PaineSpec(2.0, 0.1)
-    res = case1_build(spec, branch="minus")
+    res = build_case("case1", spec, branch="minus")
     assert res.canonical.a < res.canonical.b < 0.0
     assert roundtrip(res, spec) <= 1e-8
     assert_pinned(res)
@@ -91,7 +90,7 @@ def test_case1_minus_branch():
 
 def test_case1_k34_power_branch():
     spec = PaineSpec(0.75, 0.1)
-    res = case1_build(spec, r0=1.0, k34_branch="power")
+    res = build_case("case1", spec, r0=1.0, k34_branch="power")
     assert res.canonical.a == pytest.approx(0.1**4 / 4.0, rel=1e-13)
     # p(x) = 8 sqrt(r0) x^(3/2)
     assert res.canonical.p.evaluate(1.0) == pytest.approx(8.0, rel=1e-13)
@@ -102,7 +101,7 @@ def test_case1_k34_power_branch():
 
 def test_case1_k34_exponential_branch():
     spec = PaineSpec(0.75, 0.1)
-    res = case1_build(spec, r0=1.0, k34_branch="exponential")
+    res = build_case("case1", spec, r0=1.0, k34_branch="exponential")
     assert res.canonical.a == pytest.approx(math.log(0.1), rel=1e-13)
     assert res.canonical.b == pytest.approx(math.log(PI + 0.1), rel=1e-13)
     assert res.canonical.p.evaluate(0.0) == pytest.approx(1.0)
@@ -135,9 +134,9 @@ def test_case1_rationalized_identities():
 def test_case1_rejects_bad_parameters():
     spec = PaineSpec(2.0, 0.1)
     with pytest.raises(ConstructionError):
-        case1_build(spec, r0=-1.0)
+        build_case("case1", spec, r0=-1.0)
     with pytest.raises(ConstructionError):
-        case1_build(spec, branch="sideways")
+        build_case("case1", spec, branch="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def test_case2_a1_displays():
 
 def test_case2_a2_displays():
     spec = PaineSpec(0.75, 1.5)
-    res = case2_build(spec, q0=1.0, variant="A2")
+    res = build_case("case2-A2", spec, q0=1.0)
     assert res.canonical.a == pytest.approx(math.log(1.5) ** 3 / 3.0, rel=1e-12)
     assert res.extras["delta0"] == pytest.approx(1.5 * math.log(1.5) ** 2, rel=1e-12)
     # p = (3(x+x0))^(4/3), r = exp(2 (3(x+x0))^(1/3)) at a sample point
@@ -174,13 +173,13 @@ def test_case2_a2_displays():
 
 def test_case2_a2_flags_interior_singularity_below_m1():
     # for m < 1 the leading coefficient vanishes at an interior point
-    res = case2_build(PaineSpec(0.75, 0.1), q0=1.0, variant="A2")
+    res = build_case("case2-A2", PaineSpec(0.75, 0.1), q0=1.0)
     assert any("singular" in w for w in res.validity.warnings)
 
 
 def test_case2_a2_rejects_m_equal_one():
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(0.75, 1.0), q0=1.0, variant="A2")
+        build_case("case2-A2", PaineSpec(0.75, 1.0), q0=1.0)
 
 
 def test_case2_b_displays():
@@ -211,7 +210,7 @@ def test_case2_c1_construction():
 
 def test_case2_c2_construction():
     spec = PaineSpec(1.0, 1.2)
-    res = case2_build(spec, q0=2.0, variant="C2")
+    res = build_case("case2-C2", spec, q0=2.0)
     assert not res.exact
     mu = res.extras["mu"]
     assert res.canonical.a == pytest.approx(mu * mu / 3.0 * 0.2**3, rel=1e-12)
@@ -225,23 +224,23 @@ def test_case2_guard_violations():
     # C1: mu * ln(m) = -pi/2 with mu = 1 (k=1, q0=2.25)
     m = math.exp(-math.pi / 2.0)
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(1.0, m), q0=2.25, variant="C1")
+        build_case("case2-C1", PaineSpec(1.0, m), q0=2.25)
     # C2: mu * ln(m) = -pi with mu = 1
     m = math.exp(-math.pi)
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(1.0, m), q0=2.25, variant="C2")
+        build_case("case2-C2", PaineSpec(1.0, m), q0=2.25)
     # C2 at m = 1: the sine solution vanishes at the left endpoint
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(1.0, 1.0), q0=2.0, variant="C2")
+        build_case("case2-C2", PaineSpec(1.0, 1.0), q0=2.0)
 
 
 def test_case2_variant_mismatches():
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(1.0, 0.1), q0=1.0, variant="A1")  # needs 1+4k = 4q0
+        build_case("case2-A1", PaineSpec(1.0, 0.1), q0=1.0)  # needs 1+4k = 4q0
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(3.0, 0.1), q0=1.0, variant="C1")  # real-distinct
+        build_case("case2-C1", PaineSpec(3.0, 0.1), q0=1.0)  # real-distinct
     with pytest.raises(ConstructionError):
-        case2_build(PaineSpec(1.0, 0.1), q0=2.0, variant="B")  # complex
+        build_case("case2-B", PaineSpec(1.0, 0.1), q0=2.0)  # complex
     with pytest.raises(ConstructionError):
         case2_build(PaineSpec(1.0, 0.1), q0=0.0)
 
@@ -277,7 +276,7 @@ def test_gamma_triangle_value():
 
 def test_case3_j_endpoints_and_trust():
     spec = PaineSpec(0.75, 0.1)
-    res = case3_build(spec, q0=1.0, r0=1.0, kind="J")
+    res = build_case("case3-J", spec, q0=1.0, r0=1.0)
     assert not res.exact
     # a = (1/G) * (m/r0) * (m/2 * s)^(1 + 2 nu) with G=2, nu=1, s=1
     assert res.canonical.a == pytest.approx(0.5 * 0.1 * 0.05**3, rel=1e-12)
@@ -290,7 +289,7 @@ def test_case3_j_endpoints_and_trust():
 
 def test_case3_y_endpoints():
     spec = PaineSpec(0.75, 0.1)
-    res = case3_build(spec, q0=1.0, r0=1.0, kind="Y")
+    res = build_case("case3-Y", spec, q0=1.0, r0=1.0)
     assert res.canonical.a == pytest.approx(0.1 / PI, rel=1e-13)
     assert res.canonical.b == pytest.approx((PI + 0.1) / PI, rel=1e-13)
     assert not res.exact
@@ -302,20 +301,18 @@ def test_case3_bessel_zero_guards():
     # J: s*(pi+m) hits j_{1,1} = 3.8317...
     m = 3.8317059702075125 - PI
     with pytest.raises(ConstructionError):
-        case3_build(PaineSpec(0.75, m), q0=1.0, r0=1.0, kind="J")
+        build_case("case3-J", PaineSpec(0.75, m), q0=1.0, r0=1.0)
     # Y: s*m hits y_{1,1} = 2.19714...
     with pytest.raises(ConstructionError):
-        case3_build(PaineSpec(0.75, 2.197141326031017), q0=1.0, r0=1.0, kind="Y")
+        build_case("case3-Y", PaineSpec(0.75, 2.197141326031017), q0=1.0, r0=1.0)
 
 
 def test_case3_rejects_bad_parameters():
     spec = PaineSpec(0.75, 0.1)
     with pytest.raises(ConstructionError):
-        case3_build(spec, q0=0.0, r0=1.0)
+        build_case("case3-J", spec, q0=0.0, r0=1.0)
     with pytest.raises(ConstructionError):
-        case3_build(spec, q0=1.0, r0=-1.0)
-    with pytest.raises(ConstructionError):
-        case3_build(spec, q0=1.0, r0=1.0, kind="K")
+        build_case("case3-J", spec, q0=1.0, r0=-1.0)
 
 
 def test_case3_zero_scan_is_bounded():
@@ -332,7 +329,7 @@ def test_case3_zero_scan_is_bounded():
 
 def test_case4_classical_displays():
     spec = PaineSpec(1.0, 0.1)
-    res = case4_build(spec, C1=2.0)
+    res = build_case("case4", spec, C1=2.0)
     s = math.sqrt(0.2)
     assert res.extras["x0"] == pytest.approx(s, rel=1e-15)
     assert res.canonical.a == 0.0
@@ -350,15 +347,15 @@ def test_case4_classical_displays():
 
 def test_case4_respects_explicit_shift():
     spec = PaineSpec(1.0, 0.1)
-    res = case4_build(spec, C1=2.0, x0=0.0)
+    res = build_case("case4", spec, C1=2.0, x0=0.0)
     assert res.canonical.a == pytest.approx(2 * math.sqrt(0.05), rel=1e-14)
     assert roundtrip(res, spec) <= 1e-8
 
 
 def test_case4_general_consistency_at_5_over_2():
     spec = PaineSpec(1.0, 0.1)
-    base = case4_build(spec, C1=2.0)
-    gen = case4_general(spec, C1=2.0, n_r=2.5)
+    base = build_case("case4", spec, C1=2.0)
+    gen = build_case("case4-general", spec, C1=2.0, n_r=2.5)
     xs = np.linspace(base.canonical.a + 1e-9, base.canonical.b, 29)
     for x in xs:
         x = float(x)
@@ -371,7 +368,7 @@ def test_case4_general_consistency_at_5_over_2():
 def test_case4_general_sample_point():
     # n_r = 2.75, C1 = 1, m = 1: x + x0 = 4 (t+1)^(1/4), so a + x0 = 4
     spec = PaineSpec(1.0, 1.0)
-    res = case4_general(spec, C1=1.0, n_r=2.75)
+    res = build_case("case4-general", spec, C1=1.0, n_r=2.75)
     assert res.canonical.a == 0.0
     assert res.extras["x0"] == pytest.approx(4.0, rel=1e-14)
     assert roundtrip(res, spec) <= 1e-8
@@ -379,24 +376,24 @@ def test_case4_general_sample_point():
 
 def test_case4_general_near_upper_power_limit():
     spec = PaineSpec(1.0, 0.1)
-    res = case4_general(spec, C1=2.0, n_r=2.99)
+    res = build_case("case4-general", spec, C1=2.0, n_r=2.99)
     assert math.isfinite(res.canonical.b)
     assert roundtrip(res, spec) <= 1e-8
     with pytest.raises(ConstructionError):
-        case4_general(spec, C1=2.0, n_r=3.0)
+        build_case("case4-general", spec, C1=2.0, n_r=3.0)
     with pytest.raises(ConstructionError):
-        case4_general(spec, C1=2.0, n_r=2.0)
+        build_case("case4-general", spec, C1=2.0, n_r=2.0)
 
 
 def test_case4_rejects_nonpositive_c1():
     with pytest.raises(ConstructionError):
-        case4_build(PaineSpec(1.0, 0.1), C1=0.0)
+        build_case("case4", PaineSpec(1.0, 0.1), C1=0.0)
 
 
 def test_finish_still_reports_an_inverted_interval():
     # a == b (a shift that swamps the width) is covered by the CLI test of
     # extreme construction parameters; a > b keeps the inversion message
-    c = case4_build(PaineSpec(1.0, 0.1), C1=2.0).canonical
+    c = build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).canonical
     with pytest.raises(ConstructionError, match=r"interval inversion, a=1\.0 >= b=0\.5"):
         _finish("case4", c.p, c.q, c.r, 1.0, 0.5, None, None, True, None, {})
 

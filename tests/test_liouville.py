@@ -13,7 +13,7 @@ from slpkit import liouville
 from slpkit.errors import NumericalError
 from slpkit import expr
 from slpkit.expr import Call, Div, EvalDomainError, ExpressionAST, parse
-from slpkit.inverse import CASE_LABELS, build_case, case1_build, case4_build
+from slpkit.inverse import CASE_LABELS, build_case
 from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
                               build_map, forward_transform, invariant_at_x)
 from slpkit.problems import CanonicalSLP, PaineSpec, validate
@@ -27,7 +27,7 @@ def canonical(p="1", q="0", r="1", a=0.0, b=PI):
 
 def classical_case4():
     """p=(x+s)^3, q=4(x+s), r=(x+s)^5 with s=sqrt(0.2) on (0, sqrt(2pi+.2)-s)."""
-    return case4_build(PaineSpec(1.0, 0.1), C1=2.0).canonical
+    return build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).canonical
 
 
 def test_identity_map():
@@ -99,7 +99,7 @@ def test_build_map_refuses_a_cell_at_the_depth_cap(monkeypatch):
     # case1 (k=2) refines to depth 20 at its left end; a cap of 3 must fail
     # loudly there rather than accept an unconverged cell
     monkeypatch.setattr(liouville, "_MAX_CELL_DEPTH", 3)
-    problem = case1_build(PaineSpec(2.0, 0.1), r0=1.0).canonical
+    problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
     with pytest.raises(QuadratureError, match="map refinement did not converge") as err:
         build_map(problem, 1e-10)
     assert err.value.lo == problem.a
@@ -141,7 +141,7 @@ def test_forward_transform_case4_roundtrip():
 
 def test_forward_transform_case1_roundtrip():
     # the map has an endpoint derivative blow-up; needs the refined grid
-    prob = case1_build(PaineSpec(2.0, 0.1), r0=1.0, branch="plus").canonical
+    prob = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0, branch="plus").canonical
     reduced, _ = forward_transform(prob, 1e-12)
     sup = 0.0
     for j in range(1, 102):
@@ -155,7 +155,7 @@ def test_x_of_t_examples():
     assert ident.x_of_t(1.0) == pytest.approx(1.0, abs=1e-12)
     assert ident.x_of_t(0.0) == 0.0  # endpoint pinning
 
-    res = case4_build(PaineSpec(1.0, 0.1), C1=2.0)
+    res = build_case("case4", PaineSpec(1.0, 0.1), C1=2.0)
     b_expected = math.sqrt(2 * PI + 0.2) - math.sqrt(0.2)
     assert abs(res.map.x_of_t(PI) - b_expected) <= 1e-10
 
@@ -350,14 +350,14 @@ def _assert_float_queries(m):
 
 def test_map_queries_return_python_floats():
     _assert_float_queries(build_map(classical_case4(), 1e-10))
-    _assert_float_queries(case4_build(PaineSpec(1.0, 0.1), C1=2.0).map)
+    _assert_float_queries(build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).map)
     # a cubic cell the first iterate misses, so x comes from a Newton step
     _assert_float_queries(TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [0.5, 2.0]))
 
 
 def test_map_queries_reject_nan():
     tabulated = build_map(classical_case4(), 1e-10)
-    closed = case4_build(PaineSpec(1.0, 0.1), C1=2.0).map
+    closed = build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).map
     for map_ in (tabulated, closed):
         for query in (map_.t_of_x, map_.x_of_t):
             with pytest.raises(TransformError, match=r"=nan outside map domain"):

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from slpkit.expr import parse
-from slpkit.inverse import (InverseResult, ValidityInfo, build_case,
-                            case2_build, case3_build, case4_build)
+from slpkit.inverse import InverseResult, ValidityInfo, build_case
 from slpkit.liouville import TransformMap
 from slpkit.problems import CanonicalSLP, PaineSpec
 from slpkit.verify import (asymptotic_profile, roundtrip_invariant,
@@ -15,7 +14,7 @@ PI = math.pi
 
 def test_roundtrip_exact_cases():
     spec = PaineSpec(1.0, 0.1)
-    assert roundtrip_invariant(case4_build(spec, C1=2.0), spec) <= 1e-8
+    assert roundtrip_invariant(build_case("case4", spec, C1=2.0), spec) <= 1e-8
     spec2 = PaineSpec(2.0, 0.1)
     res = build_case("case1", spec2, r0=1.0)
     assert roundtrip_invariant(res, spec2) <= 1e-8
@@ -23,7 +22,7 @@ def test_roundtrip_exact_cases():
 
 def test_roundtrip_asymptotic_case_is_reported_not_small():
     spec = PaineSpec(1.0, 0.1)
-    res = case2_build(spec, q0=2.0, variant="C1")
+    res = build_case("case2-C1", spec, q0=2.0)
     residual = roundtrip_invariant(res, spec)
     assert math.isfinite(residual)
     assert residual > 1e-3  # genuinely asymptotic, not exact
@@ -32,12 +31,12 @@ def test_roundtrip_asymptotic_case_is_reported_not_small():
 def test_roundtrip_rejects_too_few_samples():
     spec = PaineSpec(1.0, 0.1)
     with pytest.raises(ValueError):
-        roundtrip_invariant(case4_build(spec, C1=2.0), spec, samples=5)
+        roundtrip_invariant(build_case("case4", spec, C1=2.0), spec, samples=5)
 
 
 def test_spectral_match_case4_passes():
     spec = PaineSpec(1.0, 0.1)
-    report = spectral_match(case4_build(spec, C1=2.0), spec, count=5, n=2000)
+    report = spectral_match(build_case("case4", spec, C1=2.0), spec, count=5, n=2000)
     assert report.passed and report.exact
     assert report.roundtrip_residual <= 1e-8
     assert len(report.spectral_gaps) == 5
@@ -46,13 +45,13 @@ def test_spectral_match_case4_passes():
 
 def test_spectral_match_case2_a1_passes():
     spec = PaineSpec(0.75, 0.1)
-    report = spectral_match(case2_build(spec, q0=1.0), spec, count=5, n=1000)
+    report = spectral_match(build_case("case2-A1", spec, q0=1.0), spec, count=5, n=1000)
     assert report.passed
 
 
 def test_spectral_match_asymptotic_reports_without_failing():
     spec = PaineSpec(0.75, 0.1)
-    report = spectral_match(case3_build(spec, q0=1.0, r0=1.0, kind="J"),
+    report = spectral_match(build_case("case3-J", spec, q0=1.0, r0=1.0),
                             spec, count=3, n=500)
     assert report.passed  # report-only
     assert not report.exact
@@ -77,7 +76,7 @@ def test_spectral_match_identity_problem_gaps_vanish():
 
 def test_spectral_match_parameter_guards():
     spec = PaineSpec(1.0, 0.1)
-    res = case4_build(spec, C1=2.0)
+    res = build_case("case4", spec, C1=2.0)
     with pytest.raises(ValueError):
         spectral_match(res, spec, count=11)
     with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ def test_spectral_match_parameter_guards():
 
 def test_reports_are_deterministic():
     spec = PaineSpec(1.0, 0.1)
-    res = case4_build(spec, C1=2.0)
+    res = build_case("case4", spec, C1=2.0)
     a = spectral_match(res, spec, count=3, n=500)
     b = spectral_match(res, spec, count=3, n=500)
     assert a == b
@@ -95,7 +94,7 @@ def test_reports_are_deterministic():
 def test_asymptotic_profile_rejects_exact_results():
     spec = PaineSpec(1.0, 0.1)
     with pytest.raises(ValueError):
-        asymptotic_profile(case4_build(spec, C1=2.0), spec)
+        asymptotic_profile(build_case("case4", spec, C1=2.0), spec)
 
 
 def test_asymptotic_profile_c1_expansion_point_value():
@@ -105,7 +104,7 @@ def test_asymptotic_profile_c1_expansion_point_value():
     # admissible (k, q0)
     for k, q0, m in ((1.0, 2.0, 1.0), (0.5, 1.0, 1.0), (2.0, 4.0, 1.0)):
         spec = PaineSpec(k, m)
-        res = case2_build(spec, q0=q0, variant="C1")
+        res = build_case("case2-C1", spec, q0=q0)
         from slpkit.liouville import invariant_at_x
         x_at_0 = res.map.x_of_t(0.0)
         value = invariant_at_x(res.canonical, x_at_0)
@@ -115,8 +114,8 @@ def test_asymptotic_profile_c1_expansion_point_value():
 def test_asymptotic_profile_shapes_and_regime_convergence():
     # small-argument branch: shrinking sqrt(|q0|/r0) tightens the residual
     spec = PaineSpec(0.75, 1.0)
-    coarse = case3_build(spec, q0=0.01, r0=1.0, kind="J")
-    fine = case3_build(spec, q0=0.0001, r0=1.0, kind="J")
+    coarse = build_case("case3-J", spec, q0=0.01, r0=1.0)
+    fine = build_case("case3-J", spec, q0=0.0001, r0=1.0)
     prof_coarse = asymptotic_profile(coarse, spec, samples=51)
     prof_fine = asymptotic_profile(fine, spec, samples=51)
     assert len(prof_coarse) == 51
@@ -130,6 +129,6 @@ def test_asymptotic_profile_shapes_and_regime_convergence():
 def test_asymptotic_profile_y_branch_deep_regime():
     # large-argument branch far from any Y zero: uniformly small residual
     spec = PaineSpec(0.75, 330.0)
-    res = case3_build(spec, q0=0.0025, r0=1.0, kind="Y")
+    res = build_case("case3-Y", spec, q0=0.0025, r0=1.0)
     profile = asymptotic_profile(res, spec, samples=51)
     assert max(r for _, r in profile) <= 1e-2
