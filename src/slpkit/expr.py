@@ -64,8 +64,17 @@ class ExprError(ValueError):
 
 
 class ParseError(ExprError):
+    """The message quotes at most 30 characters either side of the offset;
+    `.source` keeps the whole text."""
+
     def __init__(self, message: str, source: str, offset: int):
-        super().__init__(f"{message} (offset {offset} in {source!r})")
+        lo, hi = max(0, offset - 30), offset + 30
+        excerpt = repr(source[lo:hi])
+        if lo > 0:
+            excerpt = "..." + excerpt
+        if hi < len(source):
+            excerpt += "..."
+        super().__init__(f"{message} (offset {offset} in {excerpt})")
         self.source = source
         self.offset = offset
 

@@ -5,7 +5,8 @@ inverse constructions: gamma via the Lanczos approximation (g = 7, nine
 coefficients, reflection below 1/2), J_nu by the ascending power series up
 to x = max(12, 2|nu|) and Hankel large-argument asymptotics beyond, and
 Y_nu through the connection formula (J_nu cos(nu pi) - J_{-nu}) / sin(nu pi)
-with near-integer orders evaluated at nu +- 1e-6 and linearly interpolated.
+with orders within 2e-4 of an integer n blended quadratically through the
+integer-order series at n and the connection formula at n +- 2e-4.
 
 Accuracy against mpmath for nu in [0, 5], x in [1e-3, 50]: J within 2e-12
 absolute, Y within 5e-9 relative to max(1, |Y|) (worst for orders near the
@@ -189,6 +190,11 @@ def bessel_y(nu: float, x: float) -> float:
     if nu < 0.0:
         # Y_{-v} = cos(v pi) Y_v + sin(v pi) J_v
         v = -nu
+        if (2.0 * v) % 2.0 == 1.0:
+            # half-odd v: cos(v pi) is 0, which math.cos misses by ~6e-17,
+            # enough for the large Y_v to swamp J_v at small x
+            j = bessel_j(v, x)
+            return j if (v - 0.5) % 2.0 == 0.0 else -j
         return math.cos(math.pi * v) * bessel_y(v, x) + math.sin(math.pi * v) * bessel_j(v, x)
     if x > _crossover(nu):
         return _hankel_jy(nu, x)[1]

@@ -64,6 +64,19 @@ def test_parse_errors_carry_offsets():
         parse("foo(x)")
 
 
+def test_parse_error_quotes_a_bounded_window():
+    with pytest.raises(ParseError) as err:
+        parse("1/(x")
+    assert str(err.value) == "expected ')' (offset 4 in '1/(x')"
+    source = "+".join(["x"] * 5000)
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    message = str(err.value)
+    assert len(message) < 200
+    assert f"(offset {err.value.offset} in ...'" in message and message.endswith("...)")
+    assert err.value.source == source
+
+
 def test_whitespace_may_surround_every_token():
     assert parse("x^2 \t") == parse("x^2") == parse(" \n x ^ 2 \n")
     assert parse(" besselj( 1 , x ) ") == parse("besselj(1,x)")

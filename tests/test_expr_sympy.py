@@ -17,9 +17,10 @@ _SYMPY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
 _SYMPY_HOOKS = {
     "exp": sympy.exp, "ln": sympy.log, "sin": sympy.sin, "cos": sympy.cos,
     "sqrt": sympy.sqrt, "besselj": sympy.besselj, "bessely": sympy.bessely,
-    # through u**2, whose derivatives sympy writes without re() and im()
+    # through u**2, whose derivatives sympy writes without re() and im();
+    # cbrt(0) is 0, where u * (u**2)**(-1/3) would read 0 * zoo = nan
     "abs": lambda u: sympy.sqrt(u ** 2),
-    "cbrt": lambda u: u * (u ** 2) ** sympy.Rational(-1, 3),
+    "cbrt": lambda u: sympy.S.Zero if u.is_zero else u * (u ** 2) ** sympy.Rational(-1, 3),
 }
 
 
@@ -42,6 +43,7 @@ _small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.
 @settings(max_examples=300, deadline=None)
 @given(root=_trees(_small_constants, 8), x=st.floats(-3.0, 3.0))
 @example(root=Call("besselj", (Const(0.5), Var())), x=5e-324)
+@example(root=Add(Var(), Call("cbrt", (Const(0.0),))), x=0.0)
 def test_diff_matches_sympy(root, x):
     ast = ExpressionAST(root)
     try:

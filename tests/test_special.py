@@ -58,6 +58,21 @@ def test_bessel_y_half_order_values():
     assert bessel_y(1.0, 1.0) == pytest.approx(-0.7812128213, abs=1e-9)
 
 
+def test_bessel_y_negative_half_odd_order_is_plus_or_minus_j():
+    # Y_{-v} = (-1)^(v - 1/2) J_v for half-odd v, with no Y_v term leaking in
+    import mpmath
+
+    xs = [1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 1e-3]
+    xs += [float(x) for x in np.linspace(0.1, 30.0, 60)]
+    for v, sign in ((0.5, 1.0), (1.5, -1.0), (2.5, 1.0), (3.5, -1.0)):
+        for x in xs:
+            assert bessel_y(-v, x).hex() == (sign * bessel_j(v, x)).hex(), (v, x)
+        for x in (1e-20, 1e-3):
+            with mpmath.workdps(30):
+                ref = float(mpmath.bessely(-v, x))
+            assert bessel_y(-v, x) == pytest.approx(ref, rel=1e-14, abs=0.0), (v, x)
+
+
 def test_half_order_closed_forms_on_grid():
     for x in np.linspace(0.1, 20.0, 180):
         x = float(x)
