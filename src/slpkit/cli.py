@@ -70,7 +70,11 @@ def load_problem(path: str):
         raise ProblemFileError(f"{path}: interval must be [lo, hi]")
     if bc != "dirichlet":
         raise ProblemFileError(f"{path}: only 'dirichlet' boundary conditions are supported")
-    lo, hi = float(interval[0]), float(interval[1])
+    try:
+        lo, hi = float(interval[0]), float(interval[1])
+    except OverflowError:  # a JSON integer beyond the double range
+        raise ProblemFileError(
+            f"{path}: interval endpoints must be within the double range") from None
     if form == "canonical":
         missing = [key for key in ("p", "q", "r") if key not in coeffs]
         if missing:

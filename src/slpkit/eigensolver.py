@@ -240,13 +240,28 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
 # discretizations
 
 
-def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
-    """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2."""
+def _mesh(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """The width h of n interior points on (lo, hi), and 1/h^2.
+
+    Refused unless h^2 and 2/h^2 are positive and finite: an h^2 that
+    underflows to 0 has no 1/h^2, and one that overflows to inf gives
+    1/h^2 = 0, which silently drops the second difference.
+    """
     if n < 3:
         raise DiscretizationError(f"n must be at least 3, got {n}")
-    h = (problem.beta - problem.alpha) / (n + 1)
+    h = (hi - lo) / (n + 1)
+    h2 = h * h
+    if not (0.0 < h2 < math.inf and 2.0 / h2 < math.inf):
+        raise DiscretizationError(
+            f"mesh width h = {h!r} (n = {n} on [{lo!r}, {hi!r}]) is out of range "
+            f"for the difference scheme: h^2 = {h2!r}")
+    return h, 1.0 / h2
+
+
+def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
+    """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2."""
+    h, inv_h2 = _mesh(problem.alpha, problem.beta, n)
     diag = np.empty(n)
-    inv_h2 = 1.0 / (h * h)
     for i in range(n):
         t = problem.alpha + (i + 1) * h
         try:
@@ -262,10 +277,8 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
     A_ii = (p_{i-1/2} + p_{i+1/2})/h^2 + q_i,  A_{i,i+1} = -p_{i+1/2}/h^2,
     then D^{-1/2} A D^{-1/2} with D_ii = r_i.
     """
-    if n < 3:
-        raise DiscretizationError(f"n must be at least 3, got {n}")
     a, b = problem.a, problem.b
-    h = (b - a) / (n + 1)
+    h, inv_h2 = _mesh(a, b, n)
     pm = np.empty(n + 1)
     for j in range(n + 1):
         x = a + (j + 0.5) * h
@@ -286,7 +299,6 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
             raise SolverError(f"q/r evaluation failed at x={x!r}: {err}") from None
         if rv[i] <= 0.0:
             raise SolverError(f"nonpositive r = {float(rv[i])!r} at node x={x!r}")
-    inv_h2 = 1.0 / (h * h)
     diag = ((pm[:-1] + pm[1:]) * inv_h2 + qv) / rv
     off = -pm[1:-1] * inv_h2 / np.sqrt(rv[:-1] * rv[1:])
     return SymTridiag(diag, off)
@@ -316,7 +328,7 @@ def _guesses(problem, n: int, count: int):
         rows, pivmin = _sturm_rows(T)
         none = np.full(count, np.nan)
         return _bisect(T, rows, pivmin, count, _GUESS_TOL, none, none)
-    except SolverError:
+    except (SolverError, DiscretizationError):
         return None
 
 

@@ -11,7 +11,9 @@ right-associative and binding tighter than unary minus (``-x^2`` reads as
 ``-(x^2)``), and function applications.  Built-in functions are exp, ln,
 sin, cos, sqrt, abs and cbrt; further named functions (the Bessel factors
 used by the constant-coefficient inversions) can be registered at import
-time and then print and re-parse like any other call.  Whitespace may
+time and then print and re-parse like any other call.  A hook is called
+with its argument values, ``hook(v0, v1, ...)``, and signals a domain error
+by raising ValueError or OverflowError.  Whitespace may
 surround any token.  parse applies two bounds and raises ParseError beyond
 either: at most 50 groups (parentheses, signs, exponents, call arguments)
 open at once, since the parser recurses over them, and a tree at most 50
@@ -56,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType, FunctionType
-from typing import Callable, Sequence
+from typing import Callable
 
 
 class ExprError(ValueError):
@@ -269,7 +271,7 @@ class Call(Node):
     def emit(self, em):
         hook = em.bind("h", FUNCTIONS[self.name].evaluate)
         args = ", ".join([em.value(a) for a in self.args])
-        return em.assign(f"_apply({hook}, [{args}], {em.bind('n', self)}, V, x)")
+        return em.assign(f"_apply({hook}, {em.bind('n', self)}, V, x, {args})")
 
     def key(self, em):
         return (Call, self.name, *[em.value(a) for a in self.args])
@@ -364,7 +366,7 @@ def _pow(a: Node, b: Node) -> Node:
 class FunctionHook:
     name: str
     arity: int
-    evaluate: Callable[[Sequence[float]], float]
+    evaluate: Callable[..., float]  # called with the argument values
     derivative: Callable[[tuple, tuple], Node]
     constant_args: tuple = ()
 
@@ -376,51 +378,39 @@ def register_function(hook: FunctionHook) -> None:
     FUNCTIONS[hook.name] = hook
 
 
-def _ev_exp(v):
-    return math.exp(v[0])
-
-
-def _ev_ln(v):
-    if v[0] <= 0.0:
+def _ln(v):
+    if v <= 0.0:
         raise ValueError("ln of nonpositive argument")
-    return math.log(v[0])
+    return math.log(v)
 
 
-def _ev_sqrt(v):
-    if v[0] < 0.0:
+def _sqrt(v):
+    if v < 0.0:
         raise ValueError("sqrt of negative argument")
-    return math.sqrt(v[0])
-
-
-def _ev_abs(v):
-    return abs(v[0])
-
-
-def _ev_cbrt(v):
-    return _cbrt(v[0])
+    return math.sqrt(v)
 
 
 register_function(FunctionHook(
-    "exp", 1, _ev_exp,
+    "exp", 1, math.exp,
     lambda a, d: _mul(Call("exp", a), d[0])))
 register_function(FunctionHook(
-    "ln", 1, _ev_ln,
+    "ln", 1, _ln,
     lambda a, d: _div(d[0], a[0])))
 register_function(FunctionHook(
-    "sin", 1, lambda v: math.sin(v[0]),
+    "sin", 1, math.sin,
     lambda a, d: _mul(Call("cos", a), d[0])))
 register_function(FunctionHook(
-    "cos", 1, lambda v: math.cos(v[0]),
+    "cos", 1, math.cos,
     lambda a, d: _neg(_mul(Call("sin", a), d[0]))))
 register_function(FunctionHook(
-    "sqrt", 1, _ev_sqrt,
+    "sqrt", 1, _sqrt,
     lambda a, d: _div(d[0], _mul(Const(2.0), Call("sqrt", a)))))
 register_function(FunctionHook(
     # derivative is sign(u)*u', written u/abs(u) so that it raises at u = 0
-    "abs", 1, _ev_abs,
+    "abs", 1, abs,
     lambda a, d: _mul(_div(a[0], Call("abs", a)), d[0])))
 register_function(FunctionHook(
-    "cbrt", 1, _ev_cbrt,
+    "cbrt", 1, _cbrt,
     lambda a, d: _div(d[0], _mul(Const(3.0), _pow(Call("cbrt", a), Const(2.0))))))
 
 
@@ -476,31 +466,26 @@ def _fail(reason: str, node: Node, variable: str, x: float) -> EvalDomainError:
 
 
 def _power(base, expo, node: "Pow", variable: str, x: float):
-    if base > 0.0:
-        try:
-            v = base ** expo
-        except OverflowError:
-            raise _fail("overflow in power", node, variable, x) from None
-    elif base == 0.0:
-        if expo > 0.0:
-            v = 0.0
-        else:
+    if base == 0.0:
+        if not expo > 0.0:
             raise _fail("zero base with nonpositive exponent", node, variable, x)
-    elif float(expo).is_integer():
+        v = 0.0
+    elif not base > 0.0 and not float(expo).is_integer():
+        # a negative or NaN base
+        raise _fail("negative base with fractional exponent", node, variable, x)
+    else:
         try:
             v = base ** expo
         except OverflowError:
             raise _fail("overflow in power", node, variable, x) from None
-    else:
-        raise _fail("negative base with fractional exponent", node, variable, x)
     if not math.isfinite(v):
         raise _fail("nonfinite power", node, variable, x)
     return v
 
 
-def _apply(hook, args: list, node: "Call", variable: str, x: float):
+def _apply(hook, node: "Call", variable: str, x: float, *args):
     try:
-        v = hook(args)
+        v = hook(*args)
     except (OverflowError, ValueError) as err:
         raise _fail(str(err), node, variable, x) from None
     if not math.isfinite(v):

@@ -22,6 +22,7 @@ carry a trust region and warnings instead of a pass/fail claim.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -132,6 +133,27 @@ def _finish(case_label: str, p, q, r, a: float, b: float, t_ast, x_ast,
 
 _EXACT = ValidityInfo(None, None, None, ())
 
+# interior zeros of p that get a warning each; one more warning counts the rest
+_ZERO_WARNINGS = 10
+
+
+def _zero_warnings(zeros, lo: float, hi: float, describe, key=None) -> list:
+    """Warnings for the zeros whose position, key(zero), lies strictly
+    inside (lo, hi): one each for the first _ZERO_WARNINGS, then one that
+    counts the rest.
+
+    `zeros` ascends in position and may be a range, so the interior ones
+    are one slice, found by bisection without visiting the others.
+    """
+    first = bisect.bisect_right(zeros, lo, key=key)
+    end = bisect.bisect_left(zeros, hi, key=key)
+    listed = zeros[first:min(end, first + _ZERO_WARNINGS)]
+    warnings = [f"p vanishes inside the interval ({describe(z)})" for z in listed]
+    if end - first > len(listed):
+        warnings.append(
+            f"p vanishes at {end - first - len(listed)} more points inside the interval")
+    return warnings
+
 
 # ---------------------------------------------------------------------------
 # case 1: vanishing potential, constant weight
@@ -215,12 +237,14 @@ def _c_validity(label: str, mu: float, m: float, offset: float, family: str,
             raise ConstructionError(
                 f"{label}: degenerate {what} (mu*ln({tau!r}) = pi*({n} - {offset})); "
                 "the endpoint coefficient vanishes")
+
+    def tau_star(n):
+        return math.exp((n - offset) * math.pi / mu)
+
     warnings = [f"asymptotic construction: map truncated at the {truncation} term about tau = 1"]
-    for n in range(math.ceil(v_lo), math.floor(v_hi) + 1):  # mu > 0, so v_lo <= v_hi
-        tau_star = math.exp((n - offset) * math.pi / mu)
-        if tau_lo < tau_star < tau_hi:
-            warnings.append(
-                f"p vanishes inside the interval ({family} zero at t = {tau_star - m!r})")
+    # mu > 0, so v_lo <= v_hi and tau_star ascends with n
+    warnings += _zero_warnings(range(math.ceil(v_lo), math.floor(v_hi) + 1), tau_lo, tau_hi,
+                               lambda n: f"{family} zero at t = {tau_star(n) - m!r}", tau_star)
     span = max(abs(m - 1.0), abs(math.pi + m - 1.0))
     if span > 0.5:
         warnings.append(
@@ -409,11 +433,8 @@ def _case3(kind: str, spec: PaineSpec, q0: float, r0: float, shift: float) -> In
             f"{label}: scaled Bessel argument sqrt(|q0|/r0)*(t+m) overflows "
             f"for q0={q0!r}, r0={r0!r}")
     zeros = _bessel_guard(kind, nu, (tau_bar_lo, tau_bar_hi), label)
-    warnings = []
-    for zero in zeros:
-        if tau_bar_lo < zero < tau_bar_hi:
-            warnings.append(
-                f"p vanishes inside the interval ({kind} zero at scaled argument {zero!r})")
+    warnings = _zero_warnings(zeros, tau_bar_lo, tau_bar_hi,
+                              lambda zero: f"{kind} zero at scaled argument {zero!r}")
 
     if kind == "J":
         gt = gamma_triangle(nu)

@@ -8,7 +8,12 @@ the records store no boundary coefficients.
 
 Validation is deliberately sampling-based: coefficient expressions are
 opaque, so positivity of p and r (and evaluability of I) is checked on a
-dense grid rather than proved.
+dense grid rather than proved.  `validate` is a pre-check of the input
+record; each numerical stage owns positivity at the points it evaluates.
+Assembly (eigensolver) refuses a nonpositive p at its midpoints and a
+nonpositive r at its nodes, and the forward map (liouville) refuses a point
+where sqrt(r/p) is not real or p is zero.  A p that dips below zero between
+the samples is refused there; no stage samples a second time.
 """
 
 from __future__ import annotations

@@ -275,6 +275,6 @@ def _d_bessel(name):
 
 
 register_function(FunctionHook(
-    "besselj", 2, lambda v: bessel_j(v[0], v[1]), _d_bessel("besselj"), constant_args=(0,)))
+    "besselj", 2, bessel_j, _d_bessel("besselj"), constant_args=(0,)))
 register_function(FunctionHook(
-    "bessely", 2, lambda v: bessel_y(v[0], v[1]), _d_bessel("bessely"), constant_args=(0,)))
+    "bessely", 2, bessel_y, _d_bessel("bessely"), constant_args=(0,)))

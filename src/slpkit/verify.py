@@ -38,11 +38,12 @@ class VerificationReport:
 def _residual_profile(result: InverseResult, spec: PaineSpec, samples: int) -> list:
     """(t, |I(x(t)) - k/(t+m)^2|) at `samples` equispaced interior t-points."""
     alpha, beta = result.map.domain_t
+    reference = paine_schrodinger(spec).invariant
     profile = []
     for j in range(1, samples + 1):
         t = alpha + (beta - alpha) * j / (samples + 1)
         value = invariant_at_x(result.canonical, result.map.x_of_t(t))
-        profile.append((t, abs(value - spec.k / (t + spec.m) ** 2)))
+        profile.append((t, abs(value - reference.evaluate(t))))
     return profile
 
 

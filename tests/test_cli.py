@@ -117,12 +117,42 @@ COEFFICIENT_TYPE = "must be an expression string or a number"
      f"coefficient 'invariant' {COEFFICIENT_TYPE}"),
     ({**IDENTITY, "coefficients": {"p": "1", "q": None, "r": "1"}},
      f"coefficient 'q' {COEFFICIENT_TYPE}"),
+    # None writes no file, a str is written as it stands; a message that
+    # names {path} is the whole text, any other follows "{path}: "
+    (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ('{"form": ', "{path} is not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+    ([FREE], "top level must be an object"),
+    ({**FREE, "form": "reduced"}, "form must be 'canonical' or 'schrodinger'"),
+    ({**FREE, "coefficients": "0"}, "coefficients must be an object"),
+    ({**FREE, "bc": "neumann"}, "only 'dirichlet' boundary conditions are supported"),
+    ({**IDENTITY, "coefficients": {"p": "1", "q": "0"}},
+     "canonical form needs coefficients ['r']"),
+    ({**FREE, "coefficients": {"potential": "0"}},
+     "schrodinger form needs coefficients.invariant"),
+    ({**FREE, "interval": [0, 10**400]}, "interval endpoints must be within the double range"),
+    ({**FREE, "interval": [-10**400, 0]}, "interval endpoints must be within the double range"),
 ])
 def test_solve_rejects_malformed_fields(tmp_path, capsys, payload, message):
-    path = write(tmp_path, "bad.json", payload)
-    code, out, err = run_cli(capsys, "solve", path)
+    path = tmp_path / "bad.json"
+    if payload is not None:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    code, out, err = run_cli(capsys, "solve", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {path}: {message}\n"
+    expected = message.format(path=path) if "{path}" in message else f"{path}: {message}"
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("hi, n, h2", [
+    (1e-170, "1000", "0.0"),    # h^2 underflows: 1/h^2 is a division by zero
+    (1e160, "200", "inf"),      # h^2 overflows: 1/h^2 = 0 drops the kinetic term
+])
+def test_solve_rejects_a_mesh_the_scheme_cannot_represent(tmp_path, capsys, hi, n, h2):
+    payload = {**FREE, "coefficients": {"invariant": "t/1e160"}, "interval": [0.0, hi]}
+    path = write(tmp_path, "mesh.json", payload)
+    code, out, err = run_cli(capsys, "solve", path, "--n", n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mesh width h = ")
+    assert err.endswith(f"is out of range for the difference scheme: h^2 = {h2}\n")
 
 
 def test_numeric_coefficients_match_their_text(tmp_path, capsys):
@@ -172,6 +202,13 @@ def test_transform_rejects_sign_changing_weight(tmp_path, capsys):
     code, _, err = run_cli(capsys, "transform", path)
     assert code == 2
     assert "positivity" in err
+
+
+def test_transform_rejects_a_schrodinger_file(tmp_path, capsys):
+    path = write(tmp_path, "paine.json", PAINE)
+    code, out, err = run_cli(capsys, "transform", path)
+    assert (code, out) == (2, "")
+    assert err == "error: transform expects a canonical problem file\n"
 
 
 def test_transform_divergent_map_exit_code(tmp_path, capsys):

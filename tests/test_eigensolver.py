@@ -179,6 +179,33 @@ def test_discretization_requires_dirichlet_and_size():
         discretize_schrodinger(free_particle(), 2)
 
 
+@pytest.mark.parametrize("hi", [
+    1e-170,  # h^2 underflows to 0
+    1e-153,  # h^2 is subnormal and 2/h^2 overflows
+    1e160,   # h^2 overflows, and 1/h^2 would read 0
+])
+def test_discretization_refuses_a_mesh_without_a_finite_second_difference(hi):
+    schrod = SchrodingerSLP(parse("0", "t"), 0.0, hi)
+    canon = CanonicalSLP(parse("1"), parse("0"), parse("1"), 0.0, hi)
+    for discretize, problem in ((discretize_schrodinger, schrod),
+                                (discretize_canonical, canon)):
+        with pytest.raises(DiscretizationError, match="out of range for the difference scheme"):
+            discretize(problem, 1000)
+        with pytest.raises(DiscretizationError, match="out of range for the difference scheme"):
+            solve_spectrum(problem, 1000, 3)
+
+
+def test_a_guess_grid_the_scheme_cannot_represent_gives_no_guesses():
+    from slpkit import eigensolver
+    # h^2 is finite on the 1000-point grid and overflows on the 125-point one
+    problem = SchrodingerSLP(parse("1", "t"), 0.0, 5e156)
+    with pytest.raises(DiscretizationError):
+        discretize_schrodinger(problem, 1000 // 8)
+    assert eigensolver._guesses(problem, 1000, 1) is None
+    spectrum = solve_spectrum(problem, 1000, 1, richardson=False)
+    assert spectrum.eigenvalues == pytest.approx((1.0,))
+
+
 def test_fine_grid_coefficient_failures_surface_as_solver_errors():
     # p dips negative between validation samples; midpoint assembly sees it
     dip = CanonicalSLP(parse("1 - 1.5*exp(-((x-0.50225)/0.0001)^2)"),

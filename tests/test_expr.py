@@ -306,7 +306,7 @@ def _walk(node, x):
     hook = expr.FUNCTIONS[node.name]
     vals = [_walk(a, x) for a in node.args]
     try:
-        v = hook.evaluate(vals)
+        v = hook.evaluate(*vals)
     except (OverflowError, ValueError) as err:
         raise EvalDomainError(str(err), node.text(), x) from None
     if not math.isfinite(v):
@@ -420,6 +420,19 @@ def test_compiled_evaluation_matches_tree_walk_on_each_failure_kind():
             outcome = _outcome(ast.evaluate, x)
             assert outcome == _outcome(lambda x: _walk_evaluate(ast, x), x), (source, x)
             assert (outcome[0] == "raised") == (source != "-X+3"), (source, outcome)
+
+
+_EDGE_BASES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+_EDGE_EXPONENTS = (0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 1e-300, 400.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("base", _EDGE_BASES)
+@pytest.mark.parametrize("c", _EDGE_EXPONENTS)
+def test_power_at_edge_bases_matches_tree_walk(base, c):
+    # each branch of _power: zero base, negative or NaN base with a
+    # fractional exponent, overflow, a nonfinite result and a finite one
+    ast = ExpressionAST(Pow(Var(), Const(c)), "x")
+    assert _outcome(ast.evaluate, base) == _outcome(lambda x: _walk_evaluate(ast, x), base)
 
 
 def test_same_shape_trees_share_one_code_object():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from slpkit.inverse import (ConstructionError, _finish, build_case,
                             gamma_triangle, indicial_roots)
 from slpkit.liouville import invariant_at_x
 from slpkit.problems import PaineSpec, validate
+from slpkit.special import bessel_j_zeros, bessel_y_zeros
 
 PI = math.pi
 
@@ -243,6 +245,55 @@ def test_case2_variant_mismatches():
         build_case("case2-B", PaineSpec(1.0, 0.1), q0=2.0)  # complex
     with pytest.raises(ConstructionError):
         case2_build(PaineSpec(1.0, 0.1), q0=0.0)
+
+
+def _zero_warnings(result):
+    return [w for w in result.validity.warnings if w.startswith("p vanishes")]
+
+
+def _capped(listed, total):
+    return listed[:10] + [f"p vanishes at {total - 10} more points inside the interval"]
+
+
+@pytest.mark.parametrize("label, m, offset, family", [
+    ("case2-C1", 0.1, 0.5, "cosine"),
+    ("case2-C2", 1.2, 0.0, "sine"),
+])
+def test_c_family_zero_warnings_list_ten_and_count_the_rest(label, m, offset, family):
+    res = build_case(label, PaineSpec(1.0, m), q0=1e6)
+    mu = res.extras["mu"]
+    # every zero of the oscillatory factor, mu ln(tau) = pi (n - offset), one by one
+    lo, hi = m, PI + m
+    taus = [math.exp((n - offset) * PI / mu)
+            for n in range(math.ceil(mu * math.log(lo) / PI + offset),
+                           math.floor(mu * math.log(hi) / PI + offset) + 1)]
+    listed = [f"p vanishes inside the interval ({family} zero at t = {tau - m!r})"
+              for tau in taus if lo < tau < hi]
+    assert len(listed) > 400
+    assert _zero_warnings(res) == _capped(listed, len(listed))
+
+
+@pytest.mark.parametrize("kind, zeros_of", [("J", bessel_j_zeros), ("Y", bessel_y_zeros)])
+def test_case3_zero_warnings_list_ten_and_count_the_rest(kind, zeros_of):
+    res = build_case(f"case3-{kind}", PaineSpec(0.75, 0.1), q0=1e3, r0=1.0)
+    lo, hi = res.extras["tau_bar_min"], res.extras["tau_bar_max"]
+    listed = [f"p vanishes inside the interval ({kind} zero at scaled argument {z!r})"
+              for z in zeros_of(1.0, lo - 1.0, hi + 1.0) if lo < z < hi]
+    assert len(listed) > 20
+    assert _zero_warnings(res) == _capped(listed, len(listed))
+
+
+def test_zero_warnings_stay_bounded_as_q0_grows():
+    # ~1.1e10 interior zeros: listing them one by one would exhaust memory
+    start = time.perf_counter()
+    res = build_case("case2-C1", PaineSpec(1.0, 0.1), q0=1e20)
+    assert time.perf_counter() - start < 0.25
+    zeros = _zero_warnings(res)
+    assert len(zeros) == 11
+    count = re.fullmatch(r"p vanishes at (\d+) more points inside the interval", zeros[-1])
+    assert int(count.group(1)) > 10**10
+    # plus the truncation and trust-radius warnings
+    assert len(res.validity.warnings) == 13
 
 
 def test_c_family_truncation_orders():

@@ -448,9 +448,9 @@ def test_invariant_evaluates_each_bessel_factor_once(monkeypatch, label, name):
     calls = []
     hook = expr.FUNCTIONS[name]
 
-    def counting(args):
-        calls.append(tuple(args))
-        return hook.evaluate(args)
+    def counting(*args):
+        calls.append(args)
+        return hook.evaluate(*args)
 
     monkeypatch.setitem(expr.FUNCTIONS, name, replace(hook, evaluate=counting))
     # a fresh expression, past the cache, so it compiles with the counting hook
