@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -53,7 +54,8 @@ def load_problem(path: str):
             data = json.load(handle)
     except OSError as err:
         raise ProblemFileError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # JSONDecodeError, and an integer beyond Python's digit limit
         raise ProblemFileError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
@@ -171,7 +173,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process: every add_argument makes a HelpFormatter,
+    # which asks for the terminal size; parse_args leaves the parser as it is
     parser = argparse.ArgumentParser(
         prog="slp",
         description="Sturm-Liouville canonical/Schrodinger conversion toolkit")

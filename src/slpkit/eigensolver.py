@@ -15,10 +15,13 @@ Gershgorin brackets and takes the same midpoints as a plain bisection, but
 first takes a guess of each eigenvalue -- the fine grid's guesses are the
 coarse grid's eigenvalues, the coarse grid's those of a grid of n // 8
 points -- and moves it by Newton steps on det(T - sigma I) to within about
-one rounding error of the largest entry.  Where the steps settle, two
-counts certify tight bounds around the result; a guess that does not
-settle gets none.  The count never decreases as the shift grows, so a
-midpoint outside the bounds is decided without a count, and the
+one rounding error of the largest entry.  Where the steps settle, each
+side of the result is certified on a ladder of radii that starts at the
+bisection's tol and grows fourfold up to that rounding error; a center
+within tol of its eigenvalue takes two counts for a window of 2 tol, and a
+rung that fails is itself a bound on the other side.  A guess that does
+not settle gets no window.  The count never decreases as the shift grows,
+so a midpoint outside the bounds is decided without a count, and the
 eigenvalues come out bit for bit the same as from a full bisection.
 """
 
@@ -38,6 +41,8 @@ _EPS = float(np.finfo(float).eps)
 # Newton refinement of the window guesses (see _windows)
 _NEWTON_STEPS = 6
 _SETTLE = 1e4
+# each failed rung of a window's ladder multiplies its radius by this
+_LADDER = 4.0
 # the grid that supplies the coarse grid's guesses has n // _GUESS_DIV points;
 # its eigenvalues are off by its O(h^2) error anyway, so a loose tol will do
 _GUESS_DIV = 8
@@ -135,42 +140,66 @@ def _newton_step(rows, pivmin, sigma):
     return sigma - 1.0 / s if 0.0 < abs(s) < math.inf else math.nan
 
 
-def _windows(rows, pivmin, guesses, tight):
+def _settle(rows, pivmin, sigma, limit):
+    """Newton steps from sigma until one moves it by at most `limit`.
+
+    The settled value, or None when no step within _NEWTON_STEPS does, or
+    one leaves the finite numbers.
+    """
+    for _ in range(_NEWTON_STEPS):
+        nxt = _newton_step(rows, pivmin, sigma)
+        if not math.isfinite(nxt):
+            return None
+        step = abs(nxt - sigma)
+        sigma = nxt
+        if step <= limit:
+            return sigma
+    return None
+
+
+def _windows(rows, pivmin, guesses, tol, tight):
     """Per-eigenvalue bounds that decide a bisection step without a count.
 
     Newton steps move each guess of the j-th smallest eigenvalue onto it;
     the iteration settles once a step s is at most _SETTLE * tight, leaving
     an error of about s^2 / gap, below tight unless another eigenvalue lies
-    within about _SETTLE^2 * tight.  Nothing here is trusted: a guess that
-    settles at c gets the lower bound c - tight when count(c - tight) <= j
-    and the upper bound c + tight when count(c + tight) > j, and a side
-    that fails is left as NaN, which decides nothing.  A guess that does
-    not settle within _NEWTON_STEPS steps, or leaves the finite numbers,
-    gets no bounds and costs no count.  Since the count never decreases as
-    the shift grows, any midpoint at or below a held lower bound has
-    count <= j ("not above"), and any midpoint at or above a held upper
-    bound has count > j.
+    within about _SETTLE^2 * tight.  A guess that does not settle gets no
+    bounds and costs no count.
+
+    Nothing here is trusted.  Each side of a settled center c is certified
+    on a ladder of radii: tol, then _LADDER times the last, up to a last
+    rung of tight.  The lower side climbs until count(c - radius) <= j, the
+    upper side until count(c + radius) > j.  Since the count never
+    decreases as the shift grows, every counted shift is a bound, whatever
+    its distance from the eigenvalue: a failed lower rung (count > j) is an
+    upper bound, which ends the upper side before it starts, and a failed
+    upper rung is a lower bound.  A side that fails up to tight is left as
+    NaN, which decides nothing.  So a center within tol of its eigenvalue
+    gets c -+ tol for two counts, and no window is wider than 2 * tight.
+    Any midpoint at or below a held lower bound has count <= j ("not
+    above"), and any midpoint at or above a held upper bound has count > j.
     """
-    want, centers = [], []
-    for j, sigma in enumerate(guesses):
-        for _ in range(_NEWTON_STEPS):
-            nxt = _newton_step(rows, pivmin, sigma)
-            if not math.isfinite(nxt):
-                break
-            step = abs(nxt - sigma)
-            sigma = nxt
-            if step <= _SETTLE * tight:
-                want.append(j)
-                centers.append(sigma)
-                break
+    radii = [tol]
+    while radii[-1] < tight:
+        radii.append(min(_LADDER * radii[-1], tight))
     wlo = np.full(len(guesses), np.nan)
     whi = np.full(len(guesses), np.nan)
-    if want:
-        lo = np.array(centers) - tight
-        hi = np.array(centers) + tight
-        counts = np.array(_sturm_counts(rows, lo.tolist() + hi.tolist(), pivmin))
-        wlo[want] = np.where(counts[:len(want)] <= want, lo, np.nan)
-        whi[want] = np.where(counts[len(want):] > want, hi, np.nan)
+    for j, guess in enumerate(guesses):
+        center = _settle(rows, pivmin, guess, _SETTLE * tight)
+        if center is None:
+            continue
+        for side in (-1.0, 1.0):
+            if not math.isnan(whi[j]):
+                break  # the lower side's failed rungs bound it from above
+            for radius in radii:
+                shift = center + side * radius
+                above = _sturm_counts(rows, [shift], pivmin)[0] > j
+                if above:
+                    whi[j] = shift
+                else:
+                    wlo[j] = shift
+                if above == (side > 0.0):
+                    break  # this side held
     return wlo, whi
 
 
@@ -232,7 +261,7 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
         # region where the computed count can disagree with the exact one
         scale = float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max(initial=0.0))
         tight = max(_EPS * scale, tol)
-        wlo, whi = _windows(rows, pivmin, _near, tight)
+        wlo, whi = _windows(rows, pivmin, _near, tol, tight)
     return _bisect(T, rows, pivmin, count, tol, wlo, whi)
 
 

@@ -142,6 +142,57 @@ def test_solve_rejects_malformed_fields(tmp_path, capsys, payload, message):
     assert err == f"error: {expected}\n"
 
 
+def test_solve_rejects_an_integer_beyond_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    text = json.dumps({**FREE, "interval": [0, 0]})
+    path.write_text(text.replace("[0, 0]", "[0, 1" + "0" * 5000 + "]"))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0:
+        # no digit limit: the integer parses and is beyond the double range
+        assert err == f"error: {path}: interval endpoints must be within the double range\n"
+    else:
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit")
+        assert "value has 5001 digits" in err
+
+
+def test_solve_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(FREE).encode().replace(b'"0"', b'"\xff"'))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec can't decode")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    from slpkit import cli
+    path = write(tmp_path, "free.json", FREE)
+    calls = [["invert", "case4", "--k", "1", "--C1", "2"],
+             ["solve", path, "--n", "200", "--count", "2"],
+             ["solve", path, "--n", "many"],
+             ["invert", "case4", "--k", "1", "--C1", "2"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    cli._parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    assert "invalid int value: 'many'" in reused[2][2]
+    assert reused[3] == reused[0]
+
+
 @pytest.mark.parametrize("hi, n, h2", [
     (1e-170, "1000", "0.0"),    # h^2 underflows: 1/h^2 is a division by zero
     (1e160, "200", "inf"),      # h^2 overflows: 1/h^2 = 0 drops the kinetic term

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -364,20 +365,76 @@ def test_windowed_bisection_matches_oracle_bisection(T, data):
     assert eig_bisect(T, count, tol=1e-12, _near=near) == oracle_eig_bisect(T, count, tol=1e-12)
 
 
-def test_certified_bounds_bracket_and_decide():
+def counted_windows(monkeypatch, T, guesses, tol, tight):
+    """_windows on T, and every shift it counted."""
+    from slpkit import eigensolver
+    shifts = []
+
+    def counting(rows, batch, pivmin):
+        shifts.extend(batch)
+        return _sturm_counts(rows, batch, pivmin)
+
+    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    rows, pivmin = _sturm_rows(T)
+    wlo, whi = _windows(rows, pivmin, guesses, tol, tight)
+    monkeypatch.undo()
+    return wlo, whi, shifts
+
+
+def assert_bounds_certified(T, wlo, whi, shifts, tight):
+    """Each held bound is a shift counted for it, on its side of the j-th
+    eigenvalue, and no window is wider than 2 * tight."""
+    for j, (lo, hi) in enumerate(zip(wlo.tolist(), whi.tolist())):
+        if not math.isnan(lo):
+            assert lo in shifts and sturm_count(T, lo) <= j
+        if not math.isnan(hi):
+            assert hi in shifts and sturm_count(T, hi) > j
+        if not (math.isnan(lo) or math.isnan(hi)):
+            assert hi - lo <= 2.0 * tight + np.spacing(hi)
+
+
+def test_certified_bounds_bracket_and_decide(monkeypatch):
     T = discretize_schrodinger(free_particle(), 99)
     exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 4)]
-    rows, pivmin = _sturm_rows(T)
-    tight = 1e-9
+    tol, tight = 1e-11, 1e-9
     # each guess settles on the eigenvalue nearest to it: the first on its
-    # own, which both sides certify; the second on the third eigenvalue,
-    # so its lower side (count <= 1) fails; the third on the second, so
-    # its upper side (count > 2) fails
-    wlo, whi = _windows(rows, pivmin, [exact[0] + 1e-3, exact[2], exact[1] + 0.1], tight)
+    # own, which both sides certify at the first rung; the second on the
+    # third eigenvalue, so every lower rung fails (count > 1) and the last
+    # is an upper bound; the third on the second, so its lower side holds
+    # at c - tol and every upper rung fails (count <= 2): the last is a
+    # lower bound
+    wlo, whi, shifts = counted_windows(
+        monkeypatch, T, [exact[0] + 1e-3, exact[2], exact[1] + 0.1], tol, tight)
+    assert_bounds_certified(T, wlo, whi, shifts, tight)
     assert wlo[0] < exact[0] < whi[0]
-    assert whi[0] - wlo[0] == pytest.approx(2.0 * tight)
-    assert np.isnan(wlo[1]) and exact[2] < whi[1] <= exact[2] + 2.0 * tight
-    assert exact[1] - 2.0 * tight <= wlo[2] < exact[1] and np.isnan(whi[2])
+    assert whi[0] - wlo[0] == pytest.approx(2.0 * tol)
+    assert np.isnan(wlo[1]) and exact[1] < whi[1] == pytest.approx(exact[2] - tight)
+    assert wlo[2] == pytest.approx(exact[1] + tight) and np.isnan(whi[2])
+    assert wlo[2] < exact[2]
+    # radii 1e-11, 4e-11, 1.6e-10, 6.4e-10, then 1e-9: 2 counts for the
+    # first window, 5 for the second, 1 + 5 for the third
+    assert len(shifts) == 13
+
+
+def test_a_failed_rung_is_the_opposite_bound(monkeypatch):
+    from slpkit import eigensolver
+    T = discretize_schrodinger(free_particle(), 99)
+    exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 3)]
+    tol, tight = 1e-11, 1e-9
+    # centers 3 tol above the first eigenvalue and 20 tol below the second
+    monkeypatch.setattr(eigensolver, "_settle",
+                        lambda rows, pivmin, guess, limit: guess)
+    guesses = [exact[0] + 3.0 * tol, exact[1] - 20.0 * tol]
+    wlo, whi, shifts = counted_windows(monkeypatch, T, guesses, tol, tight)
+    assert_bounds_certified(T, wlo, whi, shifts, tight)
+    # the lower side fails at c - tol, which is the upper bound, and holds
+    # at c - 4 tol; the upper side is never counted
+    assert (wlo[0], whi[0]) == (guesses[0] - 4.0 * tol, guesses[0] - tol)
+    # the lower side holds at c - tol; the upper side fails at c + tol,
+    # 4 tol and 16 tol, the last of which is the lower bound, and holds at
+    # c + 64 tol
+    assert (wlo[1], whi[1]) == (guesses[1] + 16.0 * tol, guesses[1] + 64.0 * tol)
+    assert len(shifts) == 2 + 5
 
 
 def paine_two_call_solve(n, count):
@@ -434,19 +491,44 @@ def test_newton_step_matches_the_dense_spectrum():
         assert _newton_step(rows, pivmin, sigma) == pytest.approx(expected, rel=1e-12)
 
 
-def test_refined_windows_hold_tightly_on_paine():
+def test_refined_windows_hold_tightly_on_paine(monkeypatch):
     from slpkit.eigensolver import _EPS, _guesses
     prob = paine_schrodinger(PaineSpec(1.0, 0.1))
     T = discretize_schrodinger(prob, 2000)
-    rows, pivmin = _sturm_rows(T)
-    tight = _EPS * (float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max()))
-    wlo, whi = _windows(rows, pivmin, _guesses(prob, 2000, 5), tight)
+    tol = 1e-10
+    tight = max(_EPS * (float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max())), tol)
+    assert tight > 3.0 * tol
+    wlo, whi, shifts = counted_windows(monkeypatch, T, _guesses(prob, 2000, 5), tol, tight)
     assert not np.isnan(wlo).any() and not np.isnan(whi).any()
-    # c -+ tight, each rounded to the nearest float
-    assert (np.abs(whi - wlo - 2.0 * tight) <= np.spacing(whi)).all()
+    assert_bounds_certified(T, wlo, whi, shifts, tight)
+    # every center is within tol: c -+ tol, each rounded to the nearest
+    # float, for two counts
+    assert (np.abs(whi - wlo - 2.0 * tol) <= np.spacing(whi)).all()
+    assert len(shifts) == 10
     # the windows hold the eigenvalues the plain bisection finds
     plain = eig_bisect(T, 5)
     assert (wlo <= plain).all() and (np.array(plain) <= whi).all()
+
+
+def test_paine_richardson_solve_counts(monkeypatch):
+    from slpkit import eigensolver
+    shifts = Counter()
+    newton = Counter()
+
+    def counting(rows, batch, pivmin):
+        shifts[len(rows)] += len(batch)
+        return _sturm_counts(rows, batch, pivmin)
+
+    def newton_counting(rows, pivmin, sigma):
+        newton[len(rows)] += 1
+        return _newton_step(rows, pivmin, sigma)
+
+    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
+    solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), 2000, 5)
+    # windows c -+ tight (about 3.6 tol here) took 30 and 40 counts
+    assert shifts[2000] <= 21 and shifts[4001] <= 22
+    assert (newton[2000], newton[4001]) == (10, 7)
 
 
 def test_guesses_that_never_settle_cost_no_count(monkeypatch):
@@ -464,7 +546,7 @@ def test_guesses_that_never_settle_cost_no_count(monkeypatch):
     plain_counts = sum(shifts)
     monkeypatch.setattr(eigensolver, "_NEWTON_STEPS", 0)
     shifts.clear()
-    wlo, whi = _windows(rows, pivmin, plain, 1e-9)
+    wlo, whi = _windows(rows, pivmin, plain, 1e-10, 1e-9)
     assert shifts == []
     assert np.isnan(wlo).all() and np.isnan(whi).all()
     # with no windows the seeded bisection is the plain one, count for count

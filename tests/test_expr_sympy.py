@@ -33,6 +33,10 @@ def _to_sympy(node):
         return -_to_sympy(node.a)
     if isinstance(node, Call):
         return _SYMPY_HOOKS[node.name](*[_to_sympy(a) for a in node.args])
+    if isinstance(node, Pow) and isinstance(node.b, Const) and float(node.b.value).is_integer():
+        # an integer power stays one: sympy differentiates (-x)**1.0 as
+        # 1.0*(-x)**1.0/x, which divides by zero at x = 0
+        return _to_sympy(node.a) ** sympy.Integer(int(node.b.value))
     return _SYMPY_OPS[type(node)](_to_sympy(node.a), _to_sympy(node.b))
 
 
@@ -44,6 +48,7 @@ _small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.
 @given(root=_trees(_small_constants, 8), x=st.floats(-3.0, 3.0))
 @example(root=Call("besselj", (Const(0.5), Var())), x=5e-324)
 @example(root=Add(Var(), Call("cbrt", (Const(0.0),))), x=0.0)
+@example(root=Pow(Neg(Var()), Const(1.0)), x=0.0)
 def test_diff_matches_sympy(root, x):
     ast = ExpressionAST(root)
     try:
