@@ -567,3 +567,51 @@ def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):
     seeded = solve_spectrum(prob, 400, 3)
     monkeypatch.setattr(eigensolver, "_guesses", lambda problem, n, count: None)
     assert solve_spectrum(prob, 400, 3) == seeded
+
+
+# ---------------------------------------------------------------------------
+# assembly errors: the first failing point in today's order, whatever the
+# order in which the coefficients are evaluated
+
+ASSEMBLY_FAILURES = {
+    # p <= 0 at the first midpoint; p also raises, at midpoints past 0.7
+    "p nonpositive before p raises": (
+        ("x - 0.3 + 0*ln(0.7 - x)", "0", "1"),
+        "nonpositive p = -0.25 at midpoint x=0.05"),
+    # r raises at node 0.5 (index 4), q only from node 0.8 (index 7) on: q
+    # and r are evaluated interleaved per node, so r's error comes first
+    "r raises before q raises": (
+        ("1", "sqrt(0.75 - x)", "sqrt(0.45 - x)"),
+        "q/r evaluation failed at x=0.5: sqrt of negative argument in "
+        "'sqrt(0.45-x)' at 0.5"),
+    # r <= 0 at the first node; q raises from node 0.8 on
+    "r nonpositive before q raises": (
+        ("1", "ln(0.75 - x)", "x - 0.35"),
+        "nonpositive r = -0.24999999999999997 at node x=0.1"),
+    "q nonfinite": (
+        ("1", "x*1e308 + x*1e308", "1"),
+        "q/r evaluation failed at x=0.9: nonfinite result in "
+        "'x*1e+308+x*1e+308' at 0.9"),
+    "p nonfinite": (
+        ("1 + x*1e308*2", "0", "1"),
+        "p evaluation failed at x=0.9500000000000001: nonfinite result in "
+        "'1+x*1e+308*2' at 0.9500000000000001"),
+}
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_FAILURES)
+def test_assembly_reports_the_first_failing_point(name):
+    (p, q, r), message = ASSEMBLY_FAILURES[name]
+    problem = CanonicalSLP(parse(p), parse(q), parse(r), 0.0, 1.0)
+    with pytest.raises(SolverError) as err:
+        discretize_canonical(problem, 9)
+    assert str(err.value) == message
+
+
+def test_potential_assembly_reports_the_first_failing_point():
+    # 1/(t-0.3) is finite at every node; sqrt(t-0.25) raises on the first two
+    problem = SchrodingerSLP(parse("1/(t-0.3) + 0*sqrt(t-0.25)", "t"), 0.0, 1.0)
+    with pytest.raises(SolverError) as err:
+        discretize_schrodinger(problem, 9)
+    assert str(err.value) == ("potential evaluation failed at t=0.1: sqrt of negative "
+                              "argument in 'sqrt(t-0.25)' at 0.1")

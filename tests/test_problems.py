@@ -65,3 +65,23 @@ def test_spectrum_requires_strict_ordering():
         Spectrum((1.0, 1.0), 10, False, (0.0, 0.0))
     with pytest.raises(ValueError):
         Spectrum((1.0, 2.0), 10, False, (0.0,))
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    # p <= 0 at the first sample; p also raises past 0.7
+    (("x - 0.3 + 0*ln(0.7 - x)", "0", "1"), "[positivity] p = -0.3 <= 0 at x=0.0"),
+    # p passes; r is zero at 0.45 and raises past it
+    (("1", "0", "sqrt(0.45 - x)"), "[positivity] r = 0.0 <= 0 at x=0.45"),
+    (("1 + x*1e308*2", "0", "1"),
+     "[evaluation] p failed at x=0.9: nonfinite result in '1+x*1e+308*2' at 0.9"),
+])
+def test_validate_reports_the_first_failing_sample(coefficients, message):
+    p, q, r = coefficients
+    assert [str(v) for v in validate(canonical(p, q, r, 0.0, 1.0))] == [message]
+
+
+def test_validate_reports_the_first_failing_invariant_sample():
+    bad = SchrodingerSLP(parse("1/(t-0.3) + 0*sqrt(t-0.25)", "t"), 0.0, 1.0)
+    assert [str(v) for v in validate(bad)] == [
+        "[evaluation] invariant failed at t=0.0: sqrt of negative argument in "
+        "'sqrt(t-0.25)' at 0.0"]
