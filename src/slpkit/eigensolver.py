@@ -8,7 +8,12 @@ number of eigenvalues below the shift -- bracketed from Gershgorin bounds.
 The count runs on Python floats (the matrix is converted once per bisection),
 one comparison per row for a positive pivot, and each bisection pass counts
 every distinct midpoint once: brackets that have not separated yet share a
-midpoint and so share its count.
+midpoint and so share its count.  The bisection's bookkeeping (brackets,
+midpoints, window bounds) runs on lists of floats as well; only the
+Gershgorin bounds are numpy.  Assembly evaluates each coefficient on all its
+points by one `evaluate_many` batch; only where a batch fails, or p or r is
+not positive, does it walk the points one by one, so that its error names
+the first failing point.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
 of the second-order schemes.  Each grid's bisection starts from the same
 Gershgorin brackets and takes the same midpoints as a plain bisection, but
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .expr import ExprError
-from .problems import CanonicalSLP, SchrodingerSLP, Spectrum
+from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _batch
 
 
 _EPS = float(np.finfo(float).eps)
@@ -182,8 +187,8 @@ def _windows(rows, pivmin, guesses, tol, tight):
     radii = [tol]
     while radii[-1] < tight:
         radii.append(min(_LADDER * radii[-1], tight))
-    wlo = np.full(len(guesses), np.nan)
-    whi = np.full(len(guesses), np.nan)
+    wlo = [math.nan] * len(guesses)
+    whi = [math.nan] * len(guesses)
     for j, guess in enumerate(guesses):
         center = _settle(rows, pivmin, guess, _SETTLE * tight)
         if center is None:
@@ -204,7 +209,11 @@ def _windows(rows, pivmin, guesses, tol, tight):
 
 
 def _bisect(T: SymTridiag, rows, pivmin, count: int, tol: float, wlo, whi) -> list:
-    """Bisection from the Gershgorin brackets; held bounds decide without a count."""
+    """Bisection from the Gershgorin brackets; held bounds decide without a count.
+
+    The brackets, midpoints and bounds are lists of floats: per pass the
+    bookkeeping is a few list comprehensions over `count` brackets.
+    """
     n = T.n
     d = T.diag
     radius = np.zeros(n)
@@ -215,29 +224,30 @@ def _bisect(T: SymTridiag, rows, pivmin, count: int, tol: float, wlo, whi) -> li
     glo = float((d - radius).min())
     ghi = float((d + radius).max())
     pad = 1e-10 * max(1.0, abs(glo), abs(ghi))
-    lo = np.full(count, glo - pad)
-    hi = np.full(count, ghi + pad)
-    want = np.arange(count)
+    lo = [glo - pad] * count
+    hi = [ghi + pad] * count
     for _ in range(200):
-        if (hi - lo <= tol).all():
+        if all(h - l <= tol for l, h in zip(lo, hi)):
             break
-        mid = 0.5 * (lo + hi)
-        above = mid >= whi
-        undecided = ~(above | (mid <= wlo))
-        if undecided.any():
-            # brackets share midpoints until they separate; count each once
-            shifts, where = np.unique(mid[undecided], return_inverse=True)
-            counts = np.array(_sturm_counts(rows, shifts.tolist(), pivmin))
-            above[undecided] = counts[where] > want[undecided]
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        mid = [0.5 * (l + h) for l, h in zip(lo, hi)]
+        # True or False where a held bound decides, None where a count must
+        above = [True if m >= u else False if m <= w else None
+                 for m, w, u in zip(mid, wlo, whi)]
+        # brackets share midpoints until they separate; count each once
+        shifts = sorted({m for m, a in zip(mid, above) if a is None})
+        if shifts:
+            counts = dict(zip(shifts, _sturm_counts(rows, shifts, pivmin)))
+            above = [counts[m] > j if a is None else a
+                     for j, (m, a) in enumerate(zip(mid, above))]
+        hi = [m if a else h for m, a, h in zip(mid, above, hi)]
+        lo = [l if a else m for m, a, l in zip(mid, above, lo)]
     else:
         raise SolverError(
             f"bisection failed to bracket within 200 iterations "
             f"(bounds [{glo}, {ghi}], tol {tol})")
     # brackets bisect independently, so two that overlap within tol can
     # end with their midpoints out of order; restore global order
-    return sorted(float(v) for v in 0.5 * (lo + hi))
+    return sorted(0.5 * (l + h) for l, h in zip(lo, hi))
 
 
 def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
@@ -255,7 +265,7 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
         raise DiscretizationError(f"tol must be positive and finite, got {tol}")
     rows, pivmin = _sturm_rows(T)
     if _near is None:
-        wlo = whi = np.full(count, np.nan)
+        wlo = whi = [math.nan] * count
     else:
         # about one rounding error of the largest entry: the size of the
         # region where the computed count can disagree with the exact one
@@ -288,16 +298,54 @@ def _mesh(lo: float, hi: float, n: int) -> tuple[float, float]:
 
 
 def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
-    """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2."""
+    """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2.
+
+    The potential is evaluated by one batch; where that fails, the per-point
+    loop finds the first failing point.
+    """
     h, inv_h2 = _mesh(problem.alpha, problem.beta, n)
-    diag = np.empty(n)
-    for i in range(n):
-        t = problem.alpha + (i + 1) * h
+    ts = problem.alpha + np.arange(1, n + 1) * h
+    values = _batch(problem.invariant, ts)
+    if values is None:
+        values = []
+        for t in ts.tolist():
+            try:
+                values.append(problem.invariant.evaluate(t))
+            except ExprError as err:
+                raise SolverError(f"potential evaluation failed at t={t!r}: {err}") from None
+    # the list goes as its array comes: the diagonal is added in place
+    values = _floats(values)
+    values += 2.0 * inv_h2
+    return SymTridiag(values, np.full(n - 1, -inv_h2))
+
+
+def _floats(values) -> np.ndarray | None:
+    """values as an array of floats, as the per-point loop stored them."""
+    return None if values is None else np.array(values, dtype=float)
+
+
+def _canonical_pointwise(problem: CanonicalSLP, mids: list, nodes: list, batches) -> list:
+    """p at the midpoints, then q and r interleaved at the nodes, point by
+    point: the first failing point raises.  A coefficient whose batch
+    succeeded is read from it; the others are evaluated here."""
+    pm, qv, rv = (None if v is None else v.tolist() for v in batches)
+    ps, qs, rs = [], [], []
+    for j, x in enumerate(mids):
         try:
-            diag[i] = 2.0 * inv_h2 + problem.invariant.evaluate(t)
+            ps.append(problem.p.evaluate(x) if pm is None else pm[j])
         except ExprError as err:
-            raise SolverError(f"potential evaluation failed at t={t!r}: {err}") from None
-    return SymTridiag(diag, np.full(n - 1, -inv_h2))
+            raise SolverError(f"p evaluation failed at x={x!r}: {err}") from None
+        if ps[-1] <= 0.0:
+            raise SolverError(f"nonpositive p = {float(ps[-1])!r} at midpoint x={x!r}")
+    for i, x in enumerate(nodes):
+        try:
+            qs.append(problem.q.evaluate(x) if qv is None else qv[i])
+            rs.append(problem.r.evaluate(x) if rv is None else rv[i])
+        except ExprError as err:
+            raise SolverError(f"q/r evaluation failed at x={x!r}: {err}") from None
+        if rs[-1] <= 0.0:
+            raise SolverError(f"nonpositive r = {float(rs[-1])!r} at node x={x!r}")
+    return [ps, qs, rs]
 
 
 def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
@@ -305,29 +353,24 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
 
     A_ii = (p_{i-1/2} + p_{i+1/2})/h^2 + q_i,  A_{i,i+1} = -p_{i+1/2}/h^2,
     then D^{-1/2} A D^{-1/2} with D_ii = r_i.
+
+    Each coefficient is evaluated by one batch and kept as an array, so one
+    list of values is alive at a time.  Where a batch fails, or p or r is
+    not positive, the per-point loop finds the first failing point.
     """
     a, b = problem.a, problem.b
     h, inv_h2 = _mesh(a, b, n)
-    pm = np.empty(n + 1)
-    for j in range(n + 1):
-        x = a + (j + 0.5) * h
-        try:
-            pm[j] = problem.p.evaluate(x)
-        except ExprError as err:
-            raise SolverError(f"p evaluation failed at x={x!r}: {err}") from None
-        if pm[j] <= 0.0:
-            raise SolverError(f"nonpositive p = {float(pm[j])!r} at midpoint x={x!r}")
-    qv = np.empty(n)
-    rv = np.empty(n)
-    for i in range(n):
-        x = a + (i + 1) * h
-        try:
-            qv[i] = problem.q.evaluate(x)
-            rv[i] = problem.r.evaluate(x)
-        except ExprError as err:
-            raise SolverError(f"q/r evaluation failed at x={x!r}: {err}") from None
-        if rv[i] <= 0.0:
-            raise SolverError(f"nonpositive r = {float(rv[i])!r} at node x={x!r}")
+    mids = a + (np.arange(n + 1) + 0.5) * h
+    nodes = a + np.arange(1, n + 1) * h
+    pm = _floats(_batch(problem.p, mids))
+    qv = rv = None
+    # every failure of p comes before q and r are evaluated
+    if pm is not None and pm.min() > 0.0:
+        qv = _floats(_batch(problem.q, nodes))
+        rv = _floats(_batch(problem.r, nodes))
+    if qv is None or rv is None or rv.min() <= 0.0:
+        pm, qv, rv = map(_floats, _canonical_pointwise(
+            problem, mids.tolist(), nodes.tolist(), (pm, qv, rv)))
     diag = ((pm[:-1] + pm[1:]) * inv_h2 + qv) / rv
     off = -pm[1:-1] * inv_h2 / np.sqrt(rv[:-1] * rv[1:])
     return SymTridiag(diag, off)
@@ -355,7 +398,7 @@ def _guesses(problem, n: int, count: int):
     try:
         T = _assemble(problem, m)
         rows, pivmin = _sturm_rows(T)
-        none = np.full(count, np.nan)
+        none = [math.nan] * count
         return _bisect(T, rows, pivmin, count, _GUESS_TOL, none, none)
     except (SolverError, DiscretizationError):
         return None

@@ -18,7 +18,7 @@ surround any token.  parse applies two bounds and raises ParseError beyond
 either: at most 50 groups (parentheses, signs, exponents, call arguments)
 open at once, since the parser recurses over them, and a tree at most 50
 operators, signs and calls tall from root to leaf (``x+x+x`` is two tall),
-since every later stage recurses over the tree.
+since printing, hashing and differentiation recurse over the tree.
 
 One operator table: the binary node classes (Add, Sub, Mul, Div, Pow)
 share the body of ``_Binary``, and each carries only its symbol ``op``, its
@@ -34,7 +34,8 @@ naming the offending subexpression, never a silent NaN.
 
 Evaluation is compiled: on first use each tree becomes one straight-line
 Python function, without the per-node dispatch, in which each distinct
-subtree is evaluated once.  Subtrees are matched by identity, then by class
+subtree is evaluated once.  The emitter walks the tree with its own stack,
+so compiling does not recurse.  Subtrees are matched by identity, then by class
 and the values of their children; constants by type and repr, so 0.0 and
 -0.0, or 2 and 2.0, stay apart.  Values and errors are those of a recursive
 walk of the tree, with fewer hook calls where subtrees repeat, as they do
@@ -47,6 +48,13 @@ tree's shape and on which of its subtrees are equal (constants, hooks and
 nodes are bound as globals), and code objects are cached by source, so a
 new problem that differs from an earlier one only in its constants
 compiles nothing.
+
+``evaluate_many(xs)`` evaluates an iterable of points through the same
+lines, emitted once more inside one ``for`` loop, with the same ``_fail``,
+``_power`` and ``_apply`` and evaluate's finiteness check after each point:
+each value is the float ``evaluate`` gives, without a Python call per
+point, and the first failing point raises the error ``evaluate`` raises
+there, as from ``[evaluate(x) for x in xs]``.
 """
 
 from __future__ import annotations
@@ -102,14 +110,17 @@ class Node:
     __slots__ = ()
 
     def emit(self, em: "_Emitter") -> str:
-        """Append this node's statements to em; return the name of its value."""
+        """Append this node's statements to em, its children's values already
+        named there; return the name of its value."""
+        raise NotImplementedError
+
+    def children(self) -> tuple:
+        """The child nodes, in field order."""
         raise NotImplementedError
 
     def key(self, em: "_Emitter") -> tuple:
-        # the class and the value names of the children, which are its fields;
-        # map, not a comprehension, adds no frame to the recursion over the tree
-        children = [getattr(self, f) for f in self.__match_args__]
-        return (type(self), *map(em.value, children))
+        # the class and the value names of the children, which are its fields
+        return (type(self), *map(em.names.__getitem__, map(id, self.children())))
 
     def diff(self) -> "Node":
         raise NotImplementedError
@@ -130,6 +141,9 @@ class Const(Node):
 
     def emit(self, em):
         return em.bind("c", self.value)
+
+    def children(self):
+        return ()
 
     def key(self, em):
         # by repr, so 0.0 and -0.0, or 2 and 2.0, stay apart
@@ -155,6 +169,9 @@ class Var(Node):
     def emit(self, em):
         return "x"
 
+    def children(self):
+        return ()
+
     def diff(self):
         return Const(1.0)
 
@@ -170,7 +187,10 @@ class Neg(Node):
     a: Node
 
     def emit(self, em):
-        return em.assign(f"-{em.value(self.a)}")
+        return em.assign(f"-{em.ref(self.a)}")
+
+    def children(self):
+        return (self.a,)
 
     def diff(self):
         return _neg(self.a.diff())
@@ -191,7 +211,10 @@ class _Binary(Node):
     b: Node
 
     def emit(self, em):
-        return em.assign(f"{em.value(self.a)} {self.op} {em.value(self.b)}")
+        return em.assign(f"{em.ref(self.a)} {self.op} {em.ref(self.b)}")
+
+    def children(self):
+        return (self.a, self.b)
 
     def text(self, prec=0):
         left, right, own = self.prec
@@ -230,7 +253,7 @@ class Div(_Binary):
     op, prec = "/", (20, 21, 20)
 
     def emit(self, em):
-        num, den = em.value(self.a), em.value(self.b)
+        num, den = em.ref(self.a), em.ref(self.b)
         em.lines += [f"if {den} == 0.0:",
                      f"    raise _fail('division by zero', {em.bind('n', self)}, V, x)"]
         return em.assign(f"{num} / {den}")
@@ -246,7 +269,7 @@ class Pow(_Binary):
     op, prec = "^", (31, 25, 30)
 
     def emit(self, em):
-        base, expo = em.value(self.a), em.value(self.b)
+        base, expo = em.ref(self.a), em.ref(self.b)
         return em.assign(f"_power({base}, {expo}, {em.bind('n', self)}, V, x)")
 
     def diff(self):
@@ -270,11 +293,14 @@ class Call(Node):
 
     def emit(self, em):
         hook = em.bind("h", FUNCTIONS[self.name].evaluate)
-        args = ", ".join([em.value(a) for a in self.args])
+        args = ", ".join(map(em.ref, self.args))
         return em.assign(f"_apply({hook}, {em.bind('n', self)}, V, x, {args})")
 
+    def children(self):
+        return self.args
+
     def key(self, em):
-        return (Call, self.name, *[em.value(a) for a in self.args])
+        return (Call, self.name, *map(em.names.__getitem__, map(id, self.args)))
 
     def diff(self):
         hook = FUNCTIONS[self.name]
@@ -437,16 +463,35 @@ class _Emitter:
         self.env: dict[str, object] = {}
         self.names: dict = {}  # id(node) or node.key(self) -> value name
 
-    def value(self, node: Node) -> str:
-        """The name of node's value; each distinct subtree is emitted once."""
-        name = self.names.get(id(node))
-        if name is None:
-            key = node.key(self)
-            name = self.names.get(key)
-            if name is None:
-                name = self.names[key] = node.emit(self)
-            self.names[id(node)] = name
-        return name
+    def value(self, root: Node) -> str:
+        """The name of root's value; each distinct subtree is emitted once.
+
+        The walk keeps its own stack, so a tree of any height emits without
+        recursion: children in field order, each before its parent, as a
+        recursive walk would.
+        """
+        names = self.names
+        stack = [(root, False)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, ready = pop()
+            if ready:
+                key = node.key(self)
+                name = names.get(key)
+                if name is None:
+                    name = names[key] = node.emit(self)
+                names[id(node)] = name
+            elif id(node) not in names:
+                # the node again once its children, pushed above it, are named
+                push((node, True))
+                for child in reversed(node.children()):
+                    if id(child) not in names:
+                        push((child, False))
+        return names[id(root)]
+
+    def ref(self, node: Node) -> str:
+        """The name of the value of a node already emitted."""
+        return self.names[id(node)]
 
     def bind(self, prefix: str, obj) -> str:
         # interned: every compiled function keeps its own bindings dict
@@ -499,15 +544,27 @@ def _code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _compile(root: Node, variable: str) -> Callable[[float], float]:
+def _compile(root: Node, variable: str, many: bool = False) -> Callable:
     """root as a function of x: its value, or EvalDomainError naming the
-    failing subexpression (the variable printed as `variable`)."""
+    failing subexpression (the variable printed as `variable`).  With
+    `many`, a function of an iterable of points that runs the same lines in
+    a loop, checks each value is finite as evaluate does, and returns the
+    list of values."""
     em = _Emitter()
     result = em.value(root)
-    body = "".join(f"    {line}\n" for line in em.lines)
-    source = f"def _f(x):\n{body}    return {result}\n"
     env = {"__builtins__": builtins, "_fail": _fail, "_power": _power, "_apply": _apply,
            "V": variable, **em.env}
+    if many:
+        body = "".join(f"        {line}\n" for line in em.lines)
+        source = (f"def _f(xs):\n    out = []\n    append = out.append\n"
+                  f"    for point in xs:\n        x = float(point)\n{body}"
+                  f"        if not _isfinite({result}):\n"
+                  f"            raise _fail('nonfinite result', R, V, point)\n"
+                  f"        append({result})\n    return out\n")
+        env.update(_isfinite=math.isfinite, R=root)
+    else:
+        body = "".join(f"    {line}\n" for line in em.lines)
+        source = f"def _f(x):\n{body}    return {result}\n"
     return FunctionType(_code(source), env)
 
 
@@ -519,9 +576,9 @@ def _compile(root: Node, variable: str) -> Callable[[float], float]:
 class ExpressionAST:
     """An immutable expression over a single named free variable.
 
-    The tree is compiled on first evaluation; the function and the hash are
-    kept on the instance, outside the fields, so eq, hash and repr are those
-    of (root, variable_name).
+    The tree is compiled on first evaluation, once per form (one point or
+    many); the functions and the hash are kept on the instance, outside
+    the fields, so eq, hash and repr are those of (root, variable_name).
     """
 
     root: Node
@@ -537,6 +594,20 @@ class ExpressionAST:
         if not math.isfinite(v):
             raise EvalDomainError("nonfinite result", self.to_text(), x)
         return v
+
+    def evaluate_many(self, xs) -> list:
+        """[self.evaluate(x) for x in xs], value for value and error for error.
+
+        The points, read once in order, run through one loop compiled from
+        the same lines as evaluate, so each value is the same float and the
+        first failing point raises evaluate's error there.
+        """
+        try:
+            fn = self._fn_many
+        except AttributeError:
+            fn = _compile(self.root, self.variable_name, many=True)
+            object.__setattr__(self, "_fn_many", fn)
+        return fn(xs)
 
     def __hash__(self) -> int:
         try:
@@ -574,10 +645,11 @@ _TOKEN_RE = re.compile(
 _BINARY = {cls.op: cls for cls in (Add, Sub, Mul, Div)}
 
 # the most groups open at once, and the tallest tree, parse accepts.
-# Compiling, printing, hashing and differentiating recurse over the tree, and
-# the invariant holds second derivatives of p and r, several times taller
-# than p and r: at 50 levels of ((x^x)^x)... its compilation takes ~830 of
-# Python's 1000 frames, at 61 it overflows them
+# Printing, hashing and differentiating recurse over the tree, and the
+# invariant holds second derivatives of p and r, several times taller than
+# p and r; compiling does not recurse.  With Python's 1000 frames the
+# invariant of p, q or r nested as sin(sin(...)) or ((x^x)^x)... overflows
+# only past about 200 levels
 _MAX_NESTING = 50
 
 

@@ -8,8 +8,12 @@ the records store no boundary coefficients.
 
 Validation is deliberately sampling-based: coefficient expressions are
 opaque, so positivity of p and r (and evaluability of I) is checked on a
-dense grid rather than proved.  `validate` is a pre-check of the input
-record; each numerical stage owns positivity at the points it evaluates.
+dense grid rather than proved.  Each coefficient's samples are evaluated
+by one `evaluate_many` batch; where a violation shows, the samples are
+walked in order, reading the batch's values where it gave them and
+evaluating point by point where it raised, so a violation names the first
+failing sample.  `validate` is a pre-check of the input record; each
+numerical stage owns positivity at the points it evaluates.
 Assembly (eigensolver) refuses a nonpositive p at its midpoints and a
 nonpositive r at its nodes, and the forward map (liouville) refuses a point
 where sqrt(r/p) is not real or p is zero.  A p that dips below zero between
@@ -99,17 +103,49 @@ def _check_interval(lo: float, hi: float, out: list) -> None:
         out.append(Violation("interval", f"left endpoint must be below right, got [{lo}, {hi}]"))
 
 
+def _batch(fn, xs) -> list | None:
+    """fn at every point of the iterable xs from one evaluate_many call, or
+    None when fn has no evaluate_many or the batch fails; the caller's
+    per-point loop then reports the first failing point in its own order."""
+    many = getattr(fn, "evaluate_many", None)
+    if many is None:
+        return None
+    try:
+        return many(xs)
+    except ExprError:
+        return None
+
+
+def _samples(lo: float, hi: float) -> list:
+    return [lo + (hi - lo) * i / (_VALIDATE_SAMPLES - 1) for i in range(_VALIDATE_SAMPLES)]
+
+
 def _sample_positive(name: str, fn: ExpressionAST, lo: float, hi: float,
                      out: list) -> None:
-    for i in range(_VALIDATE_SAMPLES):
-        x = lo + (hi - lo) * i / (_VALIDATE_SAMPLES - 1)
+    xs = _samples(lo, hi)
+    values = _batch(fn, xs)
+    if values is not None and min(values) > 0.0:
+        return
+    for i, x in enumerate(xs):
         try:
-            v = fn.evaluate(x)
+            v = fn.evaluate(x) if values is None else values[i]
         except ExprError as err:
             out.append(Violation("evaluation", f"{name} failed at x={x!r}: {err}"))
             return
         if v <= 0.0:
             out.append(Violation("positivity", f"{name} = {v!r} <= 0 at x={x!r}"))
+            return
+
+
+def _sample_invariant(fn, lo: float, hi: float, out: list) -> None:
+    ts = _samples(lo, hi)
+    if _batch(fn, ts) is not None:
+        return
+    for t in ts:
+        try:
+            fn.evaluate(t)
+        except ExprError as err:
+            out.append(Violation("evaluation", f"invariant failed at t={t!r}: {err}"))
             return
 
 
@@ -124,13 +160,7 @@ def validate(problem) -> list:
     elif isinstance(problem, SchrodingerSLP):
         _check_interval(problem.alpha, problem.beta, out)
         if not out:
-            for i in range(_VALIDATE_SAMPLES):
-                t = problem.alpha + (problem.beta - problem.alpha) * i / (_VALIDATE_SAMPLES - 1)
-                try:
-                    problem.invariant.evaluate(t)
-                except ExprError as err:
-                    out.append(Violation("evaluation", f"invariant failed at t={t!r}: {err}"))
-                    break
+            _sample_invariant(problem.invariant, problem.alpha, problem.beta, out)
     else:
         raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
     return out

@@ -3,7 +3,8 @@
 Self-contained double-precision implementations sized for the needs of the
 inverse constructions: gamma via the Lanczos approximation (g = 7, nine
 coefficients, reflection below 1/2), J_nu by the ascending power series up
-to x = max(12, 2|nu|) and Hankel large-argument asymptotics beyond, and
+to x = max(12, 2|nu|) and Hankel large-argument asymptotics beyond (the
+phase added to the exactly reduced x by the angle-sum formulas), and
 Y_nu through the connection formula (J_nu cos(nu pi) - J_{-nu}) / sin(nu pi)
 with orders within 2e-4 of an integer n blended quadratically through the
 integer-order series at n and the connection formula at n +- 2e-4.
@@ -123,10 +124,15 @@ def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
 
 def _hankel_jy(nu: float, x: float) -> tuple[float, float]:
     p_sum, q_sum = _hankel_pq(nu, x)
-    chi = x - (0.5 * nu + 0.25) * math.pi
+    # cos and sin of x - phase by the angle-sum formulas: math.cos and
+    # math.sin reduce x exactly, where x - phase would round away up to
+    # ulp(x)/2 of the phase, and from x ~ 1e17 on all of it
+    phase = (0.5 * nu + 0.25) * math.pi
+    cx, sx, cp, sp = math.cos(x), math.sin(x), math.cos(phase), math.sin(phase)
+    cos_chi, sin_chi = cx * cp + sx * sp, sx * cp - cx * sp
     amp = math.sqrt(2.0 / (math.pi * x))
-    cj = amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-    cy = amp * (p_sum * math.sin(chi) + q_sum * math.cos(chi))
+    cj = amp * (p_sum * cos_chi - q_sum * sin_chi)
+    cy = amp * (p_sum * sin_chi + q_sum * cos_chi)
     return cj, cy
 
 

@@ -366,7 +366,7 @@ def test_windowed_bisection_matches_oracle_bisection(T, data):
 
 
 def counted_windows(monkeypatch, T, guesses, tol, tight):
-    """_windows on T, and every shift it counted."""
+    """_windows on T, as arrays, and every shift it counted."""
     from slpkit import eigensolver
     shifts = []
 
@@ -378,7 +378,7 @@ def counted_windows(monkeypatch, T, guesses, tol, tight):
     rows, pivmin = _sturm_rows(T)
     wlo, whi = _windows(rows, pivmin, guesses, tol, tight)
     monkeypatch.undo()
-    return wlo, whi, shifts
+    return np.array(wlo), np.array(whi), shifts
 
 
 def assert_bounds_certified(T, wlo, whi, shifts, tight):
@@ -588,6 +588,10 @@ ASSEMBLY_FAILURES = {
     "r nonpositive before q raises": (
         ("1", "ln(0.75 - x)", "x - 0.35"),
         "nonpositive r = -0.24999999999999997 at node x=0.1"),
+    # every batch succeeds; only the sign check fails
+    "p nonpositive": (("x - 0.3", "0", "1"), "nonpositive p = -0.25 at midpoint x=0.05"),
+    "r nonpositive": (("1", "x", "0.35 - x"),
+                      "nonpositive r = -0.050000000000000044 at node x=0.4"),
     "q nonfinite": (
         ("1", "x*1e308 + x*1e308", "1"),
         "q/r evaluation failed at x=0.9: nonfinite result in "
@@ -615,3 +619,72 @@ def test_potential_assembly_reports_the_first_failing_point():
         discretize_schrodinger(problem, 9)
     assert str(err.value) == ("potential evaluation failed at t=0.1: sqrt of negative "
                               "argument in 'sqrt(t-0.25)' at 0.1")
+
+
+def test_integer_valued_coefficients_assemble_as_floats():
+    # a tree built without parse may hold int constants; the batches give
+    # ints then, and assembly stores them as the floats they equal
+    from slpkit.expr import Const, ExpressionAST
+    ints = [ExpressionAST(Const(v)) for v in (2, 3, 1)]
+    floats = [ExpressionAST(Const(float(v))) for v in (2, 3, 1)]
+    for build, assemble in ((lambda c: CanonicalSLP(*c, 0.0, 1.0), discretize_canonical),
+                            (lambda c: SchrodingerSLP(ExpressionAST(c[0].root, "t"), 0.0, 1.0),
+                             discretize_schrodinger)):
+        got, want = assemble(build(ints), 5), assemble(build(floats), 5)
+        assert got.diag.dtype == got.offdiag.dtype == np.float64
+        assert got.diag.tobytes() == want.diag.tobytes()
+        assert got.offdiag.tobytes() == want.offdiag.tobytes()
+
+
+def test_assembly_and_validation_evaluate_no_point_alone(monkeypatch):
+    # both forms, through the batch path only: a later change that fell back
+    # to the per-point loop on every call would fail here
+    from slpkit.expr import ExpressionAST
+    from slpkit.inverse import build_case
+    from slpkit.problems import validate
+    spec = PaineSpec(1.0, 0.1)
+    canonical = build_case("case4", spec, C1=2.0).canonical
+    schrodinger = paine_schrodinger(spec)
+
+    def refuse(self, x):
+        raise AssertionError(f"evaluate({x!r}) called on {self}")
+
+    monkeypatch.setattr(ExpressionAST, "evaluate", refuse)
+    assert validate(canonical) == [] and validate(schrodinger) == []
+    assert discretize_canonical(canonical, 400).n == 400
+    assert discretize_schrodinger(schrodinger, 400).n == 400
+    assert len(solve_spectrum(canonical, 400, 3).eigenvalues) == 3
+    # a sign that fails where every batch succeeded is read from the batch
+    for name in ("p nonpositive", "r nonpositive"):
+        (p, q, r), message = ASSEMBLY_FAILURES[name]
+        with pytest.raises(SolverError) as err:
+            discretize_canonical(CanonicalSLP(parse(p), parse(q), parse(r), 0.0, 1.0), 9)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("form, bound", [("canonical", 80), ("schrodinger", 56)])
+def test_assembly_holds_one_list_of_values_at_a_time(form, bound):
+    # bytes per point: each batch's list of values (32 bytes per value)
+    # becomes an array before the next batch runs, beside the arrays of
+    # the points and of the values before it (8 bytes each per point; the
+    # canonical form keeps two point arrays and three value arrays).
+    # Holding the points and every batch as lists took 220 bytes per point
+    # for the canonical form and 82 for the Schrodinger form
+    import tracemalloc
+    from slpkit.inverse import build_case
+    spec = PaineSpec(1.0, 0.1)
+    if form == "canonical":
+        problem, assemble = build_case("case4", spec, C1=2.0).canonical, discretize_canonical
+    else:
+        problem, assemble = paine_schrodinger(spec), discretize_schrodinger
+    n = 40_001
+    assemble(problem, 50)  # compiled outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T = assemble(problem, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert T.n == n
+    assert peak <= bound * n, f"{peak / n:.1f} bytes per point"

@@ -393,6 +393,54 @@ def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
                 lambda x: _walk_evaluate(tree, x), x), (tree.to_text(), x)
 
 
+@settings(max_examples=300, deadline=None)
+@given(root=trees, xs=st.lists(points, min_size=0, max_size=6),
+       variable=st.sampled_from(("x", "t")))
+@example(root=Mul(Var(), Const(-0.0)), xs=[1.0, -1.0], variable="x")
+# a nonfinite value at the first point, an error at the second
+@example(root=Mul(Var(), Call("sqrt", (Var(),))), xs=[math.inf, -1.0], variable="x")
+def test_evaluate_many_matches_evaluate_point_by_point(root, xs, variable):
+    ast = ExpressionAST(root, variable)
+    checked = [ast]
+    try:
+        checked.append(ast.differentiate())
+    except expr.ExprError:
+        pass
+    for tree in checked:
+        # the list's repr holds each value's repr: -0.0 stays apart from 0.0,
+        # 1 from 1.0, and every float round-trips
+        expected = _outcome(lambda xs: [tree.evaluate(x) for x in xs], xs)
+        # a fresh instance compiles only the batch form; an iterator can be
+        # read only once
+        fresh = ExpressionAST(tree.root, variable)
+        for form in (list, iter):
+            for many in (fresh.evaluate_many, tree.evaluate_many):
+                assert _outcome(lambda xs: many(form(xs)), xs) == expected, (
+                    tree.to_text(), xs, form)
+
+
+def test_evaluate_many_shares_the_scalar_lines():
+    a = parse("2*x^3 + besselj(1, x)")
+    b = parse("0.25*t^1.5 + bessely(0.5, t)", "t")
+    assert a.evaluate_many([1.5, 2.5]) == [a.evaluate(1.5), a.evaluate(2.5)]
+    assert b.evaluate_many([1.5]) == [b.evaluate(1.5)]
+    # one code object per shape for each form, the forms apart
+    assert a._fn_many.__code__ is b._fn_many.__code__
+    assert a._fn_many.__code__ is not a._fn.__code__
+    assert a.evaluate_many([]) == []
+
+
+def test_a_tree_taller_than_the_frame_limit_compiles():
+    # built without parse, which bounds the height at 50: the emitter keeps
+    # its own stack, so 5,000 levels compile and evaluate
+    root = Var()
+    for i in range(5000):
+        root = Pow(root, Const(1.0 if i % 2 else 3.0))
+    ast = ExpressionAST(root)
+    assert ast.evaluate(1.0) == 1.0
+    assert ast.evaluate_many([1.0, -1.0]) == [1.0, -1.0]
+
+
 def test_compiled_evaluation_matches_tree_walk_on_each_failure_kind():
     cases = [
         ("1/(X-1)", 1.0),                         # division by zero

@@ -49,6 +49,11 @@ _small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.
 @example(root=Call("besselj", (Const(0.5), Var())), x=5e-324)
 @example(root=Add(Var(), Call("cbrt", (Const(0.0),))), x=0.0)
 @example(root=Pow(Neg(Var()), Const(1.0)), x=0.0)
+# a Bessel argument of 1.8e92, where every order's Hankel phase used to
+# round to the argument itself: J_0.5 read J_-0.5, so the derivative
+# evaluated to -0.0 instead of about 1e46
+@example(root=Call("besselj", (Const(0.5), Div(Var(), Const(-7.659072931068231e-93)))),
+         x=-1.3848753440932535)
 def test_diff_matches_sympy(root, x):
     ast = ExpressionAST(root)
     try:

@@ -162,6 +162,22 @@ def test_bessel_matches_mpmath_near_integer_orders():
                 _check_bessel(mpmath, n + delta, float(x))
 
 
+@pytest.mark.parametrize("x", [2000.0, 1e20, 1e40])
+def test_bessel_keeps_its_phase_at_large_arguments(x):
+    # x - (nu/2 + 1/4) pi rounds to x itself from about 1e17 on; each
+    # order must keep its own phase there
+    import mpmath
+
+    for nu in (0.0, 0.5, 1.0, 2.5, -0.5, -3.0):
+        # digits enough to reduce x exactly
+        with mpmath.workdps(30 + int(math.log10(x))):
+            ref_j = float(mpmath.besselj(nu, x))
+            ref_y = float(mpmath.bessely(nu, x))
+        amp = math.sqrt(2.0 / (math.pi * x))
+        assert abs(bessel_j(nu, x) - ref_j) <= 1e-14 * amp, (nu, x)
+        assert abs(bessel_y(nu, x) - ref_y) <= 1e-14 * amp, (nu, x)
+
+
 def test_gamma_matches_mpmath_across_reflection_split():
     import mpmath
 
