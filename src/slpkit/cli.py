@@ -121,11 +121,9 @@ def _cmd_transform(args) -> int:
         raise ProblemFileError("transform expects a canonical problem file")
     reduced, map_ = forward_transform(problem, args.quad_tol)
     samples = args.samples
-    ts, values = [], []
-    for i in range(samples):
-        t = reduced.alpha + (reduced.beta - reduced.alpha) * i / (samples - 1)
-        ts.append(t)
-        values.append(reduced.invariant.evaluate(t))
+    ts = [reduced.alpha + (reduced.beta - reduced.alpha) * i / (samples - 1)
+          for i in range(samples)]
+    values = reduced.invariant.evaluate_many(ts)
     payload = {
         "alpha": reduced.alpha,
         "beta": reduced.beta,

@@ -49,12 +49,17 @@ nodes are bound as globals), and code objects are cached by source, so a
 new problem that differs from an earlier one only in its constants
 compiles nothing.
 
-``evaluate_many(xs)`` evaluates an iterable of points through the same
-lines, emitted once more inside one ``for`` loop, with the same ``_fail``,
-``_power`` and ``_apply`` and evaluate's finiteness check after each point:
-each value is the float ``evaluate`` gives, without a Python call per
-point, and the first failing point raises the error ``evaluate`` raises
-there, as from ``[evaluate(x) for x in xs]``.
+``evaluate_many(xs)`` evaluates an iterable of points by a second
+compiled form of the same lines, the block form, which runs each line once
+over a numpy array of up to ``_BLOCK`` points.  Addition, subtraction,
+multiplication, division, negation and sqrt run in numpy; each is
+correctly rounded, so every element is the float ``evaluate`` gives.
+Powers and the other hooks run per element, through Python's ``**`` and
+the hook itself, with ``_power``'s and ``_apply``'s checks.  A block in
+which any element may fail (a zero divisor, a power or hook value
+``evaluate`` would refuse, a hook error, a nonfinite result) is evaluated
+again point by point by ``evaluate``, so the first failing point raises
+the error ``evaluate`` raises there, as from ``[evaluate(x) for x in xs]``.
 """
 
 from __future__ import annotations
@@ -65,8 +70,11 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from types import CodeType, FunctionType
 from typing import Callable
+
+import numpy as np
 
 
 class ExprError(ValueError):
@@ -254,8 +262,11 @@ class Div(_Binary):
 
     def emit(self, em):
         num, den = em.ref(self.a), em.ref(self.b)
-        em.lines += [f"if {den} == 0.0:",
-                     f"    raise _fail('division by zero', {em.bind('n', self)}, V, x)"]
+        if em.block:
+            em.lines.append(f"_divisor({den})")
+        else:
+            em.lines += [f"if {den} == 0.0:",
+                         f"    raise _fail('division by zero', {em.bind('n', self)}, V, x)"]
         return em.assign(f"{num} / {den}")
 
     def diff(self):
@@ -441,12 +452,14 @@ register_function(FunctionHook(
 
 
 # ---------------------------------------------------------------------------
-# compilation: one straight-line Python function per tree
+# compilation: one straight-line Python function per tree and form
 #
 # Each distinct node becomes one assignment (a division also gets its zero check).
 # Powers and function calls go through _power and _apply rather than having
 # their branches written out per node: inlined, those branches tripled the
-# compiler's peak memory on the largest derivative trees.
+# compiler's peak memory on the largest derivative trees.  The block form
+# runs the same lines on numpy arrays of points, with _power and _apply
+# bound to _power_block and _apply_block.
 
 
 class _Emitter:
@@ -456,9 +469,11 @@ class _Emitter:
     hooks and nodes (the latter for error texts) are bound as globals of the
     function, never written into the source, so trees that differ only in
     their constants, function names or variable name share one code object.
+    With `block`, the lines are those of the block form.
     """
 
-    def __init__(self):
+    def __init__(self, block: bool = False):
+        self.block = block
         self.lines: list[str] = []
         self.env: dict[str, object] = {}
         self.names: dict = {}  # id(node) or node.key(self) -> value name
@@ -538,34 +553,118 @@ def _apply(hook, node: "Call", variable: str, x: float, *args):
     return v
 
 
+# The block form.  A value is a float64 array over the block's points, or,
+# for a subtree without the variable, the scalar the per-point lines give.
+# + - * / and negation are numpy's, and sqrt is np.sqrt: each is correctly
+# rounded, so an element is the float the per-point lines compute.  Powers
+# and the other hooks run per element through Python's ** and the hook
+# itself.  Wherever an element may fail (a zero divisor, a power or hook
+# that _power or _apply would refuse, a nonfinite result) the block raises
+# _Deferred, and evaluate_many evaluates that block point by point instead.
+
+_BLOCK = 1024  # points per block: each line's array holds at most this many
+
+
+class _Deferred(Exception):
+    """Some element of the block may fail: evaluate it point by point."""
+
+
+def _divisor(den) -> None:
+    if np.any(den == 0.0):
+        raise _Deferred
+
+
+def _elements(v):
+    # a column for map(): an array's floats, or a scalar repeated
+    return v.tolist() if isinstance(v, np.ndarray) else repeat(v)
+
+
+def _power_block(base, expo, node: "Pow", variable: str, x):
+    if not isinstance(base, np.ndarray) and not isinstance(expo, np.ndarray):
+        try:
+            return _power(base, expo, node, variable, 0.0)
+        except EvalDomainError:
+            raise _Deferred from None
+    zero = np.equal(base, 0.0)
+    integral = np.isfinite(expo) & np.equal(np.floor(expo), expo)
+    if np.any(zero & ~np.greater(expo, 0.0)) or np.any(
+            ~zero & ~np.greater(base, 0.0) & ~integral):
+        raise _Deferred
+    n = len(base if isinstance(base, np.ndarray) else expo)
+    try:
+        v = np.fromiter(map(pow, _elements(base), _elements(expo)), float, n)
+    except OverflowError:
+        raise _Deferred from None
+    if np.any(zero):
+        v = np.where(zero, 0.0, v)  # +0.0: C's pow(-0.0, 3.0) is -0.0
+    if not np.isfinite(v).all():
+        raise _Deferred
+    return v
+
+
+def _apply_block(hook, node: "Call", variable: str, x, *args):
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    if not arrays:
+        try:
+            return _apply(hook, node, variable, 0.0, *args)
+        except EvalDomainError:
+            raise _Deferred from None
+    if hook is _sqrt:
+        if np.any(args[0] < 0.0):
+            raise _Deferred
+        v = np.sqrt(args[0])
+    else:
+        try:
+            v = np.fromiter(map(hook, *map(_elements, args)), float, len(arrays[0]))
+        except Exception:  # foreign code: the per-point path raises it at its point
+            raise _Deferred from None
+    if not np.isfinite(v).all():
+        raise _Deferred
+    return v
+
+
 @lru_cache(maxsize=256)
 def _code(source: str) -> CodeType:
     module = compile(source, "<expression>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _compile(root: Node, variable: str, many: bool = False) -> Callable:
+def _compile(root: Node, variable: str, block: bool = False) -> Callable:
     """root as a function of x: its value, or EvalDomainError naming the
     failing subexpression (the variable printed as `variable`).  With
-    `many`, a function of an iterable of points that runs the same lines in
-    a loop, checks each value is finite as evaluate does, and returns the
-    list of values."""
-    em = _Emitter()
+    `block`, a function of a float64 array of points that runs the block
+    form's lines and returns an array, or a scalar where root does not
+    depend on x, or raises _Deferred."""
+    em = _Emitter(block)
     result = em.value(root)
-    env = {"__builtins__": builtins, "_fail": _fail, "_power": _power, "_apply": _apply,
-           "V": variable, **em.env}
-    if many:
-        body = "".join(f"        {line}\n" for line in em.lines)
-        source = (f"def _f(xs):\n    out = []\n    append = out.append\n"
-                  f"    for point in xs:\n        x = float(point)\n{body}"
-                  f"        if not _isfinite({result}):\n"
-                  f"            raise _fail('nonfinite result', R, V, point)\n"
-                  f"        append({result})\n    return out\n")
-        env.update(_isfinite=math.isfinite, R=root)
+    env = {"__builtins__": builtins, "V": variable, **em.env}
+    if block:
+        env.update(_power=_power_block, _apply=_apply_block, _divisor=_divisor)
     else:
-        body = "".join(f"    {line}\n" for line in em.lines)
-        source = f"def _f(x):\n{body}    return {result}\n"
+        env.update(_fail=_fail, _power=_power, _apply=_apply)
+    body = "".join(f"    {line}\n" for line in em.lines)
+    source = f"def {'_block' if block else '_f'}(x):\n{body}    return {result}\n"
     return FunctionType(_code(source), env)
+
+
+def _run_block(fn, chunk) -> list:
+    """fn's values at the points of chunk, or _Deferred."""
+    try:  # float() of each point, as evaluate converts it
+        if isinstance(chunk, np.ndarray):
+            x = chunk.astype(float, copy=False)
+        else:
+            x = np.fromiter(map(float, chunk), float, len(chunk))
+    except (TypeError, ValueError, OverflowError):
+        raise _Deferred from None
+    v = fn(x)
+    if not isinstance(v, np.ndarray):
+        # a tree without the variable: evaluate's value at every point
+        if not math.isfinite(v):
+            raise _Deferred
+        return [v] * len(chunk)
+    if not np.isfinite(v).all():
+        raise _Deferred
+    return v.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +676,9 @@ class ExpressionAST:
     """An immutable expression over a single named free variable.
 
     The tree is compiled on first evaluation, once per form (one point or
-    many); the functions and the hash are kept on the instance, outside
-    the fields, so eq, hash and repr are those of (root, variable_name).
+    a block of points); the functions and the hash are kept on the
+    instance, outside the fields, so eq, hash and repr are those of
+    (root, variable_name).
     """
 
     root: Node
@@ -598,16 +698,26 @@ class ExpressionAST:
     def evaluate_many(self, xs) -> list:
         """[self.evaluate(x) for x in xs], value for value and error for error.
 
-        The points, read once in order, run through one loop compiled from
-        the same lines as evaluate, so each value is the same float and the
-        first failing point raises evaluate's error there.
+        The points, read once in order, are evaluated by the block form in
+        blocks of _BLOCK: each line runs once per block.  A block where
+        some element may fail is evaluated point by point by evaluate, so
+        the first failing point raises evaluate's error there.
         """
         try:
-            fn = self._fn_many
+            fn = self._fn_block
         except AttributeError:
-            fn = _compile(self.root, self.variable_name, many=True)
-            object.__setattr__(self, "_fn_many", fn)
-        return fn(xs)
+            fn = _compile(self.root, self.variable_name, block=True)
+            object.__setattr__(self, "_fn_block", fn)
+        points = xs if isinstance(xs, (list, tuple, np.ndarray)) else list(xs)
+        out = []
+        with np.errstate(all="ignore"):
+            for start in range(0, len(points), _BLOCK):
+                chunk = points[start:start + _BLOCK]
+                try:
+                    out += _run_block(fn, chunk)
+                except _Deferred:
+                    out += [self.evaluate(x) for x in chunk]
+        return out
 
     def __hash__(self) -> int:
         try:

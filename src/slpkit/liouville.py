@@ -5,9 +5,9 @@ substitution u = w v, w = (p r)^(-1/4), takes a canonical problem to the
 reduced form -v'' + I(t) v = lambda v while preserving eigenvalues.  This
 module builds that map numerically (tabulated with monotone cubic Hermite
 interpolation between nodes, exact slopes sqrt(r/p) at the nodes; nodes,
-slopes and quadrature share their sqrt(r/p) values, evaluated once per point
-where a base cell does not refine and at most twice where it does), exposes
-the potential I through its x-space expression, and inverts the map.
+slopes and quadrature share their sqrt(r/p) values, evaluated in batches
+and once per point), exposes the potential I through its x-space
+expression, and inverts the map.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
@@ -202,6 +202,7 @@ class TransformMap:
 # map construction
 
 _BASE_NODES = 2049
+_MAX_CHUNK = 256  # base cells per depth-0 batch, at most
 
 
 def _sigma_ast(problem: CanonicalSLP) -> ExpressionAST:
@@ -216,6 +217,41 @@ def weight_ast(problem: CanonicalSLP) -> ExpressionAST:
                          problem.p.variable_name)
 
 
+# numpy would warn where the walk's Python floats overflow quietly
+@np.errstate(all="ignore")
+def _depth0_points(x0, x1):
+    """The points a base cell's first step evaluates, made as the walk makes
+    them: its midpoint, the midpoints of its halves, then of their halves."""
+    xm = 0.5 * (x0 + x1)
+    q1 = 0.5 * (x0 + xm)
+    q3 = 0.5 * (xm + x1)
+    return xm, q1, q3, 0.5 * (x0 + q1), 0.5 * (q1 + xm), 0.5 * (xm + q3), 0.5 * (q3 + x1)
+
+
+@np.errstate(all="ignore")
+def _depth0_step(points, values, lo, hi, slo, shi, half_tol, quad_tol):
+    """The walk's depth-0 step for a chunk of base cells, elementwise with
+    its arithmetic: each cell's integral, and whether the cell is accepted
+    there (both Simpson tests pass without recursion, then the Hermite test)."""
+    xm, q1, q3 = points[:3]
+    sm, sq1, sq3, se1, se2, se3, se4 = values
+    left, ok_left = _simpson_once(lo, q1, xm, slo, se1, sq1, se2, sm, half_tol)
+    right, ok_right = _simpson_once(xm, q3, hi, sm, se3, sq3, se4, shi, half_tol)
+    total = left + right
+    predicted = _hermite_value(xm, lo, hi, 0.0, total, slo, shi)
+    return total, ok_left & ok_right & (abs(predicted - left) <= quad_tol)
+
+
+def _simpson_once(a, m, b, fa, flm, fm, frm, fb, eps):
+    # _adaptive_simpson's whole, then _simpson_step at depth 0: the value and its test
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    ok = (abs(delta) <= 15.0 * eps) | (abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right)))
+    return left + right + delta / 15.0, ok
+
+
 def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     """Tabulate t(x) = integral_a^x sqrt(r/p) on a refined grid.
 
@@ -223,17 +259,23 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     interpolant misses the quadrature value at the cell midpoint by more
     than quad_tol, so endpoint derivative blow-ups (the power-law maps)
     stay resolved.  The node slopes and the quadrature share their
-    sqrt(r/p) values.  A base cell that does not refine evaluates each
-    point once: its midpoint and its two Simpson halves are disjoint.  A
-    refined base cell keeps a table of its values from the first halving
-    on: the halves reach their parent's points once more, and every
-    deeper point is evaluated once, so no point is evaluated more than
-    twice (x = 0 aside: 0.0 and -0.0 are one key, so neither is stored).
-    The unrefined cell fills no table, since most cells never refine and
-    would only pay for storing values no one asks for again.
-    A hit returns the value of the same float, a failure is never stored,
-    and distinct points are first reached in the same order, so the table
-    changes neither a map's bits nor the point an error names.
+    sqrt(r/p) values.
+
+    sqrt(r/p) is evaluated by batches (`evaluate_many`): the base grid as
+    one, then the base cells in chunks of 1, 4, 16, 64 and then 256 cells,
+    one batch per chunk holding each cell's seven depth-0 points (its
+    midpoint, two quarter points and four eighth points, made by the
+    walk's own `0.5*(a+b)`).  A cell whose two depth-0 Simpson tests and
+    Hermite test pass on those values, computed in numpy with the walk's
+    arithmetic, is accepted there; most cells are.  The others enter the
+    depth-first walk one by one, each with a table of its points seeded by
+    the batch's values, so where no batch fails every point is evaluated
+    once (x = 0 aside: 0.0 and -0.0 are one key, so neither is stored).
+    A chunk whose batch fails is walked cell by cell from an empty table,
+    point by point: that walk reaches the points in the order of a build
+    without batches, so the error names the same point.  A table hit
+    returns the value of the same float and a failure is never stored, so
+    neither batches nor table change a map's bits.
 
     Work goes first where sqrt(r/p) is largest, since a non-integrable
     point sits there: base cells in decreasing order of their endpoint
@@ -258,6 +300,12 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         except ExprError as err:
             raise QuadratureError(f"sqrt(r/p) not evaluable mid-integration: {err}", x, x) from None
 
+    def batch(xs) -> np.ndarray | None:
+        try:
+            return np.array(sigma_expr.evaluate_many(xs))
+        except ExprError:
+            return None  # the walk point by point raises it where it always did
+
     memo = {}  # sqrt(r/p) at the points of the current base cell
 
     def remembered(x: float) -> float:
@@ -269,39 +317,61 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         return s
 
     half_tol = 0.5 * (quad_tol / (_BASE_NODES - 1))
-    grid = np.linspace(problem.a, problem.b, _BASE_NODES).tolist()
+    nodes = np.linspace(problem.a, problem.b, _BASE_NODES)
+    grid = nodes.tolist()
     # the whole grid first: a failing node is reported before any point between nodes
-    svals = [sigma(x) for x in grid]
+    ends = batch(nodes)
+    if ends is None:
+        ends = np.array([sigma(x) for x in grid])
+    svals = ends.tolist()
     # accepted pieces in visit order: right end, integral, slope
     xs, integrals, ds = [grid[0]], [0.0], [svals[0]]
-    ends = np.array(svals)
     # largest endpoint sum first; the stable sort keeps equal sums in x order
-    for i in np.argsort(-(ends[:-1] + ends[1:]), kind="stable").tolist():
-        # depth-first, left half first, so a cell's pieces come out in x order
-        stack = [(grid[i], grid[i + 1], svals[i], svals[i + 1], 0)]
-        memo.clear()
-        while stack:
-            x0, x1, s0, s1, depth = stack.pop()
-            # the unrefined cell reaches no point twice; its halves revisit its points
-            fn = remembered if depth else sigma
-            xm = 0.5 * (x0 + x1)
-            sm = fn(xm)
-            if s1 > s0:
-                right = _adaptive_simpson(fn, xm, x1, sm, s1, half_tol)
-                left = _adaptive_simpson(fn, x0, xm, s0, sm, half_tol)
-            else:
-                left = _adaptive_simpson(fn, x0, xm, s0, sm, half_tol)
-                right = _adaptive_simpson(fn, xm, x1, sm, s1, half_tol)
-            predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
-            if abs(predicted - left) <= quad_tol:
-                xs.append(x1)
-                integrals.append(left + right)
-                ds.append(s1)
-            elif depth >= _MAX_CELL_DEPTH:
-                raise QuadratureError("map refinement did not converge", x0, x1)
-            else:
-                stack.append((xm, x1, sm, s1, depth + 1))
-                stack.append((x0, xm, s0, sm, depth + 1))
+    order = np.argsort(-(ends[:-1] + ends[1:]), kind="stable")
+    start, size = 0, 1
+    while start < len(order):
+        chunk = order[start:start + size]
+        start, size = start + size, min(4 * size, _MAX_CHUNK)
+        lo, hi, slo, shi = nodes[chunk], nodes[chunk + 1], ends[chunk], ends[chunk + 1]
+        points = np.stack(_depth0_points(lo, hi))
+        values = batch(points.ravel())
+        if values is None:
+            walked = [(i, (), ()) for i in chunk.tolist()]
+        else:
+            values = values.reshape(points.shape)
+            total, ok = _depth0_step(points, values, lo, hi, slo, shi, half_tol, quad_tol)
+            xs += hi[ok].tolist()
+            integrals += total[ok].tolist()
+            ds += shi[ok].tolist()
+            rest = np.flatnonzero(~ok)
+            walked = zip(chunk[rest].tolist(), points[:, rest].T.tolist(),
+                         values[:, rest].T.tolist())
+        for i, cell_points, cell_values in walked:
+            memo.clear()
+            # seeded as remembered fills it: x = 0 is never stored
+            memo.update((x, s) for x, s in zip(cell_points, cell_values) if x)
+            # depth-first, left half first, so a cell's pieces come out in x order
+            stack = [(grid[i], grid[i + 1], svals[i], svals[i + 1], 0)]
+            while stack:
+                x0, x1, s0, s1, depth = stack.pop()
+                xm = 0.5 * (x0 + x1)
+                sm = remembered(xm)
+                if s1 > s0:
+                    right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
+                    left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
+                else:
+                    left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
+                    right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
+                predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
+                if abs(predicted - left) <= quad_tol:
+                    xs.append(x1)
+                    integrals.append(left + right)
+                    ds.append(s1)
+                elif depth >= _MAX_CELL_DEPTH:
+                    raise QuadratureError("map refinement did not converge", x0, x1)
+                else:
+                    stack.append((xm, x1, sm, s1, depth + 1))
+                    stack.append((x0, xm, s0, sm, depth + 1))
     # back to x order: pieces of different base cells do not overlap and one
     # cell's come in x order, so a stable sort on the right ends is exact
     order = np.argsort(xs, kind="stable")
@@ -346,6 +416,18 @@ class TabulatedInvariant:
 
     def evaluate(self, t: float) -> float:
         return self._invariant.evaluate(self.map.x_of_t(t))
+
+    def evaluate_many(self, ts) -> list:
+        """[self.evaluate(t) for t in ts], value for value and error for error:
+        x_of_t at each t, then the invariant at those x as one batch.  Where
+        x_of_t fails, the points are walked one by one, so the first t that
+        fails, in x_of_t or in the invariant, raises there."""
+        ts = list(ts)
+        try:
+            xs = [self.map.x_of_t(t) for t in ts]
+        except (TransformError, NumericalError):
+            return [self.evaluate(t) for t in ts]
+        return self._invariant.evaluate_many(xs)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,20 @@ def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
 @example(root=Mul(Var(), Const(-0.0)), xs=[1.0, -1.0], variable="x")
 # a nonfinite value at the first point, an error at the second
 @example(root=Mul(Var(), Call("sqrt", (Var(),))), xs=[math.inf, -1.0], variable="x")
+# a -0.0 base: _power gives +0.0 where C's pow(-0.0, 3.0) is -0.0
+@example(root=Pow(Var(), Const(3.0)), xs=[-0.0, 0.0, -2.0], variable="x")
+# the first failure in the second block, after a block without one
+@example(root=Call("ln", (Var(),)), xs=[2.0] * expr._BLOCK + [3.0, -1.0, 0.0],
+         variable="x")
+# int constants only: the value is evaluate's int at every point
+@example(root=Add(Pow(Const(-1), Const(1)), Mul(Const(1), Const(0))), xs=[0.5, 2],
+         variable="x")
+# an overflow to inf that a later line turns finite
+@example(root=Div(Const(1.0), Mul(Var(), Const(1e308))), xs=[10.0, -10.0, 0.5],
+         variable="x")
+# a nonfinite hook value and power, which evaluate refuses where they stand
+@example(root=Div(Const(1.0), Call("exp", (Var(),))), xs=[0.0, math.inf], variable="x")
+@example(root=Div(Const(1.0), Pow(Var(), Const(2.0))), xs=[1.0, math.inf], variable="x")
 def test_evaluate_many_matches_evaluate_point_by_point(root, xs, variable):
     ast = ExpressionAST(root, variable)
     checked = [ast]
@@ -425,8 +439,8 @@ def test_evaluate_many_shares_the_scalar_lines():
     assert a.evaluate_many([1.5, 2.5]) == [a.evaluate(1.5), a.evaluate(2.5)]
     assert b.evaluate_many([1.5]) == [b.evaluate(1.5)]
     # one code object per shape for each form, the forms apart
-    assert a._fn_many.__code__ is b._fn_many.__code__
-    assert a._fn_many.__code__ is not a._fn.__code__
+    assert a._fn_block.__code__ is b._fn_block.__code__
+    assert a._fn_block.__code__ is not a._fn.__code__
     assert a.evaluate_many([]) == []
 
 

@@ -1,6 +1,8 @@
-"""Node.diff against sympy.diff, both evaluated at 30 digits, on random trees
-over every node class and hook."""
+"""Node.diff against sympy.diff, both evaluated at 30 digits plus those a
+Bessel argument's size takes, on random trees over every node class and
+hook."""
 
+import math
 import operator
 
 import sympy
@@ -40,6 +42,19 @@ def _to_sympy(node):
     return _SYMPY_OPS[type(node)](_to_sympy(node.a), _to_sympy(node.b))
 
 
+def _digits(root, x):
+    """30 digits, plus enough to reduce the largest Bessel argument at x
+    exactly (as in test_special's large-argument phase test)."""
+    largest = 1.0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call) and node.name in ("besselj", "bessely"):
+            largest = max(largest, abs(ExpressionAST(node.args[1]).evaluate(x)))
+        stack.extend(node.children())
+    return 30 + int(math.log10(largest))
+
+
 _small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.5)),
                              st.floats(-3.0, 3.0))
 
@@ -54,6 +69,10 @@ _small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.
 # evaluated to -0.0 instead of about 1e46
 @example(root=Call("besselj", (Const(0.5), Div(Var(), Const(-7.659072931068231e-93)))),
          x=-1.3848753440932535)
+# a Bessel argument of 1.5e40 with a derivative near 1, so the tree is
+# not skipped; it is evaluated at 70 digits
+@example(root=Mul(Const(1e-20), Call("besselj", (Const(0.5), Mul(Var(), Const(1e40))))),
+         x=1.5)
 def test_diff_matches_sympy(root, x):
     ast = ExpressionAST(root)
     try:
@@ -63,9 +82,10 @@ def test_diff_matches_sympy(root, x):
         return  # outside the domain of the tree or of its derivative
     if max(abs(v) for v in values) > 1e6:
         return
-    at = {X: sympy.Float(x, 30)}
-    ours = complex(_to_sympy(derivative.root).evalf(30, subs=at))
-    reference = complex(sympy.diff(_to_sympy(root), X).evalf(30, subs=at))
+    digits = _digits(root, x)
+    at = {X: sympy.Float(x, digits)}
+    ours = complex(_to_sympy(derivative.root).evalf(digits, subs=at))
+    reference = complex(sympy.diff(_to_sympy(root), X).evalf(digits, subs=at))
     # constants the derivative folds in floating point (exponents, Bessel
     # orders) stay exact in sympy
     assert abs(ours - reference) <= 1e-12 * (1.0 + abs(reference)), (ast.to_text(), x)

@@ -186,6 +186,32 @@ def test_schrodinger_invariant_wrapper_validates():
     assert validate(reduced) == []
 
 
+def _many_and_one_by_one(invariant, ts):
+    """The outcomes of evaluate_many(ts) and of evaluate at each t in turn:
+    the values' hex, or the error's type and text."""
+    outcomes = []
+    for fn in (invariant.evaluate_many, lambda ts: [invariant.evaluate(t) for t in ts]):
+        try:
+            outcomes.append([v.hex() for v in fn(ts)])
+        except (EvalDomainError, TransformError, NumericalError) as err:
+            outcomes.append((type(err), str(err)))
+    return outcomes
+
+
+def test_tabulated_invariant_evaluate_many_matches_evaluate():
+    reduced, _ = forward_transform(classical_case4(), 1e-10)
+    ts = [reduced.alpha + (reduced.beta - reduced.alpha) * i / 200 for i in range(201)]
+    many, one_by_one = _many_and_one_by_one(reduced.invariant, ts)
+    assert many == one_by_one
+    # q/r fails at x = 0.5, which the linear map puts at t = 0.5, and t = 2.0
+    # is off the map: whichever comes first raises, as point by point
+    invariant = liouville.TabulatedInvariant(
+        canonical(q="1/(x-0.5)", b=1.0), TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [1.0, 1.0]))
+    for ts in ([0.25, 0.5, 2.0], [0.25, 2.0, 0.5], [0.25, 0.75]):
+        many, one_by_one = _many_and_one_by_one(invariant, ts)
+        assert many == one_by_one, ts
+
+
 # ---------------------------------------------------------------------------
 # reference construction: the earlier build_map, which evaluated sqrt(r/p) up
 # to four times per point; build_map must reproduce its nodes bit for bit
@@ -272,7 +298,8 @@ def test_build_map_matches_reference_bit_for_bit(label, k, params, nodes):
 
 
 def _count_sigma(monkeypatch):
-    """Counter of the points at which build_map evaluates sqrt(r/p)."""
+    """Counter of the points at which build_map evaluates sqrt(r/p), one
+    by one or in batches."""
     seen = Counter()
     sigma_ast = liouville._sigma_ast
 
@@ -283,6 +310,11 @@ def _count_sigma(monkeypatch):
         def evaluate(self, x):
             seen[x] += 1
             return self.expr.evaluate(x)
+
+        def evaluate_many(self, xs):
+            xs = [float(x) for x in xs]
+            seen.update(xs)
+            return self.expr.evaluate_many(xs)
 
     monkeypatch.setattr(liouville, "_sigma_ast", lambda problem: Counting(sigma_ast(problem)))
     return seen
@@ -330,12 +362,13 @@ def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
 ])
 def test_build_map_evaluates_a_refined_cell_at_most_twice_per_point(monkeypatch, label, k,
                                                                    params, total):
-    # a refined base cell's halves re-reach its points once; deeper points are shared
+    # a refined base cell's walk starts from a table seeded with its depth-0
+    # batch, and deeper points are shared: each point is evaluated once
     problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
     seen = _count_sigma(monkeypatch)
     m = build_map(problem, 1e-10)
     assert len(m._xs) > 2049  # some cell refined
-    assert max(seen.values()) == 2
+    assert max(seen.values()) == 1
     if total is not None:
         assert sum(seen.values()) <= total
 

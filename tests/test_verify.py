@@ -4,9 +4,9 @@ import pytest
 
 from slpkit.expr import parse
 from slpkit.inverse import InverseResult, ValidityInfo, build_case
-from slpkit.liouville import TransformMap
-from slpkit.problems import CanonicalSLP, PaineSpec
-from slpkit.verify import (asymptotic_profile, roundtrip_invariant,
+from slpkit.liouville import TransformMap, invariant_at_x
+from slpkit.problems import CanonicalSLP, PaineSpec, paine_schrodinger
+from slpkit.verify import (_residual_profile, asymptotic_profile, roundtrip_invariant,
                            spectral_match)
 
 PI = math.pi
@@ -26,6 +26,26 @@ def test_roundtrip_asymptotic_case_is_reported_not_small():
     residual = roundtrip_invariant(res, spec)
     assert math.isfinite(residual)
     assert residual > 1e-3  # genuinely asymptotic, not exact
+
+
+@pytest.mark.parametrize("label, k, params", [
+    ("case4", 1.0, {"C1": 2.0}),
+    ("case3-J", 0.75, {"q0": 1.0, "r0": 1.0}),
+    ("case2-C1", 1.0, {"q0": 2.0}),
+])
+def test_residual_profile_matches_the_point_by_point_loop(label, k, params):
+    # the batches give each residual the bits of one invariant_at_x and one
+    # reference evaluation per t
+    spec = PaineSpec(k, 0.1)
+    result = build_case(label, spec, **params)
+    reference = paine_schrodinger(spec).invariant
+    alpha, beta = result.map.domain_t
+    expected = []
+    for j in range(1, 102):
+        t = alpha + (beta - alpha) * j / 102
+        value = invariant_at_x(result.canonical, result.map.x_of_t(t))
+        expected.append((t, abs(value - reference.evaluate(t))))
+    assert repr(_residual_profile(result, spec, 101)) == repr(expected)
 
 
 def test_roundtrip_rejects_too_few_samples():
