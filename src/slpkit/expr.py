@@ -52,11 +52,13 @@ compiles nothing.
 ``evaluate_many(xs)`` evaluates an iterable of points by a second
 compiled form of the same lines, the block form, which runs each line once
 over a numpy array of up to ``_BLOCK`` points.  Addition, subtraction,
-multiplication, division, negation and sqrt run in numpy; each is
-correctly rounded, so every element is the float ``evaluate`` gives.
-Powers and the other hooks run per element, through Python's ``**`` and
-the hook itself, with ``_power``'s and ``_apply``'s checks.  A block in
-which any element may fail (a zero divisor, a power or hook value
+multiplication, division and negation run in numpy; each is correctly
+rounded, so every element is the float ``evaluate`` gives.  A hook with a
+block form (``FunctionHook.block``: sqrt here, besselj and bessely in
+``special``) runs it over the whole array, element for element the hook's
+own value.  Powers and the other hooks run per element, through Python's
+``**`` and the hook itself, with ``_power``'s and ``_apply``'s checks.  A
+block in which any element may fail (a zero divisor, a power or hook value
 ``evaluate`` would refuse, a hook error, a nonfinite result) is evaluated
 again point by point by ``evaluate``, so the first failing point raises
 the error ``evaluate`` raises there, as from ``[evaluate(x) for x in xs]``.
@@ -303,7 +305,8 @@ class Call(Node):
     args: tuple
 
     def emit(self, em):
-        hook = em.bind("h", FUNCTIONS[self.name].evaluate)
+        hook = FUNCTIONS[self.name]
+        hook = em.bind("h", hook if em.block else hook.evaluate)
         args = ", ".join(map(em.ref, self.args))
         return em.assign(f"_apply({hook}, {em.bind('n', self)}, V, x, {args})")
 
@@ -406,6 +409,10 @@ class FunctionHook:
     evaluate: Callable[..., float]  # called with the argument values
     derivative: Callable[[tuple, tuple], Node]
     constant_args: tuple = ()
+    # optional: evaluate at every point of a block, called with the argument
+    # values, one or more of them float64 arrays; returns a float64 array
+    # whose elements are evaluate's values, or raises
+    block: Callable[..., np.ndarray] | None = None
 
 
 FUNCTIONS: dict[str, FunctionHook] = {}
@@ -427,6 +434,13 @@ def _sqrt(v):
     return math.sqrt(v)
 
 
+def _sqrt_block(v):
+    # np.sqrt is correctly rounded, as math.sqrt is
+    if np.any(v < 0.0):
+        raise ValueError("sqrt of negative argument")
+    return np.sqrt(v)
+
+
 register_function(FunctionHook(
     "exp", 1, math.exp,
     lambda a, d: _mul(Call("exp", a), d[0])))
@@ -441,7 +455,7 @@ register_function(FunctionHook(
     lambda a, d: _neg(_mul(Call("sin", a), d[0]))))
 register_function(FunctionHook(
     "sqrt", 1, _sqrt,
-    lambda a, d: _div(d[0], _mul(Const(2.0), Call("sqrt", a)))))
+    lambda a, d: _div(d[0], _mul(Const(2.0), Call("sqrt", a))), block=_sqrt_block))
 register_function(FunctionHook(
     # derivative is sign(u)*u', written u/abs(u) so that it raises at u = 0
     "abs", 1, abs,
@@ -459,7 +473,8 @@ register_function(FunctionHook(
 # their branches written out per node: inlined, those branches tripled the
 # compiler's peak memory on the largest derivative trees.  The block form
 # runs the same lines on numpy arrays of points, with _power and _apply
-# bound to _power_block and _apply_block.
+# bound to _power_block and _apply_block, and each hook name to the hook's
+# FunctionHook rather than its evaluate.
 
 
 class _Emitter:
@@ -555,12 +570,14 @@ def _apply(hook, node: "Call", variable: str, x: float, *args):
 
 # The block form.  A value is a float64 array over the block's points, or,
 # for a subtree without the variable, the scalar the per-point lines give.
-# + - * / and negation are numpy's, and sqrt is np.sqrt: each is correctly
-# rounded, so an element is the float the per-point lines compute.  Powers
-# and the other hooks run per element through Python's ** and the hook
-# itself.  Wherever an element may fail (a zero divisor, a power or hook
-# that _power or _apply would refuse, a nonfinite result) the block raises
-# _Deferred, and evaluate_many evaluates that block point by point instead.
+# + - * / and negation are numpy's: each is correctly rounded, so an element
+# is the float the per-point lines compute.  _apply_block runs a hook's
+# block form where it has one (sqrt, besselj, bessely) and the hook itself
+# per element where it has none; powers run per element through Python's
+# **.  Wherever an element may fail (a zero divisor, a power or hook that
+# _power or _apply would refuse, an error from a block form, a nonfinite
+# result) the block raises _Deferred, and evaluate_many evaluates that
+# block point by point instead.
 
 _BLOCK = 1024  # points per block: each line's array holds at most this many
 
@@ -602,22 +619,21 @@ def _power_block(base, expo, node: "Pow", variable: str, x):
     return v
 
 
-def _apply_block(hook, node: "Call", variable: str, x, *args):
+def _apply_block(hook: FunctionHook, node: "Call", variable: str, x, *args):
     arrays = [a for a in args if isinstance(a, np.ndarray)]
     if not arrays:
         try:
-            return _apply(hook, node, variable, 0.0, *args)
+            return _apply(hook.evaluate, node, variable, 0.0, *args)
         except EvalDomainError:
             raise _Deferred from None
-    if hook is _sqrt:
-        if np.any(args[0] < 0.0):
-            raise _Deferred
-        v = np.sqrt(args[0])
-    else:
-        try:
-            v = np.fromiter(map(hook, *map(_elements, args)), float, len(arrays[0]))
-        except Exception:  # foreign code: the per-point path raises it at its point
-            raise _Deferred from None
+    try:
+        if hook.block is not None:
+            v = hook.block(*args)
+        else:
+            v = np.fromiter(map(hook.evaluate, *map(_elements, args)), float,
+                            len(arrays[0]))
+    except Exception:  # foreign code: the per-point path raises it at its point
+        raise _Deferred from None
     if not np.isfinite(v).all():
         raise _Deferred
     return v

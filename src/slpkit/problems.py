@@ -101,6 +101,9 @@ def _check_interval(lo: float, hi: float, out: list) -> None:
         out.append(Violation("interval", f"endpoints must be finite, got [{lo}, {hi}]"))
     elif not lo < hi:
         out.append(Violation("interval", f"left endpoint must be below right, got [{lo}, {hi}]"))
+    elif not math.isfinite(hi - lo):
+        # grids and meshes over the interval are built from its width
+        out.append(Violation("interval", f"width must be finite, got [{lo}, {hi}]"))
 
 
 def _batch(fn, xs) -> list | None:

@@ -18,12 +18,23 @@ anything are out of scope.
 The functions are registered with the expression layer as ``besselj(nu, u)``
 and ``bessely(nu, u)`` (constant order), so coefficient functions built from
 Bessel factors print, re-parse and differentiate like any other expression.
+
+Both also have a block form over a float64 array of arguments, which
+``evaluate_many`` and the zero scans use: the ascending series run over
+all lanes at once, each lane stopping at its own last term, with the scalar
+functions' operations in the scalar functions' order, so every element is
+the scalar value bit for bit.  Lanes in the Hankel range, and lanes the
+series cannot serve exactly, go through the scalar functions one at a
+time, so a failing lane raises the scalar error.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from .expr import Call, Const, FunctionHook, Mul, Sub, _fold_const, register_function
 
@@ -80,6 +91,13 @@ def _rgamma(x: float) -> float:
 # Bessel functions
 
 
+@lru_cache(maxsize=32)
+def _denominators(nu: float) -> list:
+    # m * (nu + m) for the terms m = 1..399, as the series loop computed
+    # them; 13 KiB an order, so the cache holds at most 0.4 MiB
+    return [m * (nu + m) for m in range(1, 400)]
+
+
 def _series_j(nu: float, x: float) -> float:
     # ascending series; caller guarantees nu is not a negative integer
     half = 0.5 * x
@@ -87,9 +105,9 @@ def _series_j(nu: float, x: float) -> float:
     # cannot be raised to; x**nu / 2**nu is the same power without it
     term = (half**nu if half > 0.0 else x**nu * 2.0**-nu) * _rgamma(nu + 1.0)
     total = term
-    q = half * half
-    for m in range(1, 400):
-        term *= -q / (m * (nu + m))
+    nq = -(half * half)
+    for d in _denominators(nu):
+        term *= nq / d
         total += term
         if abs(term) <= 1e-17 * (1.0 + abs(total)):
             return total
@@ -153,13 +171,35 @@ def bessel_j(nu: float, x: float) -> float:
     return _hankel_jy(nu, x)[0]
 
 
-def _y_connection(nu: float, x: float) -> float:
+# The Y pieces below take the series as arguments, so that one body serves
+# scalars and blocks alike (see the block forms further down).
+
+
+def _y_connection(nu: float, x, series):
     s = math.sin(math.pi * nu)
     c = math.cos(math.pi * nu)
-    return (_series_j(nu, x) * c - _series_j(-nu, x)) / s
+    return (series(nu, x) * c - series(-nu, x)) / s
 
 
 _EULER_GAMMA = 0.5772156649015329
+
+
+@lru_cache(maxsize=8)
+def _y_integer_terms(n: int) -> tuple:
+    # psi(1) + psi(n+1), then for m = 1..399 the denominators m (m + n) and
+    # the coefficients (-1)^m [psi(m+1) + psi(m+n+1)], summed as the series
+    # loop summed them; 28 KiB an order, so the cache holds at most 0.22 MiB
+    h_m = 0.0
+    h_mn = sum(1.0 / i for i in range(1, n + 1))
+    first = -2.0 * _EULER_GAMMA + h_m + h_mn
+    dens, coefs, sign = [], [], 1.0
+    for m in range(1, 400):
+        sign = -sign
+        h_m += 1.0 / m
+        h_mn += 1.0 / (m + n)
+        dens.append(m * (m + n))
+        coefs.append(sign * (-2.0 * _EULER_GAMMA + h_m + h_mn))
+    return first, dens, coefs
 
 
 def _y_integer_series(n: int, x: float) -> float:
@@ -171,22 +211,46 @@ def _y_integer_series(n: int, x: float) -> float:
         finite += math.factorial(n - m - 1) / math.factorial(m) * half ** (2 * m - n)
     finite /= math.pi
     # sum of (-1)^m [psi(m+1) + psi(m+n+1)] / (m! (m+n)!) * half^(2m+n)
-    h_m = 0.0
-    h_mn = sum(1.0 / i for i in range(1, n + 1))
+    first, dens, coefs = _y_integer_terms(n)
     term = half**n / math.factorial(n)
-    total = (-2.0 * _EULER_GAMMA + h_m + h_mn) * term
+    total = first * term
     q = half * half
-    sign = 1.0
-    for m in range(1, 400):
-        term *= q / (m * (m + n))
-        sign = -sign
-        h_m += 1.0 / m
-        h_mn += 1.0 / (m + n)
-        piece = sign * (-2.0 * _EULER_GAMMA + h_m + h_mn) * term
+    for d, c in zip(dens, coefs):
+        term *= q / d
+        piece = c * term
         total += piece
         if abs(piece) <= 1e-17 * (1.0 + abs(total)):
             break
     return log_part - finite - total / math.pi
+
+
+def _y_small(nu: float, x, series, integer_series):
+    # Y_nu for nu >= 0 at 0 < x <= the crossover
+    n = round(nu)
+    delta = nu - n
+    if delta == 0.0:
+        return integer_series(n, x)
+    # the connection formula loses ~1/|delta| in accuracy close to integer
+    # orders; blend through the integer-order series across a small window
+    window = 2e-4
+    if abs(delta) < window:
+        y_mid = integer_series(n, x)
+        y_lo = _y_connection(n - window, x, series)
+        y_hi = _y_connection(n + window, x, series)
+        curv = (y_hi - 2.0 * y_mid + y_lo) / (2.0 * window * window)
+        slope = (y_hi - y_lo) / (2.0 * window)
+        return y_mid + slope * delta + curv * delta * delta
+    return _y_connection(nu, x, series)
+
+
+def _y_reflected(v: float, x, y, j):
+    # Y_{-v} = cos(v pi) Y_v + sin(v pi) J_v
+    if (2.0 * v) % 2.0 == 1.0:
+        # half-odd v: cos(v pi) is 0, which math.cos misses by ~6e-17,
+        # enough for the large Y_v to swamp J_v at small x
+        jv = j(v, x)
+        return jv if (v - 0.5) % 2.0 == 0.0 else -jv
+    return math.cos(math.pi * v) * y(v, x) + math.sin(math.pi * v) * j(v, x)
 
 
 def bessel_y(nu: float, x: float) -> float:
@@ -194,31 +258,129 @@ def bessel_y(nu: float, x: float) -> float:
     if x <= 0.0:
         raise SpecialFunctionError(f"bessel_y requires x > 0, got {x}")
     if nu < 0.0:
-        # Y_{-v} = cos(v pi) Y_v + sin(v pi) J_v
-        v = -nu
-        if (2.0 * v) % 2.0 == 1.0:
-            # half-odd v: cos(v pi) is 0, which math.cos misses by ~6e-17,
-            # enough for the large Y_v to swamp J_v at small x
-            j = bessel_j(v, x)
-            return j if (v - 0.5) % 2.0 == 0.0 else -j
-        return math.cos(math.pi * v) * bessel_y(v, x) + math.sin(math.pi * v) * bessel_j(v, x)
+        return _y_reflected(-nu, x, bessel_y, bessel_j)
     if x > _crossover(nu):
         return _hankel_jy(nu, x)[1]
+    return _y_small(nu, x, _series_j, _y_integer_series)
+
+
+# ---------------------------------------------------------------------------
+# block forms: bessel_j and bessel_y over a float64 array of arguments
+#
+# The ascending series run over the lanes with 0 < x/2 and x <= the
+# crossover, each operation the scalar form's in the scalar form's order:
+# numpy's + - * / are correctly rounded, and powers and logarithms run per
+# element through Python's ** and math.log, since numpy's np.power and
+# np.log differ from them in the last bit.  Each lane stops at its own last
+# term.  Every other lane (the Hankel range, x <= 0, NaN, inf, a halving
+# that underflows) goes through the scalar function one element at a time,
+# and where the series raise (an overflowing power, a series that does not
+# converge) every lane does.  So each element is the scalar function's
+# value there, and a failing lane raises the scalar function's error.
+
+
+def _powers(base: np.ndarray, expo) -> np.ndarray:
+    return np.fromiter(map(pow, base.tolist(), repeat(expo)), float, len(base))
+
+
+_GROUP = 8  # series terms between two stop tests of the lanes
+
+
+def _sum_lanes(term: np.ndarray, total: np.ndarray, ratio: np.ndarray, dens,
+               coefs=None) -> tuple:
+    """The series loop on every lane: for each d of dens, term *= ratio / d,
+    the piece is term (or the next of coefs times term), total += piece,
+    and a lane stops at the first piece with |piece| <= 1e-17 (1 + |total|).
+
+    The stop test runs once per _GROUP terms, over the pieces and totals of
+    all of them, and the lanes that stopped leave the arrays then, each
+    with its total at its own first stop.  Returns the totals and whether
+    every lane stopped.
+    """
+    out = np.empty(len(total))
+    lanes = np.arange(len(total))
+    for start in range(0, len(dens), _GROUP):
+        group = dens[start:start + _GROUP]
+        pieces = np.empty((len(group), len(lanes)))
+        totals = np.empty_like(pieces)
+        for i, d in enumerate(group):
+            if coefs is None:
+                term = piece = np.multiply(term, ratio / d, out=pieces[i])
+            else:
+                term *= ratio / d
+                piece = np.multiply(term, coefs[start + i], out=pieces[i])
+            total = np.add(total, piece, out=totals[i])
+        stop = np.abs(pieces) <= 1e-17 * (1.0 + np.abs(totals))
+        hit = stop.any(axis=0)
+        if hit.any():
+            cols = np.flatnonzero(hit)
+            out[lanes[cols]] = totals[stop[:, cols].argmax(axis=0), cols]
+            if len(cols) == len(lanes):
+                return out, True
+            go = ~hit
+            lanes, term, total, ratio = lanes[go], term[go], total[go], ratio[go]
+    out[lanes] = total
+    return out, False
+
+
+def _series_j_block(nu: float, x: np.ndarray) -> np.ndarray:
+    half = 0.5 * x
+    term = _powers(half, nu) * _rgamma(nu + 1.0)
+    total, converged = _sum_lanes(term, term.copy(), -(half * half), _denominators(nu))
+    if not converged:
+        raise SpecialFunctionError(f"Bessel series did not converge (nu={nu})")
+    return total
+
+
+def _j_block(nu: float, x: np.ndarray) -> np.ndarray:
     n = round(nu)
-    delta = nu - n
-    if delta == 0.0:
-        return _y_integer_series(n, x)
-    # the connection formula loses ~1/|delta| in accuracy close to integer
-    # orders; blend through the integer-order series across a small window
-    window = 2e-4
-    if abs(delta) < window:
-        y_mid = _y_integer_series(n, x)
-        y_lo = _y_connection(n - window, x)
-        y_hi = _y_connection(n + window, x)
-        curv = (y_hi - 2.0 * y_mid + y_lo) / (2.0 * window * window)
-        slope = (y_hi - y_lo) / (2.0 * window)
-        return y_mid + slope * delta + curv * delta * delta
-    return _y_connection(nu, x)
+    if nu == n and n < 0:
+        return (-1.0 if n % 2 else 1.0) * _series_j_block(float(-n), x)
+    return _series_j_block(nu, x)
+
+
+def _y_integer_block(n: int, x: np.ndarray) -> np.ndarray:
+    half = 0.5 * x
+    logs = np.fromiter(map(math.log, half.tolist()), float, len(half))
+    log_part = (2.0 / math.pi) * logs * _series_j_block(float(n), x)
+    finite = np.zeros(len(x))
+    for m in range(n):
+        finite += math.factorial(n - m - 1) / math.factorial(m) * _powers(half, 2 * m - n)
+    finite /= math.pi
+    first, dens, coefs = _y_integer_terms(n)
+    term = _powers(half, n) / float(math.factorial(n))
+    total, _ = _sum_lanes(term, first * term, half * half, dens, coefs)
+    return log_part - finite - total / math.pi
+
+
+def _y_block(nu: float, x: np.ndarray) -> np.ndarray:
+    if nu < 0.0:
+        return _y_reflected(-nu, x, _y_block, _j_block)
+    return _y_small(nu, x, _series_j_block, _y_integer_block)
+
+
+def _lanes(scalar, series, nu: float, x: np.ndarray) -> np.ndarray:
+    """scalar(nu, .) at each element of x: series on the lanes the
+    ascending series serves, scalar one element at a time elsewhere."""
+    out = np.empty(len(x))
+    with np.errstate(all="ignore"):
+        inner = (x <= _crossover(nu)) & (0.5 * x > 0.0)
+        if inner.any():
+            try:
+                out[inner] = series(nu, x[inner])
+            except (ArithmeticError, ValueError):
+                inner[:] = False
+    for i in np.flatnonzero(~inner).tolist():
+        out[i] = scalar(nu, float(x[i]))
+    return out
+
+
+def _bessel_j_block(nu: float, x: np.ndarray) -> np.ndarray:
+    return _lanes(bessel_j, _j_block, nu, x)
+
+
+def _bessel_y_block(nu: float, x: np.ndarray) -> np.ndarray:
+    return _lanes(bessel_y, _y_block, nu, x)
 
 
 _SCAN_STEP = 0.05
@@ -226,8 +388,9 @@ _SCAN_STEP = 0.05
 _SCAN_MAX_POINTS = 100_000
 
 
-def _zeros_of(fn, lo: float, hi: float) -> list[float]:
-    """Zeros of a smooth oscillatory function by scan + bisection."""
+def _zeros_of(fn, block, lo: float, hi: float) -> list[float]:
+    """Zeros of a smooth oscillatory function by scan + bisection; block is
+    fn's block form, which evaluates the scan grid."""
     zeros = []
     if hi <= lo:
         return zeros
@@ -236,11 +399,18 @@ def _zeros_of(fn, lo: float, hi: float) -> list[float]:
         raise SpecialFunctionError(
             f"zero scan of [{lo!r}, {hi!r}] at step {_SCAN_STEP} needs more than "
             f"{_SCAN_MAX_POINTS} points")
-    prev_x = lo
-    prev_f = fn(prev_x)
-    for i in range(1, count):
-        cur_x = lo + (hi - lo) * i / (count - 1)
-        cur_f = fn(cur_x)
+    # the grid point i is lo + (hi - lo) * i / (count - 1), as a loop over i
+    # would compute it; lo itself at i = 0
+    grid = lo + (hi - lo) * np.arange(count) / (count - 1)
+    xs = grid.tolist()
+    try:
+        fs = iter(block(grid).tolist())
+    except (ArithmeticError, ValueError):
+        # point by point in the scan's order, so a failing point raises
+        # where it did, after the zeros before it
+        fs = map(fn, xs)
+    prev_x, prev_f = xs[0], next(fs)
+    for cur_x, cur_f in zip(xs[1:], fs):
         if prev_f == 0.0:
             zeros.append(prev_x)
         elif prev_f * cur_f < 0.0:
@@ -258,11 +428,13 @@ def _zeros_of(fn, lo: float, hi: float) -> list[float]:
 
 
 def bessel_j_zeros(nu: float, lo: float, hi: float) -> list[float]:
-    return _zeros_of(lambda z: bessel_j(nu, z), max(lo, 1e-9), hi)
+    return _zeros_of(lambda z: bessel_j(nu, z), lambda zs: _bessel_j_block(nu, zs),
+                     max(lo, 1e-9), hi)
 
 
 def bessel_y_zeros(nu: float, lo: float, hi: float) -> list[float]:
-    return _zeros_of(lambda z: bessel_y(nu, z), max(lo, 1e-2), hi)
+    return _zeros_of(lambda z: bessel_y(nu, z), lambda zs: _bessel_y_block(nu, zs),
+                     max(lo, 1e-2), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +453,8 @@ def _d_bessel(name):
 
 
 register_function(FunctionHook(
-    "besselj", 2, bessel_j, _d_bessel("besselj"), constant_args=(0,)))
+    "besselj", 2, bessel_j, _d_bessel("besselj"), constant_args=(0,),
+    block=_bessel_j_block))
 register_function(FunctionHook(
-    "bessely", 2, bessel_y, _d_bessel("bessely"), constant_args=(0,)))
+    "bessely", 2, bessel_y, _d_bessel("bessely"), constant_args=(0,),
+    block=_bessel_y_block))

@@ -255,6 +255,19 @@ def test_transform_rejects_sign_changing_weight(tmp_path, capsys):
     assert "positivity" in err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("transform", {**IDENTITY, "interval": [-1e308, 1e308]}),
+    ("solve", {**FREE, "interval": [-1e308, 1e308]}),
+])
+def test_an_interval_whose_width_overflows_is_an_input_error(tmp_path, capsys, command,
+                                                             payload):
+    # it used to reach numpy's linspace: two RuntimeWarnings, then exit 3
+    path = write(tmp_path, "wide.json", payload)
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: [interval] width must be finite, got [-1e+308, 1e+308]\n"
+
+
 def test_transform_rejects_a_schrodinger_file(tmp_path, capsys):
     path = write(tmp_path, "paine.json", PAINE)
     code, out, err = run_cli(capsys, "transform", path)

@@ -413,6 +413,10 @@ def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
 # a nonfinite hook value and power, which evaluate refuses where they stand
 @example(root=Div(Const(1.0), Call("exp", (Var(),))), xs=[0.0, math.inf], variable="x")
 @example(root=Div(Const(1.0), Pow(Var(), Const(2.0))), xs=[1.0, math.inf], variable="x")
+# a Bessel tree over two blocks, the series and Hankel lanes of both kinds,
+# and a second block whose last point fails
+@example(root=Mul(Call("besselj", (Const(0.75), Var())), Call("bessely", (Const(-2.7), Var()))),
+         xs=[0.05 * (i + 1) for i in range(expr._BLOCK + 2)] + [0.0], variable="x")
 def test_evaluate_many_matches_evaluate_point_by_point(root, xs, variable):
     ast = ExpressionAST(root, variable)
     checked = [ast]

@@ -27,6 +27,18 @@ def test_validate_flags_bad_interval():
     assert any(v.code == "interval" for v in bad)
 
 
+def test_validate_flags_an_interval_whose_width_overflows():
+    # both ends are finite and ordered, but b - a is inf: a grid or a mesh
+    # built across the interval would overflow
+    message = "[interval] width must be finite, got [-1e+308, 1e+308]"
+    bad = validate(canonical(a=-1e308, b=1e308))
+    assert [str(v) for v in bad] == [message]
+    bad = validate(SchrodingerSLP(parse("0", "t"), -1e308, 1e308))
+    assert [str(v) for v in bad] == [message]
+    # the widest interval whose width is a double is accepted
+    assert validate(canonical(a=-8e307, b=8e307)) == []
+
+
 def test_validate_flags_evaluation_failure():
     bad = validate(canonical(p="sqrt(x)", a=-1.0, b=1.0))
     assert any(v.code == "evaluation" for v in bad)

@@ -228,3 +228,210 @@ def test_bessel_derivative_hooks_match_finite_differences():
             fd = (f.evaluate(x - 2 * h) - 8 * f.evaluate(x - h)
                   + 8 * f.evaluate(x + h) - f.evaluate(x + 2 * h)) / (12 * h)
             assert df.evaluate(x) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the series loops against copies of their first, uncached form
+
+
+def _series_j_oracle(nu, x):
+    half = 0.5 * x
+    term = (half**nu if half > 0.0 else x**nu * 2.0**-nu) * special._rgamma(nu + 1.0)
+    total = term
+    q = half * half
+    for m in range(1, 400):
+        term *= -q / (m * (nu + m))
+        total += term
+        if abs(term) <= 1e-17 * (1.0 + abs(total)):
+            return total
+    raise SpecialFunctionError(f"Bessel series did not converge (nu={nu}, x={x})")
+
+
+def _y_integer_series_oracle(n, x):
+    half = 0.5 * x
+    log_part = (2.0 / math.pi) * math.log(half) * _series_j_oracle(float(n), x)
+    finite = 0.0
+    for m in range(n):
+        finite += math.factorial(n - m - 1) / math.factorial(m) * half ** (2 * m - n)
+    finite /= math.pi
+    h_m = 0.0
+    h_mn = sum(1.0 / i for i in range(1, n + 1))
+    term = half**n / math.factorial(n)
+    total = (-2.0 * 0.5772156649015329 + h_m + h_mn) * term
+    q = half * half
+    sign = 1.0
+    for m in range(1, 400):
+        term *= q / (m * (m + n))
+        sign = -sign
+        h_m += 1.0 / m
+        h_mn += 1.0 / (m + n)
+        piece = sign * (-2.0 * 0.5772156649015329 + h_m + h_mn) * term
+        total += piece
+        if abs(piece) <= 1e-17 * (1.0 + abs(total)):
+            break
+    return log_part - finite - total / math.pi
+
+
+def test_series_loops_match_their_uncached_form_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for nu in (0.0, 0.5, 1, 1.0615528128088303, 2.0001, -0.5, -2.3, 5.7, 20.25):
+        xs = [_log_uniform(rng, 1e-6, special._crossover(nu)) for _ in range(2000)]
+        xs += [5e-324, 1e-320, special._crossover(nu)]
+        for x in xs:
+            try:
+                want = _series_j_oracle(nu, x).hex()
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    special._series_j(nu, x)
+                continue
+            assert special._series_j(nu, x).hex() == want, (nu, x)
+    for n in range(7):
+        for x in [_log_uniform(rng, 1e-3, 12.0) for _ in range(500)]:
+            assert (special._y_integer_series(n, x).hex()
+                    == _y_integer_series_oracle(n, x).hex()), (n, x)
+
+
+# ---------------------------------------------------------------------------
+# block forms: the scalar function's value in every lane, its error in the
+# first failing one
+
+# J: negative integers are a sign times the positive order; Y: negative
+# half-odd orders are +-J, other negative orders the reflection formula, and
+# orders within 2e-4 of an integer the blend window
+_BLOCK_ORDERS = (0.0, 0.5, 1, 1.0615528128088303, 2.0, 7.5, 9.25, -1.0, -2.0, -3.0,
+                 -0.5, -1.5, -2.5, -0.3, -2.7, -9.25, 2.0 + 1e-4, 3.0 - 1.5e-4, 1e-5)
+_BLOCKS = ((bessel_j, special._bessel_j_block), (bessel_y, special._bessel_y_block))
+
+
+def _lane_points(nu):
+    # log-spaced, so lanes stop at different terms, and the neighbours of the
+    # series/Hankel crossover at max(12, 2|nu|), of 12 and of 2|nu|
+    xs = list(np.geomspace(1e-3, 40.0, 1500))
+    # with numpy 2.4 on x86-64, np.log(x/2) differs from math.log(x/2) at these
+    # in the last bit, and so would Y_0, Y_1 and Y_2 by a numpy logarithm
+    xs += [0.001664471230748766, 0.7824181434651084, 1.6854259909492755]
+    for edge in {12.0, 2.0 * abs(nu), special._crossover(nu)}:
+        if edge > 0.0:
+            xs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    return np.array(xs)
+
+
+def _outcomes(fn, *args):
+    try:
+        values = fn(*args)
+    except Exception as err:
+        return ("raised", type(err), str(err))
+    return ("value", [float(v).hex() for v in values])
+
+
+@pytest.mark.parametrize("nu", _BLOCK_ORDERS)
+def test_block_forms_match_the_scalar_functions_bit_for_bit(nu):
+    xs = _lane_points(nu)
+    for scalar, block in _BLOCKS:
+        want = [scalar(nu, x).hex() for x in xs.tolist()]
+        assert _outcomes(block, nu, xs) == ("value", want), (scalar.__name__, nu)
+        # evaluate_many runs the block form over blocks of expr._BLOCK points
+        tree = parse(f"{scalar.__name__.replace('_', '')}({nu!r},x)")
+        assert [v.hex() for v in tree.evaluate_many(xs)] == want
+
+
+@pytest.mark.parametrize("nu", _BLOCK_ORDERS)
+def test_a_failing_lane_raises_the_scalar_functions_error(nu):
+    regular = np.geomspace(0.01, 30.0, 40)
+    edges = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+             5e-324, 1e-320, 2.5e-308, 1e-200)
+    for scalar, block in _BLOCKS:
+        for edge in edges:
+            xs = np.concatenate([regular[:20], [edge], regular[20:]])
+            want = _outcomes(lambda xs: [scalar(nu, x) for x in xs.tolist()], xs)
+            assert _outcomes(block, nu, xs) == want, (scalar.__name__, nu, edge)
+        # two failing lanes: the first one's error
+        xs = np.concatenate([regular, [1e-320, 0.0, math.inf]])
+        want = _outcomes(lambda xs: [scalar(nu, x) for x in xs.tolist()], xs)
+        assert _outcomes(block, nu, xs) == want, (scalar.__name__, nu)
+
+
+def test_a_series_that_does_not_converge_raises_the_scalar_error(monkeypatch):
+    # with three terms only, the lanes past x ~ 1e-4 run out of them
+    monkeypatch.setattr(special, "_denominators",
+                        lambda nu: [m * (nu + m) for m in range(1, 4)])
+    xs = np.array([1e-6, 1e-5, 0.5, 2.0, 20.0])
+    for nu in (0.5, 2.0, -2.5, 2.0 + 1e-4):
+        for scalar, block in _BLOCKS:
+            want = _outcomes(lambda xs: [scalar(nu, x) for x in xs.tolist()], xs)
+            assert want[0] == "raised" and "did not converge" in want[2]
+            assert _outcomes(block, nu, xs) == want, (scalar.__name__, nu)
+
+
+def test_block_forms_call_the_scalar_function_only_past_the_series(monkeypatch):
+    calls = []
+    for name in ("bessel_j", "bessel_y"):
+        original = getattr(special, name)
+        monkeypatch.setattr(special, name,
+                            lambda nu, x, original=original: calls.append((nu, x))
+                            or original(nu, x))
+    xs = np.array([0.5, 11.5, 12.0, 12.5, 30.0])
+    for block in (special._bessel_j_block, special._bessel_y_block):
+        for nu in (0.5, -2.0, -0.3, 1.0):
+            calls.clear()
+            block(nu, xs)
+            # a negative order's scalar call reflects to the positive order
+            assert [x for order, x in calls if order == nu] == [12.5, 30.0], (
+                block.__name__, nu)
+
+
+# ---------------------------------------------------------------------------
+# zero scans: the grid by the block form, the bisection point by point
+
+
+def _zeros_oracle(fn, lo, hi):
+    zeros = []
+    count = max(2, math.ceil((hi - lo) / special._SCAN_STEP) + 1)
+    prev_x = lo
+    prev_f = fn(prev_x)
+    for i in range(1, count):
+        cur_x = lo + (hi - lo) * i / (count - 1)
+        cur_f = fn(cur_x)
+        if prev_f == 0.0:
+            zeros.append(prev_x)
+        elif prev_f * cur_f < 0.0:
+            a, b, fa = prev_x, cur_x, prev_f
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = fn(mid)
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            zeros.append(0.5 * (a + b))
+        prev_x, prev_f = cur_x, cur_f
+    return zeros
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0615528128088303, 2.0, -1.5, 20.5])
+def test_zero_scans_match_a_point_by_point_scan(nu):
+    for zeros_of, fn, lo in ((bessel_j_zeros, bessel_j, 1e-9), (bessel_y_zeros, bessel_y, 1e-2)):
+        got = zeros_of(nu, 0.0, 60.3)
+        assert got == _zeros_oracle(lambda z: fn(nu, z), lo, 60.3), (fn.__name__, nu)
+        assert len(got) >= 10
+
+
+def test_zero_scan_falls_back_point_by_point_when_the_block_raises():
+    def fn(z):
+        seen.append(z)
+        if z > 7.3:
+            raise ValueError(f"refused at {z!r}")
+        return math.sin(z)
+
+    def block(zs):
+        raise ValueError("refused")
+
+    seen = []
+    with pytest.raises(ValueError) as scan:
+        special._zeros_of(fn, block, 0.5, 10.0)
+    scan_calls, seen = seen, []
+    with pytest.raises(ValueError) as oracle:
+        _zeros_oracle(fn, 0.5, 10.0)
+    # the same points in the same order, bisections included, to the same error
+    assert scan_calls == seen
+    assert str(scan.value) == str(oracle.value)
