@@ -36,7 +36,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .expr import Call, Const, FunctionHook, Mul, Sub, _fold_const, register_function
+from .expr import (_BLOCK, Call, Const, FunctionHook, Mul, Sub, _fold_const,
+                   register_function)
 
 
 class SpecialFunctionError(ValueError):
@@ -388,9 +389,24 @@ _SCAN_STEP = 0.05
 _SCAN_MAX_POINTS = 100_000
 
 
+def _scan(fn, block, lo: float, hi: float, count: int):
+    """(x, fn(x)) at the grid points lo + (hi - lo) * i / (count - 1), each
+    computed as a loop over i would compute it.  block, fn's block form,
+    evaluates them by blocks; where it raises, fn does, one point at a time
+    as the scan reaches it, so a failing point raises after the zeros
+    before it, as in a scan point by point."""
+    for start in range(0, count, _BLOCK):
+        xs = lo + (hi - lo) * np.arange(start, min(start + _BLOCK, count)) / (count - 1)
+        try:
+            fs = block(xs).tolist()
+        except (ArithmeticError, ValueError):
+            fs = map(fn, xs.tolist())
+        yield from zip(xs.tolist(), fs)
+
+
 def _zeros_of(fn, block, lo: float, hi: float) -> list[float]:
     """Zeros of a smooth oscillatory function by scan + bisection; block is
-    fn's block form, which evaluates the scan grid."""
+    fn's block form, which evaluates the scan."""
     zeros = []
     if hi <= lo:
         return zeros
@@ -399,18 +415,9 @@ def _zeros_of(fn, block, lo: float, hi: float) -> list[float]:
         raise SpecialFunctionError(
             f"zero scan of [{lo!r}, {hi!r}] at step {_SCAN_STEP} needs more than "
             f"{_SCAN_MAX_POINTS} points")
-    # the grid point i is lo + (hi - lo) * i / (count - 1), as a loop over i
-    # would compute it; lo itself at i = 0
-    grid = lo + (hi - lo) * np.arange(count) / (count - 1)
-    xs = grid.tolist()
-    try:
-        fs = iter(block(grid).tolist())
-    except (ArithmeticError, ValueError):
-        # point by point in the scan's order, so a failing point raises
-        # where it did, after the zeros before it
-        fs = map(fn, xs)
-    prev_x, prev_f = xs[0], next(fs)
-    for cur_x, cur_f in zip(xs[1:], fs):
+    points = _scan(fn, block, lo, hi, count)
+    prev_x, prev_f = next(points)
+    for cur_x, cur_f in points:
         if prev_f == 0.0:
             zeros.append(prev_x)
         elif prev_f * cur_f < 0.0:
