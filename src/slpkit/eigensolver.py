@@ -10,10 +10,8 @@ one comparison per row for a positive pivot, and each bisection pass counts
 every distinct midpoint once: brackets that have not separated yet share a
 midpoint and so share its count.  The bisection's bookkeeping (brackets,
 midpoints, window bounds) runs on lists of floats as well; only the
-Gershgorin bounds are numpy.  Assembly evaluates each coefficient on all its
-points by one `evaluate_many` batch; only where a batch fails, or p or r is
-not positive, does it walk the points one by one, so that its error names
-the first failing point.
+Gershgorin bounds are numpy.  Assembly evaluates each coefficient by
+`problems._evaluate_upto`, so its error names the first failing point.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
 of the second-order schemes.  Each grid's bisection starts from the same
 Gershgorin brackets and takes the same midpoints as a plain bisection, but
@@ -38,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .expr import ExprError
-from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _batch
+from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _evaluate_upto
 
 
 _EPS = float(np.finfo(float).eps)
@@ -298,54 +295,23 @@ def _mesh(lo: float, hi: float, n: int) -> tuple[float, float]:
 
 
 def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
-    """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2.
-
-    The potential is evaluated by one batch; where that fails, the per-point
-    loop finds the first failing point.
-    """
+    """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2."""
     h, inv_h2 = _mesh(problem.alpha, problem.beta, n)
     ts = problem.alpha + np.arange(1, n + 1) * h
-    values = _batch(problem.invariant, ts)
-    if values is None:
-        values = []
-        for t in ts.tolist():
-            try:
-                values.append(problem.invariant.evaluate(t))
-            except ExprError as err:
-                raise SolverError(f"potential evaluation failed at t={t!r}: {err}") from None
+    values, err = _evaluate_upto(problem.invariant, ts)
+    if err is not None:
+        raise SolverError(f"potential evaluation failed at t={float(ts[len(values)])!r}: {err}")
     # the list goes as its array comes: the diagonal is added in place
-    values = _floats(values)
+    values = np.array(values, dtype=float)
     values += 2.0 * inv_h2
     return SymTridiag(values, np.full(n - 1, -inv_h2))
 
 
-def _floats(values) -> np.ndarray | None:
-    """values as an array of floats, as the per-point loop stored them."""
-    return None if values is None else np.array(values, dtype=float)
-
-
-def _canonical_pointwise(problem: CanonicalSLP, mids: list, nodes: list, batches) -> list:
-    """p at the midpoints, then q and r interleaved at the nodes, point by
-    point: the first failing point raises.  A coefficient whose batch
-    succeeded is read from it; the others are evaluated here."""
-    pm, qv, rv = (None if v is None else v.tolist() for v in batches)
-    ps, qs, rs = [], [], []
-    for j, x in enumerate(mids):
-        try:
-            ps.append(problem.p.evaluate(x) if pm is None else pm[j])
-        except ExprError as err:
-            raise SolverError(f"p evaluation failed at x={x!r}: {err}") from None
-        if ps[-1] <= 0.0:
-            raise SolverError(f"nonpositive p = {float(ps[-1])!r} at midpoint x={x!r}")
-    for i, x in enumerate(nodes):
-        try:
-            qs.append(problem.q.evaluate(x) if qv is None else qv[i])
-            rs.append(problem.r.evaluate(x) if rv is None else rv[i])
-        except ExprError as err:
-            raise SolverError(f"q/r evaluation failed at x={x!r}: {err}") from None
-        if rs[-1] <= 0.0:
-            raise SolverError(f"nonpositive r = {float(rs[-1])!r} at node x={x!r}")
-    return [ps, qs, rs]
+def _first_nonpositive(values: np.ndarray) -> int | None:
+    """The index of the first value <= 0, after one C-speed min test."""
+    if values.min(initial=math.inf) > 0.0:
+        return None
+    return int(np.argmax(values <= 0.0))
 
 
 def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
@@ -354,23 +320,34 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
     A_ii = (p_{i-1/2} + p_{i+1/2})/h^2 + q_i,  A_{i,i+1} = -p_{i+1/2}/h^2,
     then D^{-1/2} A D^{-1/2} with D_ii = r_i.
 
-    Each coefficient is evaluated by one batch and kept as an array, so one
-    list of values is alive at a time.  Where a batch fails, or p or r is
-    not positive, the per-point loop finds the first failing point.
+    Each coefficient's values become an array before the next is evaluated,
+    so one list of values is alive at a time.  The first failure is the
+    one of a point-by-point walk: p at every midpoint, then q and r in turn
+    at each node, each node's r refused where it is not positive.
     """
     a, b = problem.a, problem.b
     h, inv_h2 = _mesh(a, b, n)
     mids = a + (np.arange(n + 1) + 0.5) * h
     nodes = a + np.arange(1, n + 1) * h
-    pm = _floats(_batch(problem.p, mids))
-    qv = rv = None
-    # every failure of p comes before q and r are evaluated
-    if pm is not None and pm.min() > 0.0:
-        qv = _floats(_batch(problem.q, nodes))
-        rv = _floats(_batch(problem.r, nodes))
-    if qv is None or rv is None or rv.min() <= 0.0:
-        pm, qv, rv = map(_floats, _canonical_pointwise(
-            problem, mids.tolist(), nodes.tolist(), (pm, qv, rv)))
+    pm, err = _evaluate_upto(problem.p, mids)
+    pm = np.array(pm, dtype=float)
+    j = _first_nonpositive(pm)
+    if j is not None:
+        raise SolverError(f"nonpositive p = {float(pm[j])!r} at midpoint x={float(mids[j])!r}")
+    if err is not None:
+        raise SolverError(f"p evaluation failed at x={float(mids[len(pm)])!r}: {err}")
+    qv, err = _evaluate_upto(problem.q, nodes)
+    qv = np.array(qv, dtype=float)
+    # r matters only before the node where q raised: q's error comes first there
+    rv, r_err = _evaluate_upto(problem.r, nodes[:len(qv)])
+    rv = np.array(rv, dtype=float)
+    i = _first_nonpositive(rv)
+    if i is not None:
+        raise SolverError(f"nonpositive r = {float(rv[i])!r} at node x={float(nodes[i])!r}")
+    if r_err is not None:
+        err = r_err  # r raised before q did
+    if err is not None:
+        raise SolverError(f"q/r evaluation failed at x={float(nodes[len(rv)])!r}: {err}")
     diag = ((pm[:-1] + pm[1:]) * inv_h2 + qv) / rv
     off = -pm[1:-1] * inv_h2 / np.sqrt(rv[:-1] * rv[1:])
     return SymTridiag(diag, off)

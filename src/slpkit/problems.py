@@ -8,12 +8,11 @@ the records store no boundary coefficients.
 
 Validation is deliberately sampling-based: coefficient expressions are
 opaque, so positivity of p and r (and evaluability of I) is checked on a
-dense grid rather than proved.  Each coefficient's samples are evaluated
-by one `evaluate_many` batch; where a violation shows, the samples are
-walked in order, reading the batch's values where it gave them and
-evaluating point by point where it raised, so a violation names the first
-failing sample.  `validate` is a pre-check of the input record; each
-numerical stage owns positivity at the points it evaluates.
+dense grid rather than proved.  `_evaluate_upto` evaluates the samples,
+and assembly's and verify's points, up to the first that fails, so a
+violation names the first failing sample.  `validate` is a pre-check of
+the input record; each numerical stage owns positivity at the points it
+evaluates.
 Assembly (eigensolver) refuses a nonpositive p at its midpoints and a
 nonpositive r at its nodes, and the forward map (liouville) refuses a point
 where sqrt(r/p) is not real or p is zero.  A p that dips below zero between
@@ -24,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .expr import Const, Add, Div, Pow, Var, ExpressionAST, ExprError
 
@@ -106,17 +107,28 @@ def _check_interval(lo: float, hi: float, out: list) -> None:
         out.append(Violation("interval", f"width must be finite, got [{lo}, {hi}]"))
 
 
-def _batch(fn, xs) -> list | None:
-    """fn at every point of the iterable xs from one evaluate_many call, or
-    None when fn has no evaluate_many or the batch fails; the caller's
-    per-point loop then reports the first failing point in its own order."""
+def _evaluate_upto(fn, xs, errors=ExprError) -> tuple:
+    """fn's values at the points of xs, in order, up to the first point that
+    raises one of `errors`, and that error (None where every point gives a
+    value); so len(values) is the index of the failing point.
+
+    One evaluate_many batch where fn has one and it succeeds; otherwise the
+    points are walked one by one, as Python floats, and the walk stops at
+    the first failure with the error evaluate raises there.
+    """
     many = getattr(fn, "evaluate_many", None)
-    if many is None:
-        return None
-    try:
-        return many(xs)
-    except ExprError:
-        return None
+    if many is not None:
+        try:
+            return many(xs), None
+        except errors:
+            pass
+    values = []
+    for x in xs.tolist() if isinstance(xs, np.ndarray) else xs:
+        try:
+            values.append(fn.evaluate(x))
+        except errors as err:
+            return values, err
+    return values, None
 
 
 def _samples(lo: float, hi: float) -> list:
@@ -126,30 +138,20 @@ def _samples(lo: float, hi: float) -> list:
 def _sample_positive(name: str, fn: ExpressionAST, lo: float, hi: float,
                      out: list) -> None:
     xs = _samples(lo, hi)
-    values = _batch(fn, xs)
-    if values is not None and min(values) > 0.0:
-        return
-    for i, x in enumerate(xs):
-        try:
-            v = fn.evaluate(x) if values is None else values[i]
-        except ExprError as err:
-            out.append(Violation("evaluation", f"{name} failed at x={x!r}: {err}"))
-            return
-        if v <= 0.0:
-            out.append(Violation("positivity", f"{name} = {v!r} <= 0 at x={x!r}"))
-            return
+    values, err = _evaluate_upto(fn, xs)
+    # a sign that fails before the failing point comes first
+    if values and min(values) <= 0.0:
+        i = next(i for i, v in enumerate(values) if v <= 0.0)
+        out.append(Violation("positivity", f"{name} = {values[i]!r} <= 0 at x={xs[i]!r}"))
+    elif err is not None:
+        out.append(Violation("evaluation", f"{name} failed at x={xs[len(values)]!r}: {err}"))
 
 
 def _sample_invariant(fn, lo: float, hi: float, out: list) -> None:
     ts = _samples(lo, hi)
-    if _batch(fn, ts) is not None:
-        return
-    for t in ts:
-        try:
-            fn.evaluate(t)
-        except ExprError as err:
-            out.append(Violation("evaluation", f"invariant failed at t={t!r}: {err}"))
-            return
+    values, err = _evaluate_upto(fn, ts)
+    if err is not None:
+        out.append(Violation("evaluation", f"invariant failed at t={ts[len(values)]!r}: {err}"))
 
 
 def validate(problem) -> list:

@@ -99,12 +99,16 @@ def _denominators(nu: float) -> list:
     return [m * (nu + m) for m in range(1, 400)]
 
 
+def _half_power(x: float, half: float, k: float) -> float:
+    # (x/2)**k.  Below 1e-323 the halving underflows to 0, which a negative
+    # power cannot be taken of; x**k / 2**k is the same power without it
+    return half**k if half > 0.0 else x**k * 2.0**-k
+
+
 def _series_j(nu: float, x: float) -> float:
     # ascending series; caller guarantees nu is not a negative integer
     half = 0.5 * x
-    # below 1e-323 the halving underflows to 0, which a negative order
-    # cannot be raised to; x**nu / 2**nu is the same power without it
-    term = (half**nu if half > 0.0 else x**nu * 2.0**-nu) * _rgamma(nu + 1.0)
+    term = _half_power(x, half, nu) * _rgamma(nu + 1.0)
     total = term
     nq = -(half * half)
     for d in _denominators(nu):
@@ -161,7 +165,7 @@ def _crossover(nu: float) -> float:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind, real order, x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:  # NaN too
         raise SpecialFunctionError(f"bessel_j requires x > 0, got {x}")
     n = round(nu)
     if nu == n and n < 0:
@@ -206,10 +210,13 @@ def _y_integer_terms(n: int) -> tuple:
 def _y_integer_series(n: int, x: float) -> float:
     # ascending series with the logarithmic term, nonnegative integer order
     half = 0.5 * x
-    log_part = (2.0 / math.pi) * math.log(half) * _series_j(float(n), x)
+    # where the halving underflows, log(x/2) is log(x) - log(2), and the
+    # finite sum's (x/2)**-n overflows for n >= 1, as it does at 1e-323
+    log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
+    log_part = (2.0 / math.pi) * log_half * _series_j(float(n), x)
     finite = 0.0
     for m in range(n):
-        finite += math.factorial(n - m - 1) / math.factorial(m) * half ** (2 * m - n)
+        finite += math.factorial(n - m - 1) / math.factorial(m) * _half_power(x, half, 2 * m - n)
     finite /= math.pi
     # sum of (-1)^m [psi(m+1) + psi(m+n+1)] / (m! (m+n)!) * half^(2m+n)
     first, dens, coefs = _y_integer_terms(n)
@@ -256,7 +263,7 @@ def _y_reflected(v: float, x, y, j):
 
 def bessel_y(nu: float, x: float) -> float:
     """Bessel function of the second kind, real order, x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:  # NaN too
         raise SpecialFunctionError(f"bessel_y requires x > 0, got {x}")
     if nu < 0.0:
         return _y_reflected(-nu, x, bessel_y, bessel_j)

@@ -16,8 +16,8 @@ from .eigensolver import solve_spectrum
 from .errors import NumericalError
 from .expr import ExprError
 from .inverse import InverseResult
-from .liouville import TabulatedInvariant, TransformError, invariant_at_x
-from .problems import PaineSpec, paine_schrodinger
+from .liouville import TabulatedInvariant, TransformError
+from .problems import PaineSpec, _evaluate_upto, paine_schrodinger
 
 ROUNDTRIP_TOL = 1e-8
 GAP_BUDGET_FACTOR = 5.0
@@ -40,20 +40,19 @@ class VerificationReport:
 def _residual_profile(result: InverseResult, spec: PaineSpec, samples: int) -> list:
     """(t, |I(x(t)) - k/(t+m)^2|) at `samples` equispaced interior t-points.
 
-    I(x(t)) and the reference are each one batch; where either fails, the
-    points are walked one by one, so the first failure raises as it would
-    point by point."""
+    The first failure raises as it would point by point: at each t, I(x(t))
+    before the reference."""
     alpha, beta = result.map.domain_t
     reference = paine_schrodinger(spec).invariant
     ts = [alpha + (beta - alpha) * j / (samples + 1) for j in range(1, samples + 1)]
-    try:
-        values = TabulatedInvariant(result.canonical, result.map).evaluate_many(ts)
-        references = reference.evaluate_many(ts)
-    except (ExprError, TransformError, NumericalError):
-        values, references = [], []
-        for t in ts:
-            values.append(invariant_at_x(result.canonical, result.map.x_of_t(t)))
-            references.append(reference.evaluate(t))
+    errors = (ExprError, TransformError, NumericalError)
+    values, err = _evaluate_upto(TabulatedInvariant(result.canonical, result.map), ts, errors)
+    # the reference matters only before the t where I(x(t)) failed
+    references, ref_err = _evaluate_upto(reference, ts[:len(values)], errors)
+    if ref_err is not None:
+        raise ref_err
+    if err is not None:
+        raise err
     return [(t, abs(value - ref)) for t, value, ref in zip(ts, values, references)]
 
 

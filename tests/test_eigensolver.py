@@ -588,6 +588,17 @@ ASSEMBLY_FAILURES = {
     "r nonpositive before q raises": (
         ("1", "ln(0.75 - x)", "x - 0.35"),
         "nonpositive r = -0.24999999999999997 at node x=0.1"),
+    # q raises at node 0.5, where r is first nonpositive: q's error, since
+    # the sign of r counts only at nodes where q and r both gave values
+    "q raises where r turns nonpositive": (
+        ("1", "sqrt(0.45 - x)", "0.45 - x"),
+        "q/r evaluation failed at x=0.5: sqrt of negative argument in "
+        "'sqrt(0.45-x)' at 0.5"),
+    # q and r both raise at node 0.5: q is evaluated first there
+    "q and r raise at one node": (
+        ("1", "sqrt(0.45 - x)", "1 + ln(0.45 - x)*0"),
+        "q/r evaluation failed at x=0.5: sqrt of negative argument in "
+        "'sqrt(0.45-x)' at 0.5"),
     # every batch succeeds; only the sign check fails
     "p nonpositive": (("x - 0.3", "0", "1"), "nonpositive p = -0.25 at midpoint x=0.05"),
     "r nonpositive": (("1", "x", "0.35 - x"),

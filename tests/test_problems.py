@@ -1,10 +1,16 @@
+import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from slpkit.expr import parse
+from slpkit.errors import NumericalError
+from slpkit.expr import _BLOCK, ExprError, parse
+from slpkit.liouville import TransformError, forward_transform
 from slpkit.problems import (CanonicalSLP, PaineSpec, SchrodingerSLP, Spectrum,
-                             paine_schrodinger, validate)
+                             _evaluate_upto, paine_schrodinger, validate)
 
 
 def canonical(p="1", q="0", r="1", a=0.0, b=math.pi):
@@ -97,3 +103,55 @@ def test_validate_reports_the_first_failing_invariant_sample():
     assert [str(v) for v in validate(bad)] == [
         "[evaluation] invariant failed at t=0.0: sqrt of negative argument in "
         "'sqrt(t-0.25)' at 0.0"]
+
+
+# ---------------------------------------------------------------------------
+# _evaluate_upto: the values and the error of a point-by-point loop
+
+def _loop_upto(fn, xs, errors):
+    values = []
+    for x in xs:
+        try:
+            values.append(fn.evaluate(x))
+        except errors as err:
+            return values, err
+    return values, None
+
+
+def _outcome(values, err):
+    return [float(v).hex() for v in values], type(err), str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3 * _BLOCK), c=st.floats(-0.25, 1.25),
+       form=st.sampled_from(["sqrt({c!r} - x)", "ln(x - {c!r})", "1/(x - {c!r})",
+                             "exp(800*{c!r}*x)", "{c!r}*x*1e308*10", "x + {c!r}"]),
+       as_array=st.booleans())
+@example(n=3000, c=0.5, form="sqrt({c!r} - x)", as_array=True)  # fails in the second block
+@example(n=3000, c=0.5, form="sqrt({c!r} - x)", as_array=False)
+# the walk reads Python floats: evaluate's error at an np.float64 says so
+@example(n=2, c=1.0, form="{c!r}*x*1e308*10", as_array=True)
+def test_evaluate_upto_matches_a_point_by_point_loop(n, c, form, as_array):
+    fn = parse(form.format(c=c))
+    grid = np.linspace(0.0, 1.0, n)
+    xs = grid if as_array else grid.tolist()
+    want = _outcome(*_loop_upto(fn, grid.tolist(), ExprError))
+    assert _outcome(*_evaluate_upto(fn, xs)) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _tabulated_invariant():
+    reduced, _ = forward_transform(canonical("1 + x", "x", "2 - x", 0.0, 1.0))
+    return reduced
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40))
+def test_evaluate_upto_matches_the_loop_on_a_tabulated_invariant(offsets):
+    # a t off the map raises TransformError from x_of_t
+    reduced = _tabulated_invariant()
+    alpha, beta = reduced.alpha, reduced.beta
+    ts = [alpha + (beta - alpha) * u for u in offsets]
+    errors = (ExprError, TransformError, NumericalError)
+    want = _outcome(*_loop_upto(reduced.invariant, ts, errors))
+    assert _outcome(*_evaluate_upto(reduced.invariant, ts, errors)) == want

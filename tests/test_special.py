@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slpkit import special
-from slpkit.expr import parse
+from slpkit.expr import EvalDomainError, parse
 from slpkit.special import (SpecialFunctionError, bessel_j, bessel_j_zeros,
                             bessel_y, bessel_y_zeros, gamma_fn)
 
@@ -49,6 +49,34 @@ def test_bessel_j_at_the_smallest_subnormal_arguments():
 def test_bessel_j_requires_positive_argument():
     with pytest.raises(SpecialFunctionError):
         bessel_j(1.0, 0.0)
+
+
+def test_bessel_functions_refuse_a_nan_argument_before_any_series(monkeypatch):
+    def refuse(nu, x):
+        raise AssertionError(f"series entered at x={x!r}")
+
+    monkeypatch.setattr(special, "_series_j", refuse)
+    for fn in (bessel_j, bessel_y):
+        with pytest.raises(SpecialFunctionError) as err:
+            fn(0.5, math.nan)
+        assert str(err.value) == f"{fn.__name__} requires x > 0, got nan"
+
+
+def test_bessel_y_at_the_smallest_subnormal_argument():
+    # 0.5 * x underflows to 0 here, so log(x/2) is taken as log(x) - log(2)
+    import mpmath
+    with mpmath.workdps(30):
+        want = float(mpmath.bessely(0, 5e-324))  # -473.9990734230043
+    assert bessel_y(0.0, 5e-324) == pytest.approx(want, rel=4e-16)
+    assert parse("bessely(0,x)").evaluate(5e-324) == bessel_y(0.0, 5e-324)
+    # Y_n is -inf there for n >= 1: an overflow, as at 1e-323, and so an
+    # evaluation error in an expression rather than a ZeroDivisionError
+    for n in (1.0, 2.0, 3.0):
+        for x in (5e-324, 1e-323):
+            with pytest.raises(OverflowError):
+                bessel_y(n, x)
+        with pytest.raises(EvalDomainError):
+            parse(f"bessely({n!r},x)").evaluate(5e-324)
 
 
 def test_bessel_y_half_order_values():

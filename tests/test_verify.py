@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from slpkit.expr import parse
+from slpkit.expr import ExprError, parse
 from slpkit.inverse import InverseResult, ValidityInfo, build_case
 from slpkit.liouville import TransformMap, invariant_at_x
 from slpkit.problems import CanonicalSLP, PaineSpec, paine_schrodinger
@@ -46,6 +46,36 @@ def test_residual_profile_matches_the_point_by_point_loop(label, k, params):
         value = invariant_at_x(result.canonical, result.map.x_of_t(t))
         expected.append((t, abs(value - reference.evaluate(t))))
     assert repr(_residual_profile(result, spec, 101)) == repr(expected)
+
+
+@pytest.mark.parametrize("q, culprit", [
+    # I(x(t)) and the reference both fail at the ninth t: I's error
+    ("1/(x + 0.09999999999999998)", "'1/(x+"),
+    # the reference fails at the ninth t, I(x(t)) only from the fourteenth
+    ("sqrt(0.5 - x)", "'1/(t+"),
+    # I(x(t)) fails at the seventh t, before the reference
+    ("sqrt(-0.5 - x)", "'sqrt(-0.5-x)'"),
+])
+def test_residual_profile_raises_the_first_failure_of_the_point_by_point_loop(q, culprit):
+    # with p = r = 1 and t = x, I is q; the reference k/(t+m)^2 divides by
+    # zero at the ninth of 19 points, t = -m
+    samples = 19
+    ts = [-1.0 + 2.0 * j / (samples + 1) for j in range(1, samples + 1)]
+    spec = PaineSpec(1.0, -ts[8])
+    canonical = CanonicalSLP(parse("1"), parse(q), parse("1"), -1.0, 1.0)
+    ident = TransformMap.closed_form(parse("x"), parse("t", "t"), (-1.0, 1.0), (-1.0, 1.0))
+    result = InverseResult(canonical=canonical, map=ident, exact=True,
+                           validity=ValidityInfo(None, None, None, ()),
+                           case_label="identity", extras={})
+    reference = paine_schrodinger(spec).invariant
+    with pytest.raises(ExprError) as want:
+        for t in ts:
+            invariant_at_x(canonical, ident.x_of_t(t))
+            reference.evaluate(t)
+    with pytest.raises(ExprError) as got:
+        _residual_profile(result, spec, samples)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert culprit in str(got.value)
 
 
 def test_roundtrip_rejects_too_few_samples():
