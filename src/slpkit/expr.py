@@ -61,7 +61,8 @@ own value.  Powers and the other hooks run per element, through Python's
 block in which any element may fail (a zero divisor, a power or hook value
 ``evaluate`` would refuse, a hook error, a nonfinite result) is evaluated
 again point by point by ``evaluate``, so the first failing point raises
-the error ``evaluate`` raises there, as from ``[evaluate(x) for x in xs]``.
+the error ``evaluate`` raises there, as from ``[evaluate(x) for x in xs]``,
+carrying the values of the points before it as ``values``.
 """
 
 from __future__ import annotations
@@ -717,7 +718,8 @@ class ExpressionAST:
         The points, read once in order, are evaluated by the block form in
         blocks of _BLOCK: each line runs once per block.  A block where
         some element may fail is evaluated point by point by evaluate, so
-        the first failing point raises evaluate's error there.
+        the first failing point raises evaluate's error there; the error's
+        `values` are the values of the points before it.
         """
         try:
             fn = self._fn_block
@@ -732,7 +734,12 @@ class ExpressionAST:
                 try:
                     out += _run_block(fn, chunk)
                 except _Deferred:
-                    out += [self.evaluate(x) for x in chunk]
+                    try:
+                        for x in chunk:
+                            out.append(self.evaluate(x))
+                    except ExprError as err:
+                        err.values = out
+                        raise
         return out
 
     def __hash__(self) -> int:

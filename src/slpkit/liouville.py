@@ -7,7 +7,10 @@ module builds that map numerically (tabulated with monotone cubic Hermite
 interpolation between nodes, exact slopes sqrt(r/p) at the nodes; nodes,
 slopes and quadrature share their sqrt(r/p) values, evaluated in batches
 and once per point), exposes the potential I through its x-space
-expression, and inverts the map.
+expression, and inverts the map.  The adaptive refinement is that of a
+depth-first walk: the walk itself runs it for a fixed number of lookups
+per chunk of cells, so a non-integrable point fails fast, and hands what
+is left to a level-by-level numpy form of the same arithmetic.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
@@ -47,6 +50,28 @@ _MAX_DEPTH = 48
 _MAX_CELL_DEPTH = 45  # map refinement: halvings of a base cell
 
 
+class _Handover(Exception):
+    """The walk's lookup budget ran out (see build_map).  `pending` is what
+    the walk left of the call that raised it: None where that call had not
+    begun, a Simpson node not begun (the tuple of _simpson_step's arguments
+    after fn), or a list [l, r] of its halves, whose value is l + r, each
+    half a float it finished, a node or such a list."""
+
+    pending = None
+
+
+def _halves(pending, l, r, right_first, lnode, rnode):
+    # [l, r] as a walk that stopped inside one of them left them: a half not
+    # begun is its node, and the half that raised, the first in the walk's
+    # order without a value, holds what it left
+    first = 1 if right_first else 0
+    raised = first if (l, r)[first] is None else 1 - first
+    parts = [lnode if l is None else l, rnode if r is None else r]
+    if pending is not None:
+        parts[raised] = pending
+    return parts
+
+
 def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
@@ -63,20 +88,39 @@ def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
     half = 0.5 * eps
     # the half whose outer samples sum larger first: a pole sits there, and
     # a non-integrable one fails before its neighbours are resolved
-    if frm + fb > fa + flm:
-        r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
-        l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
-    else:
-        l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
-        r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
+    right_first = frm + fb > fa + flm
+    l = r = None
+    try:
+        if right_first:
+            r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
+            l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+        else:
+            l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+            r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
+    except _Handover as stop:
+        stop.pending = _halves(stop.pending, l, r, right_first,
+                               (a, m, fa, flm, fm, left, half, depth + 1),
+                               (m, b, fm, frm, fb, right, half, depth + 1))
+        raise
     return l + r
+
+
+def _simpson_root(fn, lo, hi, flo, fhi, tol):
+    """The root of _adaptive_simpson's tree, as _simpson_step's arguments
+    after fn; elementwise where the points are arrays."""
+    fmid = fn(0.5 * (lo + hi))
+    return lo, hi, flo, fmid, fhi, (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi), tol, 0
 
 
 def _adaptive_simpson(fn, lo, hi, flo, fhi, tol):
     """Integral of fn over [lo, hi]; flo and fhi are fn(lo) and fn(hi)."""
-    fmid = fn(0.5 * (lo + hi))
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return _simpson_step(fn, lo, hi, flo, fmid, fhi, whole, tol, 0)
+    root = _simpson_root(fn, lo, hi, flo, fhi, tol)
+    try:
+        return _simpson_step(fn, *root)
+    except _Handover as stop:
+        if stop.pending is None:
+            stop.pending = root
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +247,8 @@ class TransformMap:
 
 _BASE_NODES = 2049
 _MAX_CHUNK = 256  # base cells per depth-0 batch, at most
+_WALK_LOOKUPS = 4096  # sqrt(r/p) lookups a chunk's walk makes before it hands over
+_MAX_NODES = 1 << 17  # Simpson nodes batched refinement may hold at once
 
 
 def _sigma_ast(problem: CanonicalSLP) -> ExpressionAST:
@@ -245,11 +291,229 @@ def _depth0_step(points, values, lo, hi, slo, shi, half_tol, quad_tol):
 def _simpson_once(a, m, b, fa, flm, fm, frm, fb, eps):
     # _adaptive_simpson's whole, then _simpson_step at depth 0: the value and its test
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    _, _, key, value = _simpson_halves(a, m, b, fa, fm, fb, flm, frm, whole)
+    return value, key <= 15.0 * eps
+
+
+def _simpson_halves(a, m, b, fa, fm, fb, flm, frm, estimate):
+    """_simpson_step's arithmetic, elementwise: the halves' estimates, a key
+    that is |delta|, or 0 where the rounding floor passes, so the node is a
+    leaf where key <= 15*eps, and the node's value as a leaf."""
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    ok = (abs(delta) <= 15.0 * eps) | (abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right)))
-    return left + right + delta / 15.0, ok
+    both = left + right
+    delta = both - estimate
+    size = abs(delta)
+    key = np.where(size <= 60.0 * 2.2e-16 * (abs(left) + abs(right)), 0.0, size)
+    return left, right, key, both + delta / 15.0
+
+
+class _Fallback(Exception):
+    """Batched refinement stops: a depth cap, or more than _MAX_NODES nodes."""
+
+
+def _nodes(part):
+    # the Simpson nodes in what the walk left (see _Handover), left to right
+    if isinstance(part, list):
+        for half in part:
+            yield from _nodes(half)
+    elif isinstance(part, tuple):
+        yield part
+
+
+def _total(part, values):
+    # what the walk left, its nodes' values taken from `values` in _nodes order
+    if isinstance(part, list):
+        return _total(part[0], values) + _total(part[1], values)
+    return next(values) if isinstance(part, tuple) else part
+
+
+class _Table:
+    """sqrt(r/p) by point for batched refinement, as sorted arrays.  A
+    lookup evaluates the points it does not hold by one evaluate_many batch,
+    each point once, and keeps them; x = 0 is never kept (0.0 and -0.0 are
+    one key, but sqrt(r/p) may tell them apart), so it is evaluated each time."""
+
+    def __init__(self, evaluate_many, known: dict):
+        self.evaluate_many = evaluate_many
+        # +inf, never a point, keeps every search inside the arrays
+        keys = np.fromiter(known, float, len(known))
+        order = np.argsort(keys)
+        self.keys = np.append(keys[order], math.inf)
+        self.values = np.append(np.fromiter(known.values(), float, len(known))[order], math.nan)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self.keys, points)
+        out = self.values[at]
+        miss = self.keys[at] != points
+        if miss.any():
+            xs = points[miss]
+            zero = xs == 0.0
+            fresh = np.unique(xs[~zero])
+            new = np.array(self.evaluate_many(np.concatenate((fresh, xs[zero]))))
+            got = np.empty(len(xs))
+            got[~zero] = new[np.searchsorted(fresh, xs[~zero])]
+            got[zero] = new[len(fresh):]
+            out[miss] = got
+            at = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            self.values = np.insert(self.values, at, new[:len(fresh)])
+        return out
+
+
+# the rows of a split node's children among a, m, b, fa, fm, fb, flm, frm,
+# left, right, eps/2, depth+1: the left child's arguments, then the right's
+_CHILDREN = np.array([[0, 1, 3, 6, 4, 8, 10, 11], [1, 2, 4, 7, 5, 9, 10, 11]])
+# the rows of a split cell's halves among x0, xm, x1, s0, sm, s1, depth+1,
+# then where each half's trees are (forest, index: left half's, right half's)
+_CELL_CHILDREN = np.array([[0, 1, 3, 4, 6, 7, 9], [1, 2, 4, 5, 6, 8, 10]])
+
+
+@np.errstate(all="ignore")
+def _simpson_levels(lookup, nodes, room):
+    """Run Simpson nodes (the rows of `nodes` are _simpson_step's arguments
+    after fn, a column per node, in x order) level by level: one lookup of
+    every node's two points per level, then _simpson_step's arithmetic
+    elementwise.  Returns the levels, the nodes' own first, each as (key,
+    value, split) with key and value those of _simpson_halves; split nodes
+    have their children, in x order, at the next level.  More than `room`
+    nodes, or a split at _MAX_DEPTH, raise _Fallback."""
+    levels = []
+    while nodes.shape[1]:
+        room -= nodes.shape[1]
+        if room < 0:
+            raise _Fallback
+        a, b, fa, fm, fb, estimate, eps, depth = nodes
+        m = 0.5 * (a + b)
+        flm, frm = lookup(0.5 * np.concatenate((a + m, m + b))).reshape(2, -1)
+        left, right, key, value = _simpson_halves(a, m, b, fa, fm, fb, flm, frm, estimate)
+        split = ~(key <= 15.0 * eps)
+        levels.append((key, value, split))
+        if (split & (depth >= _MAX_DEPTH)).any():
+            raise _Fallback
+        rows = np.array((a, m, b, fa, fm, fb, flm, frm, left, right, eps, depth))[:, split]
+        rows[10] *= 0.5
+        rows[11] += 1.0
+        nodes = rows[_CHILDREN].transpose(1, 2, 0).reshape(8, -1)
+    return levels
+
+
+def _tree_values(levels, top, eps=None):
+    """The values of the nodes at levels[top] (of _simpson_levels), a split
+    node's value l + r.  Nodes split as they did in the run or, given the
+    tolerances by depth `eps`, where they fail _simpson_step's test as
+    nodes of trees rooted at levels[top], k levels down with tolerance
+    eps[k]: where those are looser than the run's, the same points split a
+    subset of the nodes, so those trees were run whole."""
+    values = None
+    for k in range(len(levels) - 1, top - 1, -1):
+        key, value, ran = levels[k]
+        split = ran if eps is None else ran & ~(key <= 15.0 * eps[k - top])
+        if split.any():
+            value = value.copy()
+            value[split] = (values[0::2] + values[1::2])[split[ran]]
+        values = value
+    return values
+
+
+def _accept(x0, x1, s0, s1, depth, xm, left, right, quad_tol, pieces):
+    """The walk's Hermite test on cells, elementwise: the pieces of the
+    cells it accepts go to `pieces` (right ends, integrals, slopes), and
+    the mask of the cells that split is returned; a split at
+    _MAX_CELL_DEPTH raises _Fallback."""
+    total = left + right
+    ok = abs(_hermite_value(xm, x0, x1, 0.0, total, s0, s1) - left) <= quad_tol
+    xs, integrals, ds = pieces
+    xs += x1[ok].tolist()
+    integrals += total[ok].tolist()
+    ds += s1[ok].tolist()
+    split = ~ok
+    if (split & (depth >= _MAX_CELL_DEPTH)).any():
+        raise _Fallback
+    return split
+
+
+def _finish(lookup, cell, half_tol, quad_tol, pieces) -> list:
+    """The cell the walk stopped in: (x0, x1, s0, s1, depth, xm, sqrt(r/p)
+    at xm, then what the walk left of its left and right halves, None for
+    a half not begun).  Runs what is left and tests the cell; returns its
+    halves as cells not begun where it splits."""
+    x0, x1, s0, s1, depth, xm, sm, *halves = cell
+    parts = [part if part is not None else
+             _simpson_root(lambda x: lookup(np.array([x]))[0], *span, half_tol)
+             for part, span in zip(halves, ((x0, xm, s0, sm), (xm, x1, sm, s1)))]
+    nodes = np.array([n for part in parts for n in _nodes(part)]).T
+    values = iter(_tree_values(_simpson_levels(lookup, nodes, _MAX_NODES), 0).tolist())
+    left, right = (_total(part, values) for part in parts)
+    if _accept(*np.array([[x0], [x1], [s0], [s1], [depth], [xm], [left], [right]]),
+               quad_tol, pieces)[0]:
+        return [(x0, xm, s0, sm, depth + 1), (xm, x1, sm, s1, depth + 1)]
+    return []
+
+
+@np.errstate(all="ignore")
+def _refine_batched(lookup, cells, started, half_tol, quad_tol, pieces):
+    """The walk's refinement of `cells` (tuples x0, x1, s0, s1, depth, not
+    begun), after `_finish` of `started` where that is not None, run a
+    generation of cells at a time: their Simpson trees, then the Hermite
+    test elementwise.  A depth cap, or more than _MAX_NODES nodes held,
+    raises _Fallback.
+
+    A cell's two trees cover its halves with root tolerance half_tol.  A
+    half of a child cell is a half of one of its parent's halves, and the
+    parent's tree there ran on the same points with half that tolerance.
+    So where the parent's root over it split, the child's trees are
+    subtrees already run, which `_tree_values` reads; the other cells'
+    trees run by `_simpson_levels`, a generation's as one forest."""
+    if started is not None:
+        cells = cells + _finish(lookup, started, half_tol, quad_tol, pieces)
+    # a column per cell: x0, x1, s0, s1, depth, then where its trees are:
+    # the generation whose forest holds them (-1: none yet) and the index of
+    # its left root there, the right root next to it; in x order, kept below
+    cells = np.array([cell + (-1, 0) for cell in sorted(cells)], dtype=float).reshape(-1, 7).T
+    forests = {}
+    eps = [half_tol]  # a tree's tolerances by depth, halved as the walk halves them
+    while len(eps) <= _MAX_DEPTH:
+        eps.append(0.5 * eps[-1])
+    generation = 0
+    while cells.shape[1]:
+        x0, x1, s0, s1, depth, forest, index = cells
+        index = index.astype(int)
+        xm = 0.5 * (x0 + x1)
+        sm = lookup(xm)
+        left, right = np.empty(len(x0)), np.empty(len(x0))
+        for born, levels in forests.items():
+            cell = np.flatnonzero(forest == born)
+            values = _tree_values(levels, generation - born, eps)
+            left[cell], right[cell] = values[index[cell]], values[index[cell] + 1]
+        run = np.flatnonzero(forest < 0)
+        if len(run):
+            held = sum(len(key) for levels in forests.values() for key, _, _ in levels)
+            # each cell's left half, then its right half
+            spans = np.array((x0, xm, x1, s0, sm, s1))[:, run][[[0, 1], [1, 2], [3, 4], [4, 5]]]
+            roots = _simpson_root(lookup, *spans.transpose(0, 2, 1).reshape(4, -1), half_tol)
+            levels = _simpson_levels(lookup, np.array(np.broadcast_arrays(*roots)),
+                                     _MAX_NODES - held)
+            values = _tree_values(levels, 0)
+            left[run], right[run] = values[0::2], values[1::2]
+            forests[generation] = levels
+            forest[run], index[run] = generation, np.arange(0, len(values), 2)
+        split = _accept(x0, x1, s0, s1, depth, xm, left, right, quad_tol, pieces)
+        # a half's trees are the children of its parent's root over it, where that split
+        kids, at = np.full((2, len(x0)), -1), np.zeros((2, len(x0)), int)
+        for born, levels in forests.items():
+            cell = np.flatnonzero(split & (forest == born))
+            ran = levels[generation - born][2]
+            rank = np.cumsum(ran) - 1
+            for side in (0, 1):
+                root = index[cell] + side
+                has = ran[root]
+                kids[side, cell[has]] = born
+                at[side, cell[has]] = 2 * rank[root[has]]
+        rows = np.array((x0, xm, x1, s0, sm, s1, depth + 1, *kids, *at))[:, split]
+        cells = rows[_CELL_CHILDREN].transpose(1, 2, 0).reshape(7, -1)
+        forests = {born: levels for born, levels in forests.items() if (cells[5] == born).any()}
+        generation += 1
 
 
 def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
@@ -261,21 +525,43 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     stay resolved.  The node slopes and the quadrature share their
     sqrt(r/p) values.
 
-    sqrt(r/p) is evaluated by batches (`evaluate_many`): the base grid as
-    one, then the base cells in chunks of 1, 4, 16, 64 and then 256 cells,
-    one batch per chunk holding each cell's seven depth-0 points (its
-    midpoint, two quarter points and four eighth points, made by the
-    walk's own `0.5*(a+b)`).  A cell whose two depth-0 Simpson tests and
-    Hermite test pass on those values, computed in numpy with the walk's
-    arithmetic, is accepted there; most cells are.  The others enter the
-    depth-first walk one by one, each with a table of its points seeded by
-    the batch's values, so where no batch fails every point is evaluated
-    once (x = 0 aside: 0.0 and -0.0 are one key, so neither is stored).
-    A chunk whose batch fails is walked cell by cell from an empty table,
-    point by point: that walk reaches the points in the order of a build
-    without batches, so the error names the same point.  A table hit
-    returns the value of the same float and a failure is never stored, so
-    neither batches nor table change a map's bits.
+    The map is the one a depth-first walk builds: each base cell, and each
+    half of a cell that fails its Hermite test, integrated by adaptive
+    Simpson over its two halves.  It is built in three stages, each with
+    the walk's arithmetic, so each gives the walk's bits:
+
+    - Depth 0, in batches.  sqrt(r/p) is evaluated by `evaluate_many`: the
+      base grid as one batch, then the base cells in chunks of 1, 4, 16,
+      64 and then 256 cells, one batch per chunk holding each cell's seven
+      depth-0 points (its midpoint, two quarter points and four eighth
+      points, made by the walk's own `0.5*(a+b)`).  A cell whose two
+      depth-0 Simpson tests and Hermite test pass on those values,
+      computed in numpy, is accepted there; most cells are.
+    - The walk.  A chunk's other cells are walked one by one, each with a
+      table of its points seeded by the batch's values, for at most
+      _WALK_LOOKUPS lookups of sqrt(r/p).  Most chunks end there, and a
+      non-integrable point is reached there (see below).
+    - Below depth 0, in batches.  Where the budget runs out, the walk
+      hands over what it has not done (the Simpson nodes it has not run,
+      the cells on its stack, the chunk's cells not begun, its table)
+      without redoing any of it.  `_refine_batched` runs that a
+      generation of cells at a time: one evaluate_many batch per tree
+      level of the points not in the table, the arithmetic elementwise,
+      each split node's value summed as l + r as the walk sums it.  A
+      child cell's trees are subtrees of its parent's under a looser
+      test, so they are read from the parent's levels, not run again.  Any
+      failure there (an evaluation error, a depth cap, more than
+      _MAX_NODES nodes) drops what the batches accepted for the chunk,
+      and the chunk is walked again from its start without a budget, so
+      its error is the walk's: message, subinterval and all.
+
+    A chunk whose depth-0 batch fails is walked cell by cell from an empty
+    table, point by point: that walk reaches the points in the order of a
+    build without batches, so the error names the same point.  Where no
+    batch fails every point is evaluated once (x = 0 aside: 0.0 and -0.0
+    are one key, so neither is stored).  A table hit returns the value of
+    the same float and a failure is never stored, so neither batches nor
+    tables change a map's bits.
 
     Work goes first where sqrt(r/p) is largest, since a non-integrable
     point sits there: base cells in decreasing order of their endpoint
@@ -307,8 +593,13 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
             return None  # the walk point by point raises it where it always did
 
     memo = {}  # sqrt(r/p) at the points of the current base cell
+    lookups_left = 0
 
     def remembered(x: float) -> float:
+        nonlocal lookups_left
+        lookups_left -= 1
+        if lookups_left < 0:
+            raise _Handover
         s = memo.get(x)
         if s is None:
             s = sigma(x)
@@ -319,6 +610,56 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     half_tol = 0.5 * (quad_tol / (_BASE_NODES - 1))
     nodes = np.linspace(problem.a, problem.b, _BASE_NODES)
     grid = nodes.tolist()
+
+    def base(i):
+        return grid[i], grid[i + 1], svals[i], svals[i + 1], 0
+
+    def walk(cells, budget):
+        """Refine base cells [(i, seeds)] depth first, each with a table
+        seeded with its (point, value) pairs, until `budget` lookups are
+        made.  Returns None once every cell is done, else the work left as
+        _refine_batched takes it (the cells not begun and the one begun,
+        or None), with the table holding every value the walk has."""
+        nonlocal lookups_left
+        lookups_left = budget
+        for n, (i, seeds) in enumerate(cells):
+            memo.clear()
+            # seeded as remembered fills it: x = 0 is never stored
+            memo.update((x, s) for x, s in seeds if x)
+            # depth-first, left half first
+            stack = [base(i)]
+            while stack:
+                x0, x1, s0, s1, depth = cell = stack.pop()
+                xm = 0.5 * (x0 + x1)
+                left = right = None
+                try:
+                    sm = remembered(xm)
+                    if s1 > s0:
+                        right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
+                        left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
+                    else:
+                        left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
+                        right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
+                except _Handover as stop:
+                    halves = _halves(stop.pending, left, right, s1 > s0, None, None)
+                    for _, later in cells[n + 1:]:
+                        memo.update((x, s) for x, s in later if x)
+                    todo = stack + [base(j) for j, _ in cells[n + 1:]]
+                    if halves[0] is None and halves[1] is None:
+                        return todo + [cell], None
+                    return todo, (*cell, xm, sm, *halves)
+                predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
+                if abs(predicted - left) <= quad_tol:
+                    xs.append(x1)
+                    integrals.append(left + right)
+                    ds.append(s1)
+                elif depth >= _MAX_CELL_DEPTH:
+                    raise QuadratureError("map refinement did not converge", x0, x1)
+                else:
+                    stack.append((xm, x1, sm, s1, depth + 1))
+                    stack.append((x0, xm, s0, sm, depth + 1))
+        return None
+
     # the whole grid first: a failing node is reported before any point between nodes
     ends = batch(nodes)
     if ends is None:
@@ -336,44 +677,27 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         points = np.stack(_depth0_points(lo, hi))
         values = batch(points.ravel())
         if values is None:
-            walked = [(i, (), ()) for i in chunk.tolist()]
-        else:
-            values = values.reshape(points.shape)
-            total, ok = _depth0_step(points, values, lo, hi, slo, shi, half_tol, quad_tol)
-            xs += hi[ok].tolist()
-            integrals += total[ok].tolist()
-            ds += shi[ok].tolist()
-            rest = np.flatnonzero(~ok)
-            walked = zip(chunk[rest].tolist(), points[:, rest].T.tolist(),
-                         values[:, rest].T.tolist())
-        for i, cell_points, cell_values in walked:
-            memo.clear()
-            # seeded as remembered fills it: x = 0 is never stored
-            memo.update((x, s) for x, s in zip(cell_points, cell_values) if x)
-            # depth-first, left half first, so a cell's pieces come out in x order
-            stack = [(grid[i], grid[i + 1], svals[i], svals[i + 1], 0)]
-            while stack:
-                x0, x1, s0, s1, depth = stack.pop()
-                xm = 0.5 * (x0 + x1)
-                sm = remembered(xm)
-                if s1 > s0:
-                    right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
-                    left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
-                else:
-                    left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
-                    right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
-                predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
-                if abs(predicted - left) <= quad_tol:
-                    xs.append(x1)
-                    integrals.append(left + right)
-                    ds.append(s1)
-                elif depth >= _MAX_CELL_DEPTH:
-                    raise QuadratureError("map refinement did not converge", x0, x1)
-                else:
-                    stack.append((xm, x1, sm, s1, depth + 1))
-                    stack.append((x0, xm, s0, sm, depth + 1))
-    # back to x order: pieces of different base cells do not overlap and one
-    # cell's come in x order, so a stable sort on the right ends is exact
+            walk([(i, ()) for i in chunk.tolist()], math.inf)
+            continue
+        values = values.reshape(points.shape)
+        total, ok = _depth0_step(points, values, lo, hi, slo, shi, half_tol, quad_tol)
+        xs += hi[ok].tolist()
+        integrals += total[ok].tolist()
+        ds += shi[ok].tolist()
+        rest = np.flatnonzero(~ok)
+        refined = [(i, list(zip(p, v))) for i, p, v in zip(
+            chunk[rest].tolist(), points[:, rest].T.tolist(), values[:, rest].T.tolist())]
+        done = len(xs)
+        handed = walk(refined, _WALK_LOOKUPS)
+        if handed is not None:
+            try:
+                _refine_batched(_Table(sigma_expr.evaluate_many, memo), *handed,
+                                half_tol, quad_tol, (xs, integrals, ds))
+            except (ExprError, _Fallback):
+                # the walk alone meets the failure where a build without batches does
+                del xs[done:], integrals[done:], ds[done:]
+                walk(refined, math.inf)
+    # back to x order: pieces do not overlap, so their right ends are distinct
     order = np.argsort(xs, kind="stable")
     # a running sum in x order: the additions of a left-to-right pass, in its order
     ts = np.cumsum(np.take(integrals, order))

@@ -112,18 +112,21 @@ def _evaluate_upto(fn, xs, errors=ExprError) -> tuple:
     raises one of `errors`, and that error (None where every point gives a
     value); so len(values) is the index of the failing point.
 
-    One evaluate_many batch where fn has one and it succeeds; otherwise the
-    points are walked one by one, as Python floats, and the walk stops at
-    the first failure with the error evaluate raises there.
+    One evaluate_many batch where fn has one and it succeeds.  Otherwise
+    the points are walked one by one, as Python floats, from the first
+    point whose value the batch's error does not carry (its `values`, see
+    ExpressionAST.evaluate_many), and the walk stops at the first failure
+    with the error evaluate raises there.
     """
+    values = []
     many = getattr(fn, "evaluate_many", None)
     if many is not None:
         try:
             return many(xs), None
-        except errors:
-            pass
-    values = []
-    for x in xs.tolist() if isinstance(xs, np.ndarray) else xs:
+        except errors as err:
+            values = getattr(err, "values", [])
+    rest = xs[len(values):]
+    for x in rest.tolist() if isinstance(rest, np.ndarray) else rest:
         try:
             values.append(fn.evaluate(x))
         except errors as err:

@@ -623,6 +623,26 @@ def test_assembly_reports_the_first_failing_point(name):
     assert str(err.value) == message
 
 
+def test_a_failing_batch_keeps_the_values_before_the_failing_point(monkeypatch):
+    # q raises at the last few of 40,001 nodes: the walk starts where the
+    # batch failed instead of evaluating the 39 good blocks again point by point
+    from slpkit.expr import ExpressionAST
+    calls = Counter()
+    evaluate = ExpressionAST.evaluate
+
+    def counting(self, x):
+        calls[self.to_text()] += 1
+        return evaluate(self, x)
+
+    problem = CanonicalSLP(parse("1"), parse("sqrt(0.9999 - x)"), parse("1"), 0.0, 1.0)
+    monkeypatch.setattr(ExpressionAST, "evaluate", counting)
+    with pytest.raises(SolverError) as err:
+        discretize_canonical(problem, 40_001)
+    assert str(err.value) == ("q/r evaluation failed at x=0.99990000499975: sqrt of negative "
+                              "argument in 'sqrt(0.9999-x)' at 0.99990000499975")
+    assert sum(calls.values()) <= 1024
+
+
 def test_potential_assembly_reports_the_first_failing_point():
     # 1/(t-0.3) is finite at every node; sqrt(t-0.25) raises on the first two
     problem = SchrodingerSLP(parse("1/(t-0.3) + 0*sqrt(t-0.25)", "t"), 0.0, 1.0)

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -104,6 +105,73 @@ def test_build_map_refuses_a_cell_at_the_depth_cap(monkeypatch):
         build_map(problem, 1e-10)
     assert err.value.lo == problem.a
     assert err.value.hi - err.value.lo == pytest.approx((problem.b - problem.a) / 2048 / 8)
+
+
+def _build_error(problem):
+    with pytest.raises(QuadratureError) as err:
+        build_map(problem, 1e-10)
+    return type(err.value), str(err.value), err.value.lo, err.value.hi
+
+
+@pytest.mark.parametrize("problem, cap, message", [
+    (canonical(p="(x-0.511)^2", b=1.0), None, r"not evaluable .* at 0\.511 on"),
+    (build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical, 3,
+     "map refinement did not converge"),
+    # on a cell about 6e-17 wide near the translated left end
+    (build_case("case1", PaineSpec(2.0, 0.1), r0=1.0, x0=0.01).canonical, None,
+     r"quadrature did not converge on subinterval \[-0\.0099979833328126"),
+    (build_case("case1", PaineSpec(2.0, 0.1), r0=1.0, x0=-0.01).canonical, None,
+     r"quadrature did not converge on subinterval \[0\.0100020166671873"),
+])
+def test_batched_refinement_fails_as_the_walk_does(monkeypatch, problem, cap, message):
+    # with no walk before the hand-over every refined chunk goes to the
+    # batches first; where they fail, the chunk is walked again and raises
+    # the walk's error, message and subinterval alike
+    if cap is not None:
+        monkeypatch.setattr(liouville, "_MAX_CELL_DEPTH", cap)
+    walked = _build_error(problem)
+    assert re.search(message, walked[1])
+    monkeypatch.setattr(liouville, "_WALK_LOOKUPS", 0)
+    assert _build_error(problem) == walked
+
+
+def _same_map(a, b):
+    return (a._xs, a._ts, a._ds) == (b._xs, b._ts, b._ds)
+
+
+def test_batched_refinement_past_its_node_bound_is_walked(monkeypatch):
+    # batches that would hold more nodes than _MAX_NODES stop, and the
+    # chunk is walked from its start instead
+    problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
+    m = build_map(problem, 1e-10)
+    stopped = []
+    refine = liouville._refine_batched
+
+    def recording(*args):
+        try:
+            return refine(*args)
+        except liouville._Fallback:
+            stopped.append(args)
+            raise
+
+    monkeypatch.setattr(liouville, "_refine_batched", recording)
+    monkeypatch.setattr(liouville, "_MAX_NODES", 3000)
+    assert _same_map(build_map(problem, 1e-10), m)
+    assert stopped
+
+
+def test_a_chunk_is_walked_again_without_what_its_batches_accepted(monkeypatch):
+    # batches that stop after accepting pieces leave none of them behind
+    problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
+    m = build_map(problem, 1e-10)
+    refine = liouville._refine_batched
+
+    def stopping_at_the_end(*args):
+        refine(*args)
+        raise liouville._Fallback
+
+    monkeypatch.setattr(liouville, "_refine_batched", stopping_at_the_end)
+    assert _same_map(build_map(problem, 1e-10), m)
 
 
 def test_invariant_constant_coefficients():
@@ -297,6 +365,32 @@ def test_build_map_matches_reference_bit_for_bit(label, k, params, nodes):
         assert len(m._xs) == nodes
 
 
+@settings(max_examples=6, deadline=None)
+@given(c=st.floats(0.0, 1.0), w=st.floats(1e-3, 0.03))
+def test_build_map_matches_reference_on_a_peaked_integrand(c, w):
+    # sqrt(r/p) = 1/sqrt((x-c)^2 + w^2) peaks at c: cells there refine below
+    # depth 0 (from w = 0.03 down), both after the walk's hand-over and with
+    # every refined chunk handed over at once
+    problem = CanonicalSLP(parse(f"(x-{c!r})^2+{w!r}^2"), parse("0"), parse("1"), 0.0, 1.0)
+    try:
+        oracle = _oracle_build_map(problem, 1e-10)
+    except QuadratureError as err:
+        oracle = err
+    for budget in (liouville._WALK_LOOKUPS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(liouville, "_WALK_LOOKUPS", budget)
+            if isinstance(oracle, QuadratureError):
+                with pytest.raises(QuadratureError) as err:
+                    build_map(problem, 1e-10)
+                assert str(err.value) == str(oracle)
+                continue
+            m = build_map(problem, 1e-10)
+        assert len(m._xs) > 2049  # some cell refined
+        assert m._xs == oracle._xs
+        assert m._ts == oracle._ts
+        assert m._ds == oracle._ds
+
+
 def _count_sigma(monkeypatch):
     """Counter of the points at which build_map evaluates sqrt(r/p), one
     by one or in batches."""
@@ -345,6 +439,56 @@ def test_simpson_step_matches_x_order_bit_for_bit(c, w, a, width):
             # does it); either order stops at the first such cell it reaches
             results.append(None)
     assert results[0] == results[1]
+
+
+def _levels_of(node, fn):
+    """The nodes of a Simpson tree, level by level in x order, as the walk
+    splits them (node: _simpson_step's arguments after fn)."""
+    levels = [[node]]
+    while levels[-1]:
+        below = []
+        for a, b, fa, fm, fb, estimate, eps, depth in levels[-1]:
+            m = 0.5 * (a + b)
+            flm, frm = fn(0.5 * (a + m)), fn(0.5 * (m + b))
+            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            delta = left + right - estimate
+            if not (abs(delta) <= 15.0 * eps
+                    or abs(delta) <= 60.0 * 2.2e-16 * (abs(left) + abs(right))):
+                below += [(a, m, fa, flm, fm, left, 0.5 * eps, depth + 1),
+                          (m, b, fm, frm, fb, right, 0.5 * eps, depth + 1)]
+        levels.append(below)
+    return levels[:-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(-1.0, 2.0), w=st.floats(1e-2, 1.0), a=st.floats(-1.0, 0.9),
+       width=st.floats(1e-3, 1.0), tol=st.floats(1e-12, 1e-7))
+def test_batched_trees_give_the_walks_values_at_every_node(c, w, a, width, tol):
+    # a tree run level by level gives its root's value, and each node's
+    # value as the root of a tree with the root's tolerance: the value
+    # _simpson_step gives it, which is what a child cell's tree needs
+    def fn(x):
+        return 1.0 / ((x - c) ** 2 + w * w)
+
+    def lookup(xs):
+        return np.array([fn(x) for x in xs.tolist()])
+
+    b = a + width
+    root = liouville._simpson_root(fn, a, b, fn(a), fn(b), tol)
+    try:
+        levels = liouville._simpson_levels(lookup, np.array([root], dtype=float).T, 10**6)
+    except liouville._Fallback:
+        with pytest.raises(QuadratureError):
+            liouville._simpson_step(fn, *root)
+        return
+    tols = [tol]
+    while len(tols) < len(levels):
+        tols.append(0.5 * tols[-1])
+    assert liouville._tree_values(levels, 0).tolist() == [liouville._simpson_step(fn, *root)]
+    for top, nodes in enumerate(_levels_of(root, fn)):
+        walked = [liouville._simpson_step(fn, *node[:6], tol, 0) for node in nodes]
+        assert liouville._tree_values(levels, top, tols).tolist() == walked
 
 
 def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
