@@ -9,8 +9,9 @@ slopes and quadrature share their sqrt(r/p) values, evaluated in batches
 and once per point), exposes the potential I through its x-space
 expression, and inverts the map.  The adaptive refinement is that of a
 depth-first walk: the walk itself runs it for a fixed number of lookups
-per chunk of cells, so a non-integrable point fails fast, and hands what
-is left to a level-by-level numpy form of the same arithmetic.
+per build, so a non-integrable point fails fast, and hands what is left,
+of every chunk of cells, to one run of a level-by-level numpy form of the
+same arithmetic.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .expr import Add, Call, Const, Div, Mul, Pow, Sub, ExpressionAST, ExprError
-from .problems import CanonicalSLP, SchrodingerSLP, validate
+from .problems import CanonicalSLP, SchrodingerSLP, _evaluate_upto, validate
 
 
 class TransformError(ValueError):
@@ -247,7 +248,7 @@ class TransformMap:
 
 _BASE_NODES = 2049
 _MAX_CHUNK = 256  # base cells per depth-0 batch, at most
-_WALK_LOOKUPS = 4096  # sqrt(r/p) lookups a chunk's walk makes before it hands over
+_WALK_LOOKUPS = 1024  # sqrt(r/p) lookups the walk makes in a build before it hands over
 _MAX_NODES = 1 << 17  # Simpson nodes batched refinement may hold at once
 
 
@@ -457,7 +458,9 @@ def _refine_batched(lookup, cells, started, half_tol, quad_tol, pieces):
     begun), after `_finish` of `started` where that is not None, run a
     generation of cells at a time: their Simpson trees, then the Hermite
     test elementwise.  A depth cap, or more than _MAX_NODES nodes held,
-    raises _Fallback.
+    raises _Fallback.  A build makes one call, with the cells of every
+    chunk it handed over: a cell's pieces depend on that cell alone, and
+    only the cell where the walk's budget ran out was begun.
 
     A cell's two trees cover its halves with root tolerance half_tol.  A
     half of a child cell is a half of one of its parent's halves, and the
@@ -538,30 +541,35 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
       depth-0 Simpson tests and Hermite test pass on those values,
       computed in numpy, is accepted there; most cells are.
     - The walk.  A chunk's other cells are walked one by one, each with a
-      table of its points seeded by the batch's values, for at most
-      _WALK_LOOKUPS lookups of sqrt(r/p).  Most chunks end there, and a
-      non-integrable point is reached there (see below).
+      table of its points seeded by the batch's values.  The build's walk
+      makes at most _WALK_LOOKUPS lookups of sqrt(r/p) in all, counted
+      across chunks; the first chunks refine where sqrt(r/p) is largest,
+      so a non-integrable point is reached there (see below).
     - Below depth 0, in batches.  Where the budget runs out, the walk
       hands over what it has not done (the Simpson nodes it has not run,
       the cells on its stack, the chunk's cells not begun, its table)
-      without redoing any of it.  `_refine_batched` runs that a
-      generation of cells at a time: one evaluate_many batch per tree
-      level of the points not in the table, the arithmetic elementwise,
-      each split node's value summed as l + r as the walk sums it.  A
-      child cell's trees are subtrees of its parent's under a looser
-      test, so they are read from the parent's levels, not run again.  Any
-      failure there (an evaluation error, a depth cap, more than
-      _MAX_NODES nodes) drops what the batches accepted for the chunk,
-      and the chunk is walked again from its start without a budget, so
-      its error is the walk's: message, subinterval and all.
+      without redoing any of it, and each later chunk's walk hands over
+      at its first lookup.  The work handed over waits, its tables merged
+      into one, until the chunks are done; then `_refine_batched` runs
+      all of it in one call, a generation of cells at a time: one
+      evaluate_many batch per tree level of the points not in the table,
+      the arithmetic elementwise, each split node's value summed as l + r
+      as the walk sums it.  A child cell's trees are subtrees of its
+      parent's under a looser test, so they are read from the parent's
+      levels, not run again.  Any failure there (an evaluation error, a
+      depth cap, more than _MAX_NODES nodes) drops what the batches and
+      the waiting chunks' walks accepted, and each waiting chunk is walked
+      again from its start, in order, without a budget, so the error is
+      the walk's: message, subinterval and all.
 
     A chunk whose depth-0 batch fails is walked cell by cell from an empty
-    table, point by point: that walk reaches the points in the order of a
-    build without batches, so the error names the same point.  Where no
-    batch fails every point is evaluated once (x = 0 aside: 0.0 and -0.0
-    are one key, so neither is stored).  A table hit returns the value of
-    the same float and a failure is never stored, so neither batches nor
-    tables change a map's bits.
+    table, point by point, after the work waiting before it is run: that
+    walk reaches the points in the order of a build without batches, so
+    the error names the same point.  Where no batch fails every point is
+    evaluated once (x = 0 aside: 0.0 and -0.0 are one key, so neither is
+    stored).  A table hit returns the value of the same float and a
+    failure is never stored, so neither batches nor tables change a map's
+    bits.
 
     Work goes first where sqrt(r/p) is largest, since a non-integrable
     point sits there: base cells in decreasing order of their endpoint
@@ -593,19 +601,22 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
             return None  # the walk point by point raises it where it always did
 
     memo = {}  # sqrt(r/p) at the points of the current base cell
-    lookups_left = 0
+    lookups_left = _WALK_LOOKUPS  # the budgeted walk's, for the whole build
 
     def remembered(x: float) -> float:
-        nonlocal lookups_left
-        lookups_left -= 1
-        if lookups_left < 0:
-            raise _Handover
         s = memo.get(x)
         if s is None:
             s = sigma(x)
             if x:  # 0.0 and -0.0 are one key, but sqrt(r/p) may tell them apart
                 memo[x] = s
         return s
+
+    def budgeted(x: float) -> float:
+        nonlocal lookups_left
+        lookups_left -= 1
+        if lookups_left < 0:
+            raise _Handover
+        return remembered(x)
 
     half_tol = 0.5 * (quad_tol / (_BASE_NODES - 1))
     nodes = np.linspace(problem.a, problem.b, _BASE_NODES)
@@ -614,14 +625,13 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     def base(i):
         return grid[i], grid[i + 1], svals[i], svals[i + 1], 0
 
-    def walk(cells, budget):
-        """Refine base cells [(i, seeds)] depth first, each with a table
-        seeded with its (point, value) pairs, until `budget` lookups are
-        made.  Returns None once every cell is done, else the work left as
-        _refine_batched takes it (the cells not begun and the one begun,
-        or None), with the table holding every value the walk has."""
-        nonlocal lookups_left
-        lookups_left = budget
+    def walk(cells, lookup):
+        """Refine base cells [(i, seeds)] depth first through `lookup`
+        (remembered, or budgeted), each with a table seeded with its
+        (point, value) pairs.  Returns None once every cell is done, else,
+        where the budget ran out, the work left as _refine_batched takes it
+        (the cells not begun and the one begun, or None), with the table
+        holding every value the walk has."""
         for n, (i, seeds) in enumerate(cells):
             memo.clear()
             # seeded as remembered fills it: x = 0 is never stored
@@ -633,13 +643,13 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
                 xm = 0.5 * (x0 + x1)
                 left = right = None
                 try:
-                    sm = remembered(xm)
+                    sm = lookup(xm)
                     if s1 > s0:
-                        right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
-                        left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
+                        right = _adaptive_simpson(lookup, xm, x1, sm, s1, half_tol)
+                        left = _adaptive_simpson(lookup, x0, xm, s0, sm, half_tol)
                     else:
-                        left = _adaptive_simpson(remembered, x0, xm, s0, sm, half_tol)
-                        right = _adaptive_simpson(remembered, xm, x1, sm, s1, half_tol)
+                        left = _adaptive_simpson(lookup, x0, xm, s0, sm, half_tol)
+                        right = _adaptive_simpson(lookup, xm, x1, sm, s1, half_tol)
                 except _Handover as stop:
                     halves = _halves(stop.pending, left, right, s1 > s0, None, None)
                     for _, later in cells[n + 1:]:
@@ -660,6 +670,32 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
                     stack.append((x0, xm, s0, sm, depth + 1))
         return None
 
+    # the work handed over, by the chunk where the budget runs out and each
+    # chunk after it: each one's refined cells and the [first, last) of the
+    # pieces its walk accepted; then the cells left, the one begun and the
+    # chunks' tables, merged
+    deferred, todo, started, known = [], [], None, {}
+
+    def flush():
+        """Run the deferred work as one batched refinement, or where that
+        fails, drop every piece it and the deferred walks accepted and walk
+        each deferred chunk again, in order, without a budget."""
+        nonlocal deferred, todo, started, known
+        if not deferred:
+            return
+        done = len(xs)
+        try:
+            _refine_batched(_Table(sigma_expr.evaluate_many, known), todo, started,
+                            half_tol, quad_tol, (xs, integrals, ds))
+        except (ExprError, _Fallback):
+            # the walk alone meets the failure where a build without batches does
+            del xs[done:], integrals[done:], ds[done:]
+            for _, first, last in reversed(deferred):
+                del xs[first:last], integrals[first:last], ds[first:last]
+            for refined, _, _ in deferred:
+                walk(refined, remembered)
+        deferred, todo, started, known = [], [], None, {}
+
     # the whole grid first: a failing node is reported before any point between nodes
     ends = batch(nodes)
     if ends is None:
@@ -677,7 +713,9 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         points = np.stack(_depth0_points(lo, hi))
         values = batch(points.ravel())
         if values is None:
-            walk([(i, ()) for i in chunk.tolist()], math.inf)
+            # the walk reaches the work handed over before this chunk first
+            flush()
+            walk([(i, ()) for i in chunk.tolist()], remembered)
             continue
         values = values.reshape(points.shape)
         total, ok = _depth0_step(points, values, lo, hi, slo, shi, half_tol, quad_tol)
@@ -687,16 +725,15 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         rest = np.flatnonzero(~ok)
         refined = [(i, list(zip(p, v))) for i, p, v in zip(
             chunk[rest].tolist(), points[:, rest].T.tolist(), values[:, rest].T.tolist())]
-        done = len(xs)
-        handed = walk(refined, _WALK_LOOKUPS)
+        first = len(xs)
+        handed = walk(refined, budgeted)
         if handed is not None:
-            try:
-                _refine_batched(_Table(sigma_expr.evaluate_many, memo), *handed,
-                                half_tol, quad_tol, (xs, integrals, ds))
-            except (ExprError, _Fallback):
-                # the walk alone meets the failure where a build without batches does
-                del xs[done:], integrals[done:], ds[done:]
-                walk(refined, math.inf)
+            deferred.append((refined, first, len(xs)))
+            todo += handed[0]
+            if handed[1] is not None:
+                started = handed[1]  # once: later chunks hand over at their first lookup
+            known.update(memo)
+    flush()
     # back to x order: pieces do not overlap, so their right ends are distinct
     order = np.argsort(xs, kind="stable")
     # a running sum in x order: the additions of a left-to-right pass, in its order
@@ -744,14 +781,18 @@ class TabulatedInvariant:
     def evaluate_many(self, ts) -> list:
         """[self.evaluate(t) for t in ts], value for value and error for error:
         x_of_t at each t, then the invariant at those x as one batch.  Where
-        x_of_t fails, the points are walked one by one, so the first t that
-        fails, in x_of_t or in the invariant, raises there."""
-        ts = list(ts)
+        x_of_t fails at some t, the invariant's first failure at the x
+        before it raises, and otherwise x_of_t's error there."""
+        xs = []
         try:
-            xs = [self.map.x_of_t(t) for t in ts]
-        except (TransformError, NumericalError):
-            return [self.evaluate(t) for t in ts]
-        return self._invariant.evaluate_many(xs)
+            for t in ts:
+                xs.append(self.map.x_of_t(t))
+        except (TransformError, NumericalError) as err:
+            off_map = err
+        else:
+            return self._invariant.evaluate_many(xs)
+        _, failure = _evaluate_upto(self._invariant, xs)
+        raise off_map if failure is None else failure
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from slpkit import liouville
 from slpkit.errors import NumericalError
 from slpkit import expr
-from slpkit.expr import Call, Div, EvalDomainError, ExpressionAST, parse
+from slpkit.expr import Call, Div, EvalDomainError, ExpressionAST, ExprError, parse
 from slpkit.inverse import CASE_LABELS, build_case
 from slpkit.liouville import (QuadratureError, TransformError, TransformMap,
                               build_map, forward_transform, invariant_at_x)
@@ -135,6 +135,14 @@ def test_batched_refinement_fails_as_the_walk_does(monkeypatch, problem, cap, me
     assert _build_error(problem) == walked
 
 
+# the walk's lookup budget, counted over a build: none, one lookup, exactly
+# the 82 lookups in which the walk meets singular-p's pole, the default, and
+# past case1's first chunk (its left-end cell, about 178,000 lookups), so
+# that the budget runs out in its second
+LATER_CHUNK = 181_000
+WALK_BUDGETS = (0, 1, 82, liouville._WALK_LOOKUPS, LATER_CHUNK)
+
+
 def _same_map(a, b):
     return (a._xs, a._ts, a._ds) == (b._xs, b._ts, b._ds)
 
@@ -161,7 +169,9 @@ def test_batched_refinement_past_its_node_bound_is_walked(monkeypatch):
 
 
 def test_a_chunk_is_walked_again_without_what_its_batches_accepted(monkeypatch):
-    # batches that stop after accepting pieces leave none of them behind
+    # batches that stop after accepting pieces leave none of them behind,
+    # nor any piece the walk accepted in a chunk it handed over (past case1's
+    # first chunk, the walk accepts pieces in the chunk where it stops)
     problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
     m = build_map(problem, 1e-10)
     refine = liouville._refine_batched
@@ -171,7 +181,9 @@ def test_a_chunk_is_walked_again_without_what_its_batches_accepted(monkeypatch):
         raise liouville._Fallback
 
     monkeypatch.setattr(liouville, "_refine_batched", stopping_at_the_end)
-    assert _same_map(build_map(problem, 1e-10), m)
+    for budget in (liouville._WALK_LOOKUPS, LATER_CHUNK):
+        monkeypatch.setattr(liouville, "_WALK_LOOKUPS", budget)
+        assert _same_map(build_map(problem, 1e-10), m)
 
 
 def test_invariant_constant_coefficients():
@@ -275,9 +287,23 @@ def test_tabulated_invariant_evaluate_many_matches_evaluate():
     # is off the map: whichever comes first raises, as point by point
     invariant = liouville.TabulatedInvariant(
         canonical(q="1/(x-0.5)", b=1.0), TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [1.0, 1.0]))
-    for ts in ([0.25, 0.5, 2.0], [0.25, 2.0, 0.5], [0.25, 0.75]):
+    for ts in ([0.25, 0.5, 2.0], [2.0, 0.25, 0.5], [0.25, 2.0, 0.5], [0.25, 0.75, 2.0],
+               [0.25, 0.75]):
         many, one_by_one = _many_and_one_by_one(invariant, ts)
         assert many == one_by_one, ts
+
+
+def test_tabulated_invariant_evaluate_many_stops_at_the_first_t_off_the_map(monkeypatch):
+    # x_of_t runs up to the t that fails, and no further: the invariant at
+    # the x before it is one batch, not a second walk of every t
+    invariant = liouville.TabulatedInvariant(
+        canonical(b=1.0), TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [1.0, 1.0]))
+    calls = []
+    x_of_t = invariant.map.x_of_t
+    monkeypatch.setattr(invariant.map, "x_of_t", lambda t: calls.append(t) or x_of_t(t))
+    with pytest.raises(TransformError, match=r"t=2\.0 outside map domain"):
+        invariant.evaluate_many([0.25, 0.75, 2.0, 0.5])
+    assert calls == [0.25, 0.75, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +337,16 @@ def _oracle_adaptive_simpson(fn, lo, hi, tol, max_depth=48):
 
 
 def _oracle_build_map(problem, quad_tol, base_nodes=2049):
-    sigma = liouville._sigma_ast(problem).evaluate
+    evaluate = liouville._sigma_ast(problem).evaluate
+
+    def sigma(x):
+        # a point where sqrt(r/p) fails, named as build_map names it
+        try:
+            return evaluate(x)
+        except ExprError as err:
+            raise QuadratureError(f"sqrt(r/p) not evaluable mid-integration: {err}",
+                                  x, x) from None
+
     a, b = problem.a, problem.b
     ncells = base_nodes - 1
     cell_tol = quad_tol / ncells
@@ -365,18 +400,160 @@ def test_build_map_matches_reference_bit_for_bit(label, k, params, nodes):
         assert len(m._xs) == nodes
 
 
+# the shapes of the benchmark's transform workload, each constant fixed
+TRANSFORM_SHAPES = [
+    ("case4", 1.0, {"C1": 2.0}),
+    ("case1", 2.0, {"r0": 1.0}),
+    ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}),
+    ("case4-general", 1.0, {"C1": 2.0, "n_r": 2.99}),
+    ("case3-J", 0.75, {"q0": 1.0, "r0": 1.0}),
+]
+
+
+def _outcome(build, problem):
+    """build(problem, 1e-10)'s nodes, or its QuadratureError's text and
+    subinterval."""
+    try:
+        m = build(problem, 1e-10)
+    except QuadratureError as err:
+        return str(err), err.lo, err.hi
+    return m._xs, m._ts, m._ds
+
+
+def _recording_refinements(monkeypatch):
+    """The list of the `started` cell of each _refine_batched call."""
+    runs = []
+    refine = liouville._refine_batched
+
+    def recording(lookup, cells, started, *args):
+        runs.append(started)
+        return refine(lookup, cells, started, *args)
+
+    monkeypatch.setattr(liouville, "_refine_batched", recording)
+    return runs
+
+
+_BUDGET_PROBLEMS = {
+    "case1": build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical,
+    "singular-p": canonical(p="(x-0.511)^2", b=1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def budget_oracles():
+    return {name: _outcome(_oracle_build_map, problem)
+            for name, problem in _BUDGET_PROBLEMS.items()}
+
+
+@pytest.mark.parametrize("budget", WALK_BUDGETS)
+@pytest.mark.parametrize("name", sorted(_BUDGET_PROBLEMS))
+def test_build_map_matches_reference_at_every_walk_budget(monkeypatch, budget_oracles,
+                                                          name, budget):
+    # the budget is the build's: once it is spent, each later chunk hands
+    # over at its first lookup, and the work handed over runs in one batch
+    problem = _BUDGET_PROBLEMS[name]
+    monkeypatch.setattr(liouville, "_WALK_LOOKUPS", budget)
+    runs = _recording_refinements(monkeypatch)
+    assert _outcome(build_map, problem) == budget_oracles[name]
+    if name == "singular-p":
+        # from 82 lookups on the walk itself meets the pole
+        assert not runs if budget >= 82 else len(runs) == 1
+        return
+    assert len(runs) == 1
+    if budget == LATER_CHUNK:
+        # begun past the left-end cell, the first chunk
+        grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES)
+        assert runs[0] is not None and runs[0][0] >= grid[1]
+
+
+@pytest.mark.parametrize("label, k, params", TRANSFORM_SHAPES)
+def test_build_map_hands_over_once_within_its_budget(monkeypatch, label, k, params):
+    # one batched run per build at most, and no more scalar evaluations of
+    # sqrt(r/p) than the walk's lookup budget for the whole build
+    problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
+    scalar = Counter()
+    _count_sigma(monkeypatch, scalar)
+    runs = _recording_refinements(monkeypatch)
+    build_map(problem, 1e-10)
+    assert len(runs) <= 1
+    assert sum(scalar.values()) <= liouville._WALK_LOOKUPS
+
+
+class _FailingSigma:
+    """sqrt(r/p) failing at the points of `fails`, one by one and in
+    batches, and in a batch that holds a point of `batch_fails`; each scalar
+    evaluation at a point of either goes to `events`."""
+
+    def __init__(self, expr, fails, batch_fails, events):
+        self.expr, self.fails, self.events = expr, fails, events
+        self.batch_fails = fails | batch_fails
+
+    def evaluate(self, x):
+        if x in self.batch_fails:
+            self.events.append(("scalar", x))
+        if x in self.fails:
+            raise EvalDomainError("made to fail", "sqrt(r/p)", x)
+        return self.expr.evaluate(x)
+
+    def evaluate_many(self, xs):
+        xs = [float(x) for x in xs]
+        failing = self.batch_fails.intersection(xs)
+        if failing:
+            raise EvalDomainError("made to fail in a batch", "sqrt(r/p)", min(failing))
+        return self.expr.evaluate_many(xs)
+
+
+@pytest.mark.parametrize("fails, batch_fails", [
+    # only the later chunk's depth-0 batch fails: the chunk is walked point
+    # by point, after the work handed over before it has run
+    ((), ("later",)),
+    # sqrt(r/p) fails at both points: the one in the work handed over comes
+    # first in the walk's order, and in x order, so it is the one reported
+    (("late", "later"), ()),
+], ids=["a-batch-fails", "two-points-fail"])
+def test_work_handed_over_runs_before_a_chunk_walked_point_by_point(monkeypatch, fails,
+                                                                    batch_fails):
+    problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
+    grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES).tolist()
+    # a point of the left-end cell (the first chunk) that its walk reaches
+    # only past its budget, and the midpoint of a cell of the third chunk
+    late = grid[0]
+    for _ in range(10):
+        late = 0.5 * (late + grid[1])
+    points = {"late": late, "later": 0.5 * (grid[10] + grid[11])}
+    events = []
+    sigma_ast = liouville._sigma_ast
+    monkeypatch.setattr(liouville, "_sigma_ast", lambda problem: _FailingSigma(
+        sigma_ast(problem), {points[p] for p in fails}, {points[p] for p in batch_fails},
+        events))
+    oracle = _outcome(_oracle_build_map, problem)
+    events.clear()
+    refine = liouville._refine_batched
+
+    def recording(*args):
+        events.append(("refine",))
+        return refine(*args)
+
+    monkeypatch.setattr(liouville, "_refine_batched", recording)
+    assert _outcome(build_map, problem) == oracle
+    if fails:
+        assert oracle[1:] == (late, late)
+    else:
+        assert events.index(("refine",)) < events.index(("scalar", points["later"]))
+
+
 @settings(max_examples=6, deadline=None)
 @given(c=st.floats(0.0, 1.0), w=st.floats(1e-3, 0.03))
 def test_build_map_matches_reference_on_a_peaked_integrand(c, w):
     # sqrt(r/p) = 1/sqrt((x-c)^2 + w^2) peaks at c: cells there refine below
-    # depth 0 (from w = 0.03 down), both after the walk's hand-over and with
-    # every refined chunk handed over at once
+    # depth 0 (from w = 0.03 down), after the walk's hand-over wherever its
+    # budget runs out, and with every refined chunk handed over at once
     problem = CanonicalSLP(parse(f"(x-{c!r})^2+{w!r}^2"), parse("0"), parse("1"), 0.0, 1.0)
     try:
         oracle = _oracle_build_map(problem, 1e-10)
     except QuadratureError as err:
         oracle = err
-    for budget in (liouville._WALK_LOOKUPS, 0):
+    for budget in WALK_BUDGETS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(liouville, "_WALK_LOOKUPS", budget)
             if isinstance(oracle, QuadratureError):
@@ -391,9 +568,10 @@ def test_build_map_matches_reference_on_a_peaked_integrand(c, w):
         assert m._ds == oracle._ds
 
 
-def _count_sigma(monkeypatch):
+def _count_sigma(monkeypatch, scalar=None):
     """Counter of the points at which build_map evaluates sqrt(r/p), one
-    by one or in batches."""
+    by one or in batches; the Counter `scalar`, where given, counts those
+    evaluated one by one."""
     seen = Counter()
     sigma_ast = liouville._sigma_ast
 
@@ -403,6 +581,8 @@ def _count_sigma(monkeypatch):
 
         def evaluate(self, x):
             seen[x] += 1
+            if scalar is not None:
+                scalar[x] += 1
             return self.expr.evaluate(x)
 
         def evaluate_many(self, xs):
