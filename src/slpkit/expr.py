@@ -53,16 +53,18 @@ compiles nothing.
 compiled form of the same lines, the block form, which runs each line once
 over a numpy array of up to ``_BLOCK`` points.  Addition, subtraction,
 multiplication, division and negation run in numpy; each is correctly
-rounded, so every element is the float ``evaluate`` gives.  A hook with a
-block form (``FunctionHook.block``: sqrt here, besselj and bessely in
-``special``) runs it over the whole array, element for element the hook's
-own value.  Powers and the other hooks run per element, through Python's
-``**`` and the hook itself, with ``_power``'s and ``_apply``'s checks.  A
-block in which any element may fail (a zero divisor, a power or hook value
-``evaluate`` would refuse, a hook error, a nonfinite result) is evaluated
-again point by point by ``evaluate``, so the first failing point raises
-the error ``evaluate`` raises there, as from ``[evaluate(x) for x in xs]``,
-carrying the values of the points before it as ``values``.
+rounded, so every element is the float ``evaluate`` gives.  Powers run
+through ``np.float_power``, whose float64 loop is the C library's ``pow``,
+as Python's ``**`` is (``np.power``'s SIMD loop differs in the last bit).
+A hook with a block form (``FunctionHook.block``: sqrt, abs and cbrt here,
+besselj and bessely in ``special``) runs it over the whole array, element
+for element the hook's own value; the others run per element through the
+hook itself, with ``_apply``'s checks.  A block in which any element may
+fail (a zero divisor, a power or hook value ``evaluate`` would refuse, a
+hook error, a nonfinite result) is evaluated again point by point by
+``evaluate``, so the first failing point raises the error ``evaluate``
+raises there, as from ``[evaluate(x) for x in xs]``, carrying the values
+of the points before it as ``values``.
 """
 
 from __future__ import annotations
@@ -442,6 +444,11 @@ def _sqrt_block(v):
     return np.sqrt(v)
 
 
+def _cbrt_block(v):
+    # _cbrt's own operations: np.abs and np.copysign are exact
+    return np.copysign(_powers(np.abs(v), 1.0 / 3.0), v)
+
+
 register_function(FunctionHook(
     "exp", 1, math.exp,
     lambda a, d: _mul(Call("exp", a), d[0])))
@@ -460,10 +467,11 @@ register_function(FunctionHook(
 register_function(FunctionHook(
     # derivative is sign(u)*u', written u/abs(u) so that it raises at u = 0
     "abs", 1, abs,
-    lambda a, d: _mul(_div(a[0], Call("abs", a)), d[0])))
+    lambda a, d: _mul(_div(a[0], Call("abs", a)), d[0]), block=np.abs))
 register_function(FunctionHook(
     "cbrt", 1, _cbrt,
-    lambda a, d: _div(d[0], _mul(Const(3.0), _pow(Call("cbrt", a), Const(2.0))))))
+    lambda a, d: _div(d[0], _mul(Const(3.0), _pow(Call("cbrt", a), Const(2.0)))),
+    block=_cbrt_block))
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +580,14 @@ def _apply(hook, node: "Call", variable: str, x: float, *args):
 # The block form.  A value is a float64 array over the block's points, or,
 # for a subtree without the variable, the scalar the per-point lines give.
 # + - * / and negation are numpy's: each is correctly rounded, so an element
-# is the float the per-point lines compute.  _apply_block runs a hook's
-# block form where it has one (sqrt, besselj, bessely) and the hook itself
-# per element where it has none; powers run per element through Python's
-# **.  Wherever an element may fail (a zero divisor, a power or hook that
-# _power or _apply would refuse, an error from a block form, a nonfinite
-# result) the block raises _Deferred, and evaluate_many evaluates that
-# block point by point instead.
+# is the float the per-point lines compute, and so is each power _powers
+# takes.  _apply_block runs a hook's block form where it has one (sqrt, abs,
+# cbrt, besselj, bessely) and the hook itself per element where it has none
+# (numpy's exp and log differ from math's in the last bit).  Wherever an
+# element may fail (a zero divisor, a power or hook that _power or _apply
+# would refuse, an error from a block form, a nonfinite result) the block
+# raises _Deferred, and evaluate_many evaluates that block point by point
+# instead.
 
 _BLOCK = 1024  # points per block: each line's array holds at most this many
 
@@ -597,20 +606,43 @@ def _elements(v):
     return v.tolist() if isinstance(v, np.ndarray) else repeat(v)
 
 
+def _powers(base, expo):
+    """base ** expo by elements, one operand or both float64 arrays: each
+    element is ``**``'s bit for bit, and OverflowError is raised where
+    ``**`` raises it.  A scalar is converted by float(), as ``**`` converts
+    it.  Zero bases with negative exponents and negative bases with
+    fractional exponents are the caller's to keep out.  Run it under
+    np.errstate(all="ignore")."""
+    if not isinstance(base, np.ndarray):
+        base = float(base)
+    if not isinstance(expo, np.ndarray):
+        expo = float(expo)
+    v = np.float_power(base, expo)
+    if not np.isfinite(v).all() and np.any(
+            np.isinf(v) & np.isfinite(base) & np.isfinite(expo)):
+        raise OverflowError("power overflows")
+    return v
+
+
 def _power_block(base, expo, node: "Pow", variable: str, x):
     if not isinstance(base, np.ndarray) and not isinstance(expo, np.ndarray):
         try:
             return _power(base, expo, node, variable, 0.0)
         except EvalDomainError:
             raise _Deferred from None
-    zero = np.equal(base, 0.0)
-    integral = np.isfinite(expo) & np.equal(np.floor(expo), expo)
-    if np.any(zero & ~np.greater(expo, 0.0)) or np.any(
-            ~zero & ~np.greater(base, 0.0) & ~integral):
-        raise _Deferred
-    n = len(base if isinstance(base, np.ndarray) else expo)
-    try:
-        v = np.fromiter(map(pow, _elements(base), _elements(expo)), float, n)
+    try:  # OverflowError: an overflowing power, or a scalar float() refuses
+        zero = np.equal(base, 0.0)
+        if isinstance(expo, np.ndarray):
+            integral = np.isfinite(expo) & np.equal(np.floor(expo), expo)
+            refused = np.any(zero & ~np.greater(expo, 0.0)) or np.any(
+                ~zero & ~np.greater(base, 0.0) & ~integral)
+        else:
+            # every Pow the builders emit: the exponent is tested once
+            refused = (not expo > 0.0 and zero.any()) or (
+                not float(expo).is_integer() and not np.all(zero | np.greater(base, 0.0)))
+        if refused:
+            raise _Deferred
+        v = _powers(base, expo)
     except OverflowError:
         raise _Deferred from None
     if np.any(zero):

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from .expr import (_BLOCK, Call, Const, FunctionHook, Mul, Sub, _fold_const,
-                   register_function)
+                   _powers, register_function)
 
 
 class SpecialFunctionError(ValueError):
@@ -277,18 +276,15 @@ def bessel_y(nu: float, x: float) -> float:
 #
 # The ascending series run over the lanes with 0 < x/2 and x <= the
 # crossover, each operation the scalar form's in the scalar form's order:
-# numpy's + - * / are correctly rounded, and powers and logarithms run per
-# element through Python's ** and math.log, since numpy's np.power and
-# np.log differ from them in the last bit.  Each lane stops at its own last
-# term.  Every other lane (the Hankel range, x <= 0, NaN, inf, a halving
-# that underflows) goes through the scalar function one element at a time,
-# and where the series raise (an overflowing power, a series that does not
-# converge) every lane does.  So each element is the scalar function's
-# value there, and a failing lane raises the scalar function's error.
-
-
-def _powers(base: np.ndarray, expo) -> np.ndarray:
-    return np.fromiter(map(pow, base.tolist(), repeat(expo)), float, len(base))
+# numpy's + - * / are correctly rounded, powers run through expr._powers,
+# whose np.float_power calls the C library's pow as Python's ** does, and
+# logarithms run per element through math.log, since np.log differs from
+# it in the last bit.  Each lane stops at its own last term.  Every other
+# lane (the Hankel range, x <= 0, NaN, inf, a halving that underflows) goes
+# through the scalar function one element at a time, and where the series
+# raise (an overflowing power, a series that does not converge) every lane
+# does.  So each element is the scalar function's value there, and a
+# failing lane raises the scalar function's error.
 
 
 _GROUP = 8  # series terms between two stop tests of the lanes

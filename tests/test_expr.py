@@ -417,6 +417,14 @@ def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
 # and a second block whose last point fails
 @example(root=Mul(Call("besselj", (Const(0.75), Var())), Call("bessely", (Const(-2.7), Var()))),
          xs=[0.05 * (i + 1) for i in range(expr._BLOCK + 2)] + [0.0], variable="x")
+# cbrt and abs by their block forms over two blocks of negative, subnormal
+# and huge arguments, and a last point that fails
+@example(root=Div(Const(1.0), Call("cbrt", (Var(),))),
+         xs=[(-1.0) ** i * 1.37 * 2.0 ** (2 * i - 1074) for i in range(expr._BLOCK + 2)] + [0.0],
+         variable="x")
+@example(root=Sub(Call("abs", (Var(),)), Var()),
+         xs=[(-1.0) ** i * 1.37 * 2.0 ** (2 * i - 1074) for i in range(expr._BLOCK + 2)]
+         + [-0.0, math.inf], variable="x")
 def test_evaluate_many_matches_evaluate_point_by_point(root, xs, variable):
     ast = ExpressionAST(root, variable)
     checked = [ast]
@@ -499,6 +507,99 @@ def test_power_at_edge_bases_matches_tree_walk(base, c):
     # fractional exponent, overflow, a nonfinite result and a finite one
     ast = ExpressionAST(Pow(Var(), Const(c)), "x")
     assert _outcome(ast.evaluate, base) == _outcome(lambda x: _walk_evaluate(ast, x), base)
+
+
+# ---------------------------------------------------------------------------
+# _powers, the block form's power: np.float_power, each element Python's **
+# bit for bit, and OverflowError where ** raises it
+
+_pow_floats = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                     math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 0.5, -0.5,
+                     10.0, -10.0, 1e300, -1e300, math.inf, -math.inf, math.nan)),
+    st.floats(-1100.0, 1100.0),
+    st.integers(-1100, 1100).map(float),  # negative bases take integral exponents
+)
+# ints as ** converts them: exactly, rounded above 2**53, or refused
+_pow_scalars = st.one_of(_pow_floats, st.integers(-5, 5),
+                         st.sampled_from((2**53 + 1, 3**40, -(2**60) - 1, 10**400)))
+
+
+def _in_float_domain(b, e) -> bool:
+    """Whether b ** e is a float or raises OverflowError: not a zero base
+    with a negative exponent (ZeroDivisionError), not a finite negative base
+    with a fractional exponent (a complex number, or an OverflowError from
+    complex exponentiation)."""
+    try:
+        b, e = float(b), float(e)  # as ** converts an int
+    except OverflowError:
+        return True
+    if b == 0.0:
+        return not (e < 0.0 and math.isfinite(e))
+    return not (b < 0.0 and math.isfinite(b) and math.isfinite(e) and not e.is_integer())
+
+
+def _into_domain(b, e, move_base: bool):
+    """(b, e), the base or the exponent moved into the float domain of **."""
+    if _in_float_domain(b, e):
+        return b, e
+    if move_base:
+        return (1.0 if b == 0 else -b), e
+    return b, (-e if b == 0 else float(math.floor(e)))
+
+
+def _power_outcome(fn):
+    try:
+        values = fn()
+    except OverflowError:
+        return ("raised", OverflowError)
+    return ("value", [repr(v) for v in values])  # repr keeps -0.0 apart
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases=st.lists(_pow_floats, min_size=1, max_size=12),
+       expos=st.lists(_pow_floats, min_size=1, max_size=12),
+       scalar=_pow_scalars, shape=st.sampled_from(("arrays", "scalar exponent", "scalar base")))
+# np.power's SIMD loop differs from ** at these on numpy 2.4, x86-64
+@example(bases=[4.541, 5.12, 3.742, 2.477], expos=[3.0], scalar=1.5, shape="scalar exponent")
+@example(bases=[8.965, 3.233, 8.005, 9.918], expos=[-0.25], scalar=-0.25,
+         shape="scalar exponent")
+# subnormal results and results that underflow to 0.0 and -0.0
+@example(bases=[0.5, 0.5, 2.0, -0.5, 1e-300, -5e-324, 5e-324],
+         expos=[1074.0, 1075.0, -1074.0, 1075.0, 2.0, 3.0, 0.5], scalar=0, shape="arrays")
+# overflow, a negative base's too
+@example(bases=[2.0, -10.0], expos=[1.0, 309.0], scalar=0, shape="arrays")
+@example(bases=[1.5], expos=[1e300], scalar=-10.0, shape="scalar base")
+# an int base above 2**53, and one float() refuses
+@example(bases=[1.0], expos=[1.0, 0.5, -3.0], scalar=2**53 + 1, shape="scalar base")
+@example(bases=[1.0], expos=[0.0], scalar=10**400, shape="scalar base")
+def test_powers_are_python_powers_bit_for_bit(bases, expos, scalar, shape):
+    if shape == "arrays":
+        pairs = [_into_domain(b, e, False) for b, e in zip(bases, expos)]
+        base, expo = np.array([b for b, _ in pairs]), np.array([e for _, e in pairs])
+    elif shape == "scalar exponent":
+        pairs = [_into_domain(b, scalar, True) for b in bases]
+        base, expo = np.array([b for b, _ in pairs]), scalar
+    else:
+        pairs = [_into_domain(scalar, e, False) for e in expos]
+        base, expo = scalar, np.array([e for _, e in pairs])
+    expected = _power_outcome(lambda: [b ** e for b, e in pairs])
+    with np.errstate(all="ignore"):
+        got = _power_outcome(lambda: expr._powers(base, expo).tolist())
+    assert got == expected, (base, expo)
+
+
+def test_abs_and_cbrt_block_forms_are_the_hooks_bit_for_bit():
+    rng = np.random.default_rng(2301)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 20_000),
+                         rng.standard_normal(2_000) * 10.0 ** rng.integers(-320, 308, 2_000),
+                         [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf]])
+    for name in ("abs", "cbrt"):
+        hook = expr.FUNCTIONS[name]
+        with np.errstate(all="ignore"):
+            got = hook.block(xs).tolist()
+        assert [v.hex() for v in got] == [hook.evaluate(x).hex() for x in xs.tolist()], name
 
 
 def test_same_shape_trees_share_one_code_object():

@@ -35,10 +35,13 @@ def _to_sympy(node):
         return -_to_sympy(node.a)
     if isinstance(node, Call):
         return _SYMPY_HOOKS[node.name](*[_to_sympy(a) for a in node.args])
-    if isinstance(node, Pow) and isinstance(node.b, Const) and float(node.b.value).is_integer():
-        # an integer power stays one: sympy differentiates (-x)**1.0 as
-        # 1.0*(-x)**1.0/x, which divides by zero at x = 0
-        return _to_sympy(node.a) ** sympy.Integer(int(node.b.value))
+    if isinstance(node, Pow) and not node.b.has_var():
+        # an integer power stays one, however its exponent is written:
+        # sympy differentiates (-x)**1.0 as 1.0*(-x)**1.0/x, which divides
+        # by zero at x = 0
+        c = expr._fold_const(node.b)
+        if float(c).is_integer():
+            return _to_sympy(node.a) ** sympy.Integer(int(c))
     return _SYMPY_OPS[type(node)](_to_sympy(node.a), _to_sympy(node.b))
 
 
@@ -64,6 +67,8 @@ _small_constants = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.
 @example(root=Call("besselj", (Const(0.5), Var())), x=5e-324)
 @example(root=Add(Var(), Call("cbrt", (Const(0.0),))), x=0.0)
 @example(root=Pow(Neg(Var()), Const(1.0)), x=0.0)
+# an integral exponent that is not a bare constant
+@example(root=Pow(Neg(Var()), Neg(Const(-1.0))), x=0.0)
 # a Bessel argument of 1.8e92, where every order's Hankel phase used to
 # round to the argument itself: J_0.5 read J_-0.5, so the derivative
 # evaluated to -0.0 instead of about 1e46

@@ -363,6 +363,23 @@ def test_block_forms_match_the_scalar_functions_bit_for_bit(nu):
         assert [v.hex() for v in tree.evaluate_many(xs)] == want
 
 
+def test_series_blocks_take_python_powers():
+    # the series' (x/2)**nu, (x/2)**n and (x/2)**(2m - n), int exponents
+    # too, run through expr._powers; with np.power, which differs from ** in
+    # the last bit on a few percent of these, the sums would differ
+    rng = np.random.default_rng(2302)
+    xs = rng.uniform(1e-3, 12.0, 4000)
+    for k in (0.5, 1.0615528128088303, 7.5, -2.7, 3, -5, 0):
+        assert ([v.hex() for v in special._powers(0.5 * xs, k).tolist()]
+                == [((0.5 * x) ** k).hex() for x in xs.tolist()]), k
+    for nu in (0.5, 2.0, 7.5, 1.0615528128088303):
+        assert ([v.hex() for v in special._series_j_block(nu, xs).tolist()]
+                == [special._series_j(nu, x).hex() for x in xs.tolist()]), nu
+    for n in range(7):
+        assert ([v.hex() for v in special._y_integer_block(n, xs).tolist()]
+                == [special._y_integer_series(n, x).hex() for x in xs.tolist()]), n
+
+
 @pytest.mark.parametrize("nu", _BLOCK_ORDERS)
 def test_a_failing_lane_raises_the_scalar_functions_error(nu):
     regular = np.geomspace(0.01, 30.0, 40)
