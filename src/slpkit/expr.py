@@ -167,10 +167,12 @@ class Const(Node):
 
     def text(self, prec=0):
         v = self.value
-        if float(v).is_integer() and abs(v) < 1e15:
-            s = str(int(v))
+        try:
+            f = float(v)
+        except OverflowError:  # an int beyond the float range: its digits
+            s = str(v)
         else:
-            s = repr(float(v))
+            s = str(int(v)) if f.is_integer() and abs(v) < 1e15 else repr(f)
         return self._wrap(s, prec, 100 if v >= 0 else 25)
 
     def has_var(self):
@@ -554,8 +556,8 @@ def _power(base, expo, node: "Pow", variable: str, x: float):
         if not expo > 0.0:
             raise _fail("zero base with nonpositive exponent", node, variable, x)
         v = 0.0
-    elif not base > 0.0 and not float(expo).is_integer():
-        # a negative or NaN base
+    elif not base > 0.0 and not (isinstance(expo, int) or float(expo).is_integer()):
+        # a negative or NaN base; an int exponent is integral, however large
         raise _fail("negative base with fractional exponent", node, variable, x)
     else:
         try:

@@ -9,9 +9,9 @@ slopes and quadrature share their sqrt(r/p) values, evaluated in batches
 and once per point), exposes the potential I through its x-space
 expression, and inverts the map.  The adaptive refinement is that of a
 depth-first walk: the walk itself runs it for a fixed number of lookups
-per build, so a non-integrable point fails fast, and hands what is left,
-of every chunk of cells, to one run of a level-by-level numpy form of the
-same arithmetic.
+per build, so a non-integrable point fails fast, and hands the base cells
+it has not finished, whole, to one run of a level-by-level numpy form of
+the same arithmetic.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
@@ -52,25 +52,7 @@ _MAX_CELL_DEPTH = 45  # map refinement: halvings of a base cell
 
 
 class _Handover(Exception):
-    """The walk's lookup budget ran out (see build_map).  `pending` is what
-    the walk left of the call that raised it: None where that call had not
-    begun, a Simpson node not begun (the tuple of _simpson_step's arguments
-    after fn), or a list [l, r] of its halves, whose value is l + r, each
-    half a float it finished, a node or such a list."""
-
-    pending = None
-
-
-def _halves(pending, l, r, right_first, lnode, rnode):
-    # [l, r] as a walk that stopped inside one of them left them: a half not
-    # begun is its node, and the half that raised, the first in the walk's
-    # order without a value, holds what it left
-    first = 1 if right_first else 0
-    raised = first if (l, r)[first] is None else 1 - first
-    parts = [lnode if l is None else l, rnode if r is None else r]
-    if pending is not None:
-        parts[raised] = pending
-    return parts
+    """The walk's lookup budget ran out (see build_map)."""
 
 
 def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
@@ -89,20 +71,12 @@ def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
     half = 0.5 * eps
     # the half whose outer samples sum larger first: a pole sits there, and
     # a non-integrable one fails before its neighbours are resolved
-    right_first = frm + fb > fa + flm
-    l = r = None
-    try:
-        if right_first:
-            r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
-            l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
-        else:
-            l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
-            r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
-    except _Handover as stop:
-        stop.pending = _halves(stop.pending, l, r, right_first,
-                               (a, m, fa, flm, fm, left, half, depth + 1),
-                               (m, b, fm, frm, fb, right, half, depth + 1))
-        raise
+    if frm + fb > fa + flm:
+        r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
+        l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+    else:
+        l = _simpson_step(fn, a, m, fa, flm, fm, left, half, depth + 1)
+        r = _simpson_step(fn, m, b, fm, frm, fb, right, half, depth + 1)
     return l + r
 
 
@@ -115,13 +89,7 @@ def _simpson_root(fn, lo, hi, flo, fhi, tol):
 
 def _adaptive_simpson(fn, lo, hi, flo, fhi, tol):
     """Integral of fn over [lo, hi]; flo and fhi are fn(lo) and fn(hi)."""
-    root = _simpson_root(fn, lo, hi, flo, fhi, tol)
-    try:
-        return _simpson_step(fn, *root)
-    except _Handover as stop:
-        if stop.pending is None:
-            stop.pending = root
-        raise
+    return _simpson_step(fn, *_simpson_root(fn, lo, hi, flo, fhi, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +216,7 @@ class TransformMap:
 
 _BASE_NODES = 2049
 _MAX_CHUNK = 256  # base cells per depth-0 batch, at most
-_WALK_LOOKUPS = 1024  # sqrt(r/p) lookups the walk makes in a build before it hands over
+_WALK_LOOKUPS = 1024  # sqrt(r/p) lookups a build's walk makes before it hands its cells over
 _MAX_NODES = 1 << 17  # Simpson nodes batched refinement may hold at once
 
 
@@ -311,22 +279,6 @@ def _simpson_halves(a, m, b, fa, fm, fb, flm, frm, estimate):
 
 class _Fallback(Exception):
     """Batched refinement stops: a depth cap, or more than _MAX_NODES nodes."""
-
-
-def _nodes(part):
-    # the Simpson nodes in what the walk left (see _Handover), left to right
-    if isinstance(part, list):
-        for half in part:
-            yield from _nodes(half)
-    elif isinstance(part, tuple):
-        yield part
-
-
-def _total(part, values):
-    # what the walk left, its nodes' values taken from `values` in _nodes order
-    if isinstance(part, list):
-        return _total(part[0], values) + _total(part[1], values)
-    return next(values) if isinstance(part, tuple) else part
 
 
 class _Table:
@@ -434,33 +386,13 @@ def _accept(x0, x1, s0, s1, depth, xm, left, right, quad_tol, pieces):
     return split
 
 
-def _finish(lookup, cell, half_tol, quad_tol, pieces) -> list:
-    """The cell the walk stopped in: (x0, x1, s0, s1, depth, xm, sqrt(r/p)
-    at xm, then what the walk left of its left and right halves, None for
-    a half not begun).  Runs what is left and tests the cell; returns its
-    halves as cells not begun where it splits."""
-    x0, x1, s0, s1, depth, xm, sm, *halves = cell
-    parts = [part if part is not None else
-             _simpson_root(lambda x: lookup(np.array([x]))[0], *span, half_tol)
-             for part, span in zip(halves, ((x0, xm, s0, sm), (xm, x1, sm, s1)))]
-    nodes = np.array([n for part in parts for n in _nodes(part)]).T
-    values = iter(_tree_values(_simpson_levels(lookup, nodes, _MAX_NODES), 0).tolist())
-    left, right = (_total(part, values) for part in parts)
-    if _accept(*np.array([[x0], [x1], [s0], [s1], [depth], [xm], [left], [right]]),
-               quad_tol, pieces)[0]:
-        return [(x0, xm, s0, sm, depth + 1), (xm, x1, sm, s1, depth + 1)]
-    return []
-
-
 @np.errstate(all="ignore")
-def _refine_batched(lookup, cells, started, half_tol, quad_tol, pieces):
-    """The walk's refinement of `cells` (tuples x0, x1, s0, s1, depth, not
-    begun), after `_finish` of `started` where that is not None, run a
-    generation of cells at a time: their Simpson trees, then the Hermite
-    test elementwise.  A depth cap, or more than _MAX_NODES nodes held,
-    raises _Fallback.  A build makes one call, with the cells of every
-    chunk it handed over: a cell's pieces depend on that cell alone, and
-    only the cell where the walk's budget ran out was begun.
+def _refine_batched(lookup, cells, half_tol, quad_tol, pieces):
+    """The walk's refinement of `cells` (base cells x0, x1, s0, s1, 0, none
+    begun), run a generation of cells at a time: their Simpson trees, then
+    the Hermite test elementwise.  A depth cap, or more than _MAX_NODES
+    nodes held, raises _Fallback.  A build makes one call, with every cell
+    the walk handed over: a cell's pieces depend on that cell alone.
 
     A cell's two trees cover its halves with root tolerance half_tol.  A
     half of a child cell is a half of one of its parent's halves, and the
@@ -468,8 +400,6 @@ def _refine_batched(lookup, cells, started, half_tol, quad_tol, pieces):
     So where the parent's root over it split, the child's trees are
     subtrees already run, which `_tree_values` reads; the other cells'
     trees run by `_simpson_levels`, a generation's as one forest."""
-    if started is not None:
-        cells = cells + _finish(lookup, started, half_tol, quad_tol, pieces)
     # a column per cell: x0, x1, s0, s1, depth, then where its trees are:
     # the generation whose forest holds them (-1: none yet) and the index of
     # its left root there, the right root next to it; in x order, kept below
@@ -546,24 +476,23 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
       across chunks; the first chunks refine where sqrt(r/p) is largest,
       so a non-integrable point is reached there (see below).
     - Below depth 0, in batches.  Where the budget runs out, the walk
-      hands over what it has not done (the Simpson nodes it has not run,
-      the cells on its stack, the chunk's cells not begun, its table)
-      without redoing any of it, and each later chunk's walk hands over
-      at its first lookup.  The work handed over waits, its tables merged
-      into one, until the chunks are done; then `_refine_batched` runs
-      all of it in one call, a generation of cells at a time: one
-      evaluate_many batch per tree level of the points not in the table,
-      the arithmetic elementwise, each split node's value summed as l + r
-      as the walk sums it.  A child cell's trees are subtrees of its
-      parent's under a looser test, so they are read from the parent's
-      levels, not run again.  Any failure there (an evaluation error, a
-      depth cap, more than _MAX_NODES nodes) drops what the batches and
-      the waiting chunks' walks accepted, and each waiting chunk is walked
-      again from its start, in order, without a budget, so the error is
+      drops the pieces of the base cell it is in and hands that cell over
+      whole, with the chunk's cells after it and every later chunk's
+      refined cells, none of them begun; the points it evaluated stay in
+      the table.  The cells handed over wait, their tables merged into
+      one, until the chunks are done; then `_refine_batched` runs all of
+      them in one call, a generation of cells at a time: one evaluate_many
+      batch per tree level of the points not in the table, the arithmetic
+      elementwise, each split node's value summed as l + r as the walk
+      sums it.  A child cell's trees are subtrees of its parent's under a
+      looser test, so they are read from the parent's levels, not run
+      again.  Any failure there (an evaluation error, a depth cap, more
+      than _MAX_NODES nodes) drops what that run accepted, and the cells
+      handed over are walked, in order, without a budget, so the error is
       the walk's: message, subinterval and all.
 
     A chunk whose depth-0 batch fails is walked cell by cell from an empty
-    table, point by point, after the work waiting before it is run: that
+    table, point by point, after the cells waiting before it are run: that
     walk reaches the points in the order of a build without batches, so
     the error names the same point.  Where no batch fails every point is
     evaluated once (x = 0 aside: 0.0 and -0.0 are one key, so neither is
@@ -628,21 +557,20 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     def walk(cells, lookup):
         """Refine base cells [(i, seeds)] depth first through `lookup`
         (remembered, or budgeted), each with a table seeded with its
-        (point, value) pairs.  Returns None once every cell is done, else,
-        where the budget ran out, the work left as _refine_batched takes it
-        (the cells not begun and the one begun, or None), with the table
-        holding every value the walk has."""
+        (point, value) pairs.  Returns the cells not done: none, or, where
+        the budget ran out, the cell it ran out in, its pieces dropped and
+        its table put into `known`, and every cell after it."""
         for n, (i, seeds) in enumerate(cells):
             memo.clear()
             # seeded as remembered fills it: x = 0 is never stored
             memo.update((x, s) for x, s in seeds if x)
+            first = len(xs)
             # depth-first, left half first
             stack = [base(i)]
-            while stack:
-                x0, x1, s0, s1, depth = cell = stack.pop()
-                xm = 0.5 * (x0 + x1)
-                left = right = None
-                try:
+            try:
+                while stack:
+                    x0, x1, s0, s1, depth = stack.pop()
+                    xm = 0.5 * (x0 + x1)
                     sm = lookup(xm)
                     if s1 > s0:
                         right = _adaptive_simpson(lookup, xm, x1, sm, s1, half_tol)
@@ -650,51 +578,41 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
                     else:
                         left = _adaptive_simpson(lookup, x0, xm, s0, sm, half_tol)
                         right = _adaptive_simpson(lookup, xm, x1, sm, s1, half_tol)
-                except _Handover as stop:
-                    halves = _halves(stop.pending, left, right, s1 > s0, None, None)
-                    for _, later in cells[n + 1:]:
-                        memo.update((x, s) for x, s in later if x)
-                    todo = stack + [base(j) for j, _ in cells[n + 1:]]
-                    if halves[0] is None and halves[1] is None:
-                        return todo + [cell], None
-                    return todo, (*cell, xm, sm, *halves)
-                predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
-                if abs(predicted - left) <= quad_tol:
-                    xs.append(x1)
-                    integrals.append(left + right)
-                    ds.append(s1)
-                elif depth >= _MAX_CELL_DEPTH:
-                    raise QuadratureError("map refinement did not converge", x0, x1)
-                else:
-                    stack.append((xm, x1, sm, s1, depth + 1))
-                    stack.append((x0, xm, s0, sm, depth + 1))
-        return None
+                    predicted = _hermite_value(xm, x0, x1, 0.0, left + right, s0, s1)
+                    if abs(predicted - left) <= quad_tol:
+                        xs.append(x1)
+                        integrals.append(left + right)
+                        ds.append(s1)
+                    elif depth >= _MAX_CELL_DEPTH:
+                        raise QuadratureError("map refinement did not converge", x0, x1)
+                    else:
+                        stack.append((xm, x1, sm, s1, depth + 1))
+                        stack.append((x0, xm, s0, sm, depth + 1))
+            except _Handover:
+                del xs[first:], integrals[first:], ds[first:]
+                known.update(memo)
+                return cells[n:]
+        return []
 
-    # the work handed over, by the chunk where the budget runs out and each
-    # chunk after it: each one's refined cells and the [first, last) of the
-    # pieces its walk accepted; then the cells left, the one begun and the
-    # chunks' tables, merged
-    deferred, todo, started, known = [], [], None, {}
+    # the cells handed over, in the walk's order, and sqrt(r/p) at their points
+    handed, known = [], {}
 
     def flush():
-        """Run the deferred work as one batched refinement, or where that
-        fails, drop every piece it and the deferred walks accepted and walk
-        each deferred chunk again, in order, without a budget."""
-        nonlocal deferred, todo, started, known
-        if not deferred:
+        """Run the cells handed over as one batched refinement, or where that
+        fails, drop every piece it accepted and walk them, in order, without
+        a budget."""
+        if not handed:
             return
         done = len(xs)
         try:
-            _refine_batched(_Table(sigma_expr.evaluate_many, known), todo, started,
-                            half_tol, quad_tol, (xs, integrals, ds))
+            _refine_batched(_Table(sigma_expr.evaluate_many, known),
+                            [base(i) for i, _ in handed], half_tol, quad_tol, (xs, integrals, ds))
         except (ExprError, _Fallback):
             # the walk alone meets the failure where a build without batches does
             del xs[done:], integrals[done:], ds[done:]
-            for _, first, last in reversed(deferred):
-                del xs[first:last], integrals[first:last], ds[first:last]
-            for refined, _, _ in deferred:
-                walk(refined, remembered)
-        deferred, todo, started, known = [], [], None, {}
+            walk(handed, remembered)
+        handed.clear()
+        known.clear()
 
     # the whole grid first: a failing node is reported before any point between nodes
     ends = batch(nodes)
@@ -713,7 +631,7 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         points = np.stack(_depth0_points(lo, hi))
         values = batch(points.ravel())
         if values is None:
-            # the walk reaches the work handed over before this chunk first
+            # the walk reaches the cells handed over before this chunk first
             flush()
             walk([(i, ()) for i in chunk.tolist()], remembered)
             continue
@@ -725,14 +643,11 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         rest = np.flatnonzero(~ok)
         refined = [(i, list(zip(p, v))) for i, p, v in zip(
             chunk[rest].tolist(), points[:, rest].T.tolist(), values[:, rest].T.tolist())]
-        first = len(xs)
-        handed = walk(refined, budgeted)
-        if handed is not None:
-            deferred.append((refined, first, len(xs)))
-            todo += handed[0]
-            if handed[1] is not None:
-                started = handed[1]  # once: later chunks hand over at their first lookup
-            known.update(memo)
+        if lookups_left > 0:  # once the budget is spent, later chunks are not walked
+            refined = walk(refined, budgeted)
+        handed += refined
+        for _, seeds in refined:
+            known.update((x, s) for x, s in seeds if x)
     flush()
     # back to x order: pieces do not overlap, so their right ends are distinct
     order = np.argsort(xs, kind="stable")

@@ -47,6 +47,24 @@ def test_domain_error_names_fragment_and_point():
     assert err.value.x == 1.0
 
 
+@pytest.mark.parametrize("x", [2.0, -2.0])
+def test_an_int_exponent_beyond_the_float_range_overflows_in_the_domain(x):
+    # only a tree built without parse (which makes floats) holds such an
+    # int: its power overflows as any other does, and it prints as its digits
+    ast = ExpressionAST(Pow(Var(), Const(10**400)), "x")
+    digits = "1" + "0" * 400
+    assert ast.to_text() == "x^" + digits
+    with pytest.raises(EvalDomainError) as err:
+        ast.evaluate(x)
+    assert (err.value.reason, err.value.fragment, err.value.x) == (
+        "overflow in power", "x^" + digits, x)
+    with pytest.raises(EvalDomainError) as many:
+        ast.evaluate_many([0.0, x])
+    assert str(many.value) == str(err.value)
+    # an int that converts to float keeps the float's text
+    assert Const(2**53 + 1).text() == "9007199254740992.0"
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse("1/(x")

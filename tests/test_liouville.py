@@ -124,9 +124,9 @@ def _build_error(problem):
      r"quadrature did not converge on subinterval \[0\.0100020166671873"),
 ])
 def test_batched_refinement_fails_as_the_walk_does(monkeypatch, problem, cap, message):
-    # with no walk before the hand-over every refined chunk goes to the
-    # batches first; where they fail, the chunk is walked again and raises
-    # the walk's error, message and subinterval alike
+    # with no walk before the hand-over every refined cell goes to the
+    # batches first; where they fail, the cells are walked and raise the
+    # walk's error, message and subinterval alike
     if cap is not None:
         monkeypatch.setattr(liouville, "_MAX_CELL_DEPTH", cap)
     walked = _build_error(problem)
@@ -149,7 +149,7 @@ def _same_map(a, b):
 
 def test_batched_refinement_past_its_node_bound_is_walked(monkeypatch):
     # batches that would hold more nodes than _MAX_NODES stop, and the
-    # chunk is walked from its start instead
+    # cells handed over are walked instead
     problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
     m = build_map(problem, 1e-10)
     stopped = []
@@ -170,8 +170,8 @@ def test_batched_refinement_past_its_node_bound_is_walked(monkeypatch):
 
 def test_a_chunk_is_walked_again_without_what_its_batches_accepted(monkeypatch):
     # batches that stop after accepting pieces leave none of them behind,
-    # nor any piece the walk accepted in a chunk it handed over (past case1's
-    # first chunk, the walk accepts pieces in the chunk where it stops)
+    # nor any piece the walk accepted in the cell it handed over (past
+    # case1's first chunk, the walk accepts pieces in the cell where it stops)
     problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
     m = build_map(problem, 1e-10)
     refine = liouville._refine_batched
@@ -421,13 +421,13 @@ def _outcome(build, problem):
 
 
 def _recording_refinements(monkeypatch):
-    """The list of the `started` cell of each _refine_batched call."""
+    """The list of the cells passed to each _refine_batched call."""
     runs = []
     refine = liouville._refine_batched
 
-    def recording(lookup, cells, started, *args):
-        runs.append(started)
-        return refine(lookup, cells, started, *args)
+    def recording(lookup, cells, *args):
+        runs.append(cells)
+        return refine(lookup, cells, *args)
 
     monkeypatch.setattr(liouville, "_refine_batched", recording)
     return runs
@@ -449,21 +449,25 @@ def budget_oracles():
 @pytest.mark.parametrize("name", sorted(_BUDGET_PROBLEMS))
 def test_build_map_matches_reference_at_every_walk_budget(monkeypatch, budget_oracles,
                                                           name, budget):
-    # the budget is the build's: once it is spent, each later chunk hands
-    # over at its first lookup, and the work handed over runs in one batch
+    # the budget is the build's: once it is spent, later chunks are not
+    # walked, and the cells handed over run in one batch
     problem = _BUDGET_PROBLEMS[name]
     monkeypatch.setattr(liouville, "_WALK_LOOKUPS", budget)
     runs = _recording_refinements(monkeypatch)
     assert _outcome(build_map, problem) == budget_oracles[name]
+    # the walk hands over whole base cells, never one it has begun
+    grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES).tolist()
+    base_cells = set(zip(grid, grid[1:]))
+    for cells in runs:
+        assert all(depth == 0 and (x0, x1) in base_cells for x0, x1, _, _, depth in cells)
     if name == "singular-p":
         # from 82 lookups on the walk itself meets the pole
         assert not runs if budget >= 82 else len(runs) == 1
         return
     assert len(runs) == 1
     if budget == LATER_CHUNK:
-        # begun past the left-end cell, the first chunk
-        grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES)
-        assert runs[0] is not None and runs[0][0] >= grid[1]
+        # the walk finished the left-end cell, the first chunk
+        assert all(x0 != grid[0] for x0, *_ in runs[0])
 
 
 @pytest.mark.parametrize("label, k, params", TRANSFORM_SHAPES)
@@ -679,16 +683,20 @@ def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
     assert max(seen.values()) == 1
 
 
-@pytest.mark.parametrize("label, k, params, total", [
-    # refined cells that re-evaluated their parent's points would make 203,963
-    ("case1", 2.0, {"r0": 1.0}, 75_000),
-    ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}, None),
+@pytest.mark.parametrize("label, k, params, total, budget", [
+    # refined cells that re-evaluated their parent's points would make 203,963;
+    # a budget of 1 or the default runs out in case1's first chunk, LATER_CHUNK in its second
+    *[("case1", 2.0, {"r0": 1.0}, 75_000, budget)
+      for budget in (1, liouville._WALK_LOOKUPS, LATER_CHUNK)],
+    ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}, None, liouville._WALK_LOOKUPS),
 ])
 def test_build_map_evaluates_a_refined_cell_at_most_twice_per_point(monkeypatch, label, k,
-                                                                   params, total):
+                                                                   params, total, budget):
     # a refined base cell's walk starts from a table seeded with its depth-0
-    # batch, and deeper points are shared: each point is evaluated once
+    # batch, and deeper points are shared: each point is evaluated once, and
+    # the points of a cell the walk drops reach the batched run in its table
     problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
+    monkeypatch.setattr(liouville, "_WALK_LOOKUPS", budget)
     seen = _count_sigma(monkeypatch)
     m = build_map(problem, 1e-10)
     assert len(m._xs) > 2049  # some cell refined
