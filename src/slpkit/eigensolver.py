@@ -17,13 +17,14 @@ of the second-order schemes.  Each grid's bisection starts from the same
 Gershgorin brackets and takes the same midpoints as a plain bisection, but
 first takes a guess of each eigenvalue -- the fine grid's guesses are the
 coarse grid's eigenvalues, the coarse grid's those of a grid of n // 8
-points -- and moves it by Newton steps on det(T - sigma I) to within about
-one rounding error of the largest entry.  Where the steps settle, each
-side of the result is certified on a ladder of radii that starts at the
-bisection's tol and grows fourfold up to that rounding error; a center
-within tol of its eigenvalue takes two counts for a window of 2 tol, and a
-rung that fails is itself a bound on the other side.  A guess that does
-not settle gets no window.  The count never decreases as the shift grows,
+points, or of 50 where that is more and at most n / 2 -- and moves it by
+Newton steps on det(T - sigma I) to within about one rounding error of
+the largest entry.  Where the steps settle, each side of the result is
+certified on a ladder of radii that starts at the bisection's tol and
+grows fourfold up to that rounding error; a center within tol of its
+eigenvalue takes two counts for a window of 2 tol, and a rung that fails
+is itself a bound on the other side.  A guess that does not settle gets
+no window.  The count never decreases as the shift grows,
 so a midpoint outside the bounds is decided without a count, and the
 eigenvalues come out bit for bit the same as from a full bisection.
 """
@@ -363,14 +364,16 @@ def _assemble(problem, n: int) -> SymTridiag:
 
 
 def _guesses(problem, n: int, count: int):
-    """Guesses of the n-point grid's eigenvalues: those of an n // 8 grid.
+    """Guesses of the n-point grid's eigenvalues: those of a grid of n // 8
+    points, or of 50 where that is more.
 
-    None when that grid is too small for `count` eigenvalues or cannot be
-    solved: its points are not the n-point grid's, and a failure there
-    must not change what the n-point solve reports.
+    None when that grid is more than half the n-point grid, is too small
+    for `count` eigenvalues or cannot be solved: its points are not the
+    n-point grid's, and a failure there must not change what the n-point
+    solve reports.
     """
-    m = n // _GUESS_DIV
-    if count < 1 or m < max(50, 4 * count):
+    m = max(n // _GUESS_DIV, 50)
+    if count < 1 or 2 * m > n or m < 4 * count:
         return None
     try:
         T = _assemble(problem, m)
@@ -387,8 +390,8 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
     The fine grid has 2n+1 interior points so the mesh width is exactly
     halved; with a literal 2n the h^2 terms would not cancel cleanly and
     the extrapolation would be limited to O(h^2/n).  The coarse eigenvalues
-    are the fine-grid bisection's guesses, and the eigenvalues of an n // 8
-    grid are the coarse bisection's.
+    are the fine-grid bisection's guesses, and the eigenvalues of a grid
+    of n // 8 points (at least 50) are the coarse bisection's.
     """
     lam_n = eig_bisect(_assemble(problem, n), count, _near=_guesses(problem, n, count))
     if not richardson:

@@ -159,8 +159,10 @@ class Const(Node):
         return ()
 
     def key(self, em):
-        # by repr, so 0.0 and -0.0, or 2 and 2.0, stay apart
-        return (type(self.value), repr(self.value))
+        # by repr, so 0.0 and -0.0, or 2 and 2.0, stay apart; an int by
+        # value, since repr refuses one past Python's int-to-str digit limit
+        v = self.value
+        return (type(v), v if type(v) is int else repr(v))
 
     def diff(self):
         return Const(0.0)
@@ -169,8 +171,13 @@ class Const(Node):
         v = self.value
         try:
             f = float(v)
-        except OverflowError:  # an int beyond the float range: its digits
-            s = str(v)
+        except OverflowError:  # an int beyond the float range: its digits,
+            # in pieces short enough for Python's int-to-str digit limit
+            head, pieces = abs(v), []
+            while head >= 10**500:
+                head, low = divmod(head, 10**500)
+                pieces.append(f"{low:0500d}")
+            s = "-" * (v < 0) + str(head) + "".join(reversed(pieces))
         else:
             s = str(int(v)) if f.is_integer() and abs(v) < 1e15 else repr(f)
         return self._wrap(s, prec, 100 if v >= 0 else 25)

@@ -10,8 +10,8 @@ and once per point), exposes the potential I through its x-space
 expression, and inverts the map.  The adaptive refinement is that of a
 depth-first walk: the walk itself runs it for a fixed number of lookups
 per build, so a non-integrable point fails fast, and hands the base cells
-it has not finished, whole, to one run of a level-by-level numpy form of
-the same arithmetic.
+it has not finished, whole, to one level-by-level numpy run of the same
+arithmetic, in which a cell carries the values its children reuse.
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
@@ -80,16 +80,15 @@ def _simpson_step(fn, a, b, fa, fm, fb, estimate, eps, depth):
     return l + r
 
 
-def _simpson_root(fn, lo, hi, flo, fhi, tol):
-    """The root of _adaptive_simpson's tree, as _simpson_step's arguments
-    after fn; elementwise where the points are arrays."""
-    fmid = fn(0.5 * (lo + hi))
+def _simpson_root(lo, hi, flo, fmid, fhi, tol):
+    """The root of _adaptive_simpson's tree (fmid: fn at its midpoint), as
+    _simpson_step's arguments after fn; elementwise where they are arrays."""
     return lo, hi, flo, fmid, fhi, (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi), tol, 0
 
 
 def _adaptive_simpson(fn, lo, hi, flo, fhi, tol):
     """Integral of fn over [lo, hi]; flo and fhi are fn(lo) and fn(hi)."""
-    return _simpson_step(fn, *_simpson_root(fn, lo, hi, flo, fhi, tol))
+    return _simpson_step(fn, *_simpson_root(lo, hi, flo, fn(0.5 * (lo + hi)), fhi, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ class TransformMap:
 
 _BASE_NODES = 2049
 _MAX_CHUNK = 256  # base cells per depth-0 batch, at most
-_WALK_LOOKUPS = 1024  # sqrt(r/p) lookups a build's walk makes before it hands its cells over
+_WALK_LOOKUPS = 256  # sqrt(r/p) lookups a build's walk makes before it hands its cells over
 _MAX_NODES = 1 << 17  # Simpson nodes batched refinement may hold at once
 
 
@@ -281,74 +280,50 @@ class _Fallback(Exception):
     """Batched refinement stops: a depth cap, or more than _MAX_NODES nodes."""
 
 
-class _Table:
-    """sqrt(r/p) by point for batched refinement, as sorted arrays.  A
-    lookup evaluates the points it does not hold by one evaluate_many batch,
-    each point once, and keeps them; x = 0 is never kept (0.0 and -0.0 are
-    one key, but sqrt(r/p) may tell them apart), so it is evaluated each time."""
-
-    def __init__(self, evaluate_many, known: dict):
-        self.evaluate_many = evaluate_many
-        # +inf, never a point, keeps every search inside the arrays
-        keys = np.fromiter(known, float, len(known))
-        order = np.argsort(keys)
-        self.keys = np.append(keys[order], math.inf)
-        self.values = np.append(np.fromiter(known.values(), float, len(known))[order], math.nan)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(self.keys, points)
-        out = self.values[at]
-        miss = self.keys[at] != points
-        if miss.any():
-            xs = points[miss]
-            zero = xs == 0.0
-            fresh = np.unique(xs[~zero])
-            new = np.array(self.evaluate_many(np.concatenate((fresh, xs[zero]))))
-            got = np.empty(len(xs))
-            got[~zero] = new[np.searchsorted(fresh, xs[~zero])]
-            got[zero] = new[len(fresh):]
-            out[miss] = got
-            at = np.searchsorted(self.keys, fresh)
-            self.keys = np.insert(self.keys, at, fresh)
-            self.values = np.insert(self.values, at, new[:len(fresh)])
-        return out
-
-
 # the rows of a split node's children among a, m, b, fa, fm, fb, flm, frm,
 # left, right, eps/2, depth+1: the left child's arguments, then the right's
 _CHILDREN = np.array([[0, 1, 3, 6, 4, 8, 10, 11], [1, 2, 4, 7, 5, 9, 10, 11]])
-# the rows of a split cell's halves among x0, xm, x1, s0, sm, s1, depth+1,
-# then where each half's trees are (forest, index: left half's, right half's)
-_CELL_CHILDREN = np.array([[0, 1, 3, 4, 6, 7, 9], [1, 2, 4, 5, 6, 8, 10]])
+# the rows of a split cell's halves among x0, xm, x1, s0, sm, s1, depth+1, sq1,
+# sq3, its roots' flm, frm (left's, right's), forest and index (left's, right's)
+_CELL_CHILDREN = np.array([[0, 1, 3, 4, 6, 7, 9, 10, 13, 15],
+                           [1, 2, 4, 5, 6, 8, 11, 12, 14, 16]])
+
+
+def _sampled(evaluate, nodes):
+    """Simpson nodes (_simpson_step's arguments after fn, a column each) and
+    flm, frm: fn at their points 0.5*(a+m), 0.5*(m+b), one evaluate batch."""
+    a, b = nodes[:2]
+    m = 0.5 * (a + b)
+    return np.vstack((nodes, evaluate(0.5 * np.concatenate((a + m, m + b))).reshape(2, -1)))
 
 
 @np.errstate(all="ignore")
-def _simpson_levels(lookup, nodes, room):
-    """Run Simpson nodes (the rows of `nodes` are _simpson_step's arguments
-    after fn, a column per node, in x order) level by level: one lookup of
-    every node's two points per level, then _simpson_step's arithmetic
-    elementwise.  Returns the levels, the nodes' own first, each as (key,
-    value, split) with key and value those of _simpson_halves; split nodes
-    have their children, in x order, at the next level.  More than `room`
-    nodes, or a split at _MAX_DEPTH, raise _Fallback."""
+def _simpson_levels(evaluate, nodes, room):
+    """Run Simpson nodes (the rows of `nodes` are those of _sampled, a
+    column per node) level by level: _simpson_step's arithmetic
+    elementwise, then one evaluate batch of the points of the split nodes'
+    children.  Returns the levels, the nodes' own first, each as (key,
+    value, split, flm, frm) with key and value those of _simpson_halves;
+    split nodes have their children, in order, at the next level.  More
+    than `room` nodes, or a split at _MAX_DEPTH, raise _Fallback."""
     levels = []
-    while nodes.shape[1]:
+    while True:
         room -= nodes.shape[1]
         if room < 0:
             raise _Fallback
-        a, b, fa, fm, fb, estimate, eps, depth = nodes
+        a, b, fa, fm, fb, estimate, eps, depth, flm, frm = nodes
         m = 0.5 * (a + b)
-        flm, frm = lookup(0.5 * np.concatenate((a + m, m + b))).reshape(2, -1)
         left, right, key, value = _simpson_halves(a, m, b, fa, fm, fb, flm, frm, estimate)
         split = ~(key <= 15.0 * eps)
-        levels.append((key, value, split))
+        levels.append((key, value, split, flm, frm))
+        if not split.any():
+            return levels
         if (split & (depth >= _MAX_DEPTH)).any():
             raise _Fallback
         rows = np.array((a, m, b, fa, fm, fb, flm, frm, left, right, eps, depth))[:, split]
         rows[10] *= 0.5
         rows[11] += 1.0
-        nodes = rows[_CHILDREN].transpose(1, 2, 0).reshape(8, -1)
-    return levels
+        nodes = _sampled(evaluate, rows[_CHILDREN].transpose(1, 2, 0).reshape(8, -1))
 
 
 def _tree_values(levels, top, eps=None):
@@ -360,7 +335,7 @@ def _tree_values(levels, top, eps=None):
     subset of the nodes, so those trees were run whole."""
     values = None
     for k in range(len(levels) - 1, top - 1, -1):
-        key, value, ran = levels[k]
+        key, value, ran = levels[k][:3]
         split = ran if eps is None else ran & ~(key <= 15.0 * eps[k - top])
         if split.any():
             value = value.copy()
@@ -387,33 +362,41 @@ def _accept(x0, x1, s0, s1, depth, xm, left, right, quad_tol, pieces):
 
 
 @np.errstate(all="ignore")
-def _refine_batched(lookup, cells, half_tol, quad_tol, pieces):
-    """The walk's refinement of `cells` (base cells x0, x1, s0, s1, 0, none
-    begun), run a generation of cells at a time: their Simpson trees, then
-    the Hermite test elementwise.  A depth cap, or more than _MAX_NODES
-    nodes held, raises _Fallback.  A build makes one call, with every cell
-    the walk handed over: a cell's pieces depend on that cell alone.
+def _refine_batched(evaluate, cells, half_tol, quad_tol, pieces):
+    """The walk's refinement of `cells`, run a generation of cells at a
+    time: their Simpson trees, then the Hermite test elementwise.  A cell
+    is a base cell not begun: x0, x1, s0, s1, 0, then sqrt(r/p) at its
+    seven depth-0 points, in _depth0_points' order; `evaluate` gives
+    sqrt(r/p) at an array of other points.  A depth cap, or more than
+    _MAX_NODES nodes held, raises _Fallback.  A build makes one call, with
+    every cell the walk handed over: a cell's pieces depend on it alone.
 
     A cell's two trees cover its halves with root tolerance half_tol.  A
     half of a child cell is a half of one of its parent's halves, and the
     parent's tree there ran on the same points with half that tolerance.
     So where the parent's root over it split, the child's trees are
     subtrees already run, which `_tree_values` reads; the other cells'
-    trees run by `_simpson_levels`, a generation's as one forest."""
-    # a column per cell: x0, x1, s0, s1, depth, then where its trees are:
-    # the generation whose forest holds them (-1: none yet) and the index of
-    # its left root there, the right root next to it; in x order, kept below
-    cells = np.array([cell + (-1, 0) for cell in sorted(cells)], dtype=float).reshape(-1, 7).T
+    trees run by `_simpson_levels`, a generation's as one forest.  A cell
+    carries sqrt(r/p) at its midpoint and quarter points (sm, sq1, sq3):
+    its parent's quarter point and the points of its parent's root over
+    it, which the levels keep (for generation 0, the depth-0 batch's, as
+    are its roots' flm and frm), so `evaluate` only ever gets new points."""
+    # a column per cell: x0, x1, s0, s1, depth, sm, sq1, sq3, then where its
+    # trees are: the generation whose forest holds them (-1: none yet) and
+    # the index of its left root there, the right root next to it
+    given = np.array(cells, dtype=float).reshape(-1, 12).T
+    cells = np.vstack((given[:8], np.full(given.shape[1], -1.0), np.zeros(given.shape[1])))
+    # flm and frm of generation 0's roots: each cell's left root's, then its right root's
+    below = given[8:][[[0, 2], [1, 3]]].transpose(0, 2, 1).reshape(2, -1)
     forests = {}
     eps = [half_tol]  # a tree's tolerances by depth, halved as the walk halves them
     while len(eps) <= _MAX_DEPTH:
         eps.append(0.5 * eps[-1])
     generation = 0
     while cells.shape[1]:
-        x0, x1, s0, s1, depth, forest, index = cells
+        x0, x1, s0, s1, depth, sm, sq1, sq3, forest, index = cells
         index = index.astype(int)
         xm = 0.5 * (x0 + x1)
-        sm = lookup(xm)
         left, right = np.empty(len(x0)), np.empty(len(x0))
         for born, levels in forests.items():
             cell = np.flatnonzero(forest == born)
@@ -421,31 +404,36 @@ def _refine_batched(lookup, cells, half_tol, quad_tol, pieces):
             left[cell], right[cell] = values[index[cell]], values[index[cell] + 1]
         run = np.flatnonzero(forest < 0)
         if len(run):
-            held = sum(len(key) for levels in forests.values() for key, _, _ in levels)
-            # each cell's left half, then its right half
-            spans = np.array((x0, xm, x1, s0, sm, s1))[:, run][[[0, 1], [1, 2], [3, 4], [4, 5]]]
-            roots = _simpson_root(lookup, *spans.transpose(0, 2, 1).reshape(4, -1), half_tol)
-            levels = _simpson_levels(lookup, np.array(np.broadcast_arrays(*roots)),
-                                     _MAX_NODES - held)
+            held = sum(len(level[0]) for levels in forests.values() for level in levels)
+            # lo, hi, flo, fmid, fhi of each cell's left half, then its right half
+            spans = np.array((x0, xm, x1, s0, sm, s1, sq1, sq3))[:, run][
+                [[0, 1], [1, 2], [3, 4], [6, 7], [4, 5]]]
+            roots = _simpson_root(*spans.transpose(0, 2, 1).reshape(5, -1), half_tol)
+            roots = np.array(np.broadcast_arrays(*roots))
+            nodes = _sampled(evaluate, roots) if generation else np.vstack((roots, below))
+            levels = _simpson_levels(evaluate, nodes, _MAX_NODES - held)
             values = _tree_values(levels, 0)
             left[run], right[run] = values[0::2], values[1::2]
             forests[generation] = levels
             forest[run], index[run] = generation, np.arange(0, len(values), 2)
         split = _accept(x0, x1, s0, s1, depth, xm, left, right, quad_tol, pieces)
-        # a half's trees are the children of its parent's root over it, where that split
+        # a half's quarter points are the points of its parent's root over
+        # it, and its trees are that root's children, where that split
         kids, at = np.full((2, len(x0)), -1), np.zeros((2, len(x0)), int)
+        quarters = np.empty((4, len(x0)))
         for born, levels in forests.items():
             cell = np.flatnonzero(split & (forest == born))
-            ran = levels[generation - born][2]
+            _, _, ran, flm, frm = levels[generation - born]
             rank = np.cumsum(ran) - 1
             for side in (0, 1):
                 root = index[cell] + side
+                quarters[2 * side, cell], quarters[2 * side + 1, cell] = flm[root], frm[root]
                 has = ran[root]
                 kids[side, cell[has]] = born
                 at[side, cell[has]] = 2 * rank[root[has]]
-        rows = np.array((x0, xm, x1, s0, sm, s1, depth + 1, *kids, *at))[:, split]
-        cells = rows[_CELL_CHILDREN].transpose(1, 2, 0).reshape(7, -1)
-        forests = {born: levels for born, levels in forests.items() if (cells[5] == born).any()}
+        rows = np.array((x0, xm, x1, s0, sm, s1, depth + 1, sq1, sq3, *quarters, *kids, *at))
+        cells = rows[:, split][_CELL_CHILDREN].transpose(1, 2, 0).reshape(10, -1)
+        forests = {born: levels for born, levels in forests.items() if (cells[8] == born).any()}
         generation += 1
 
 
@@ -475,30 +463,31 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
       makes at most _WALK_LOOKUPS lookups of sqrt(r/p) in all, counted
       across chunks; the first chunks refine where sqrt(r/p) is largest,
       so a non-integrable point is reached there (see below).
-    - Below depth 0, in batches.  Where the budget runs out, the walk
-      drops the pieces of the base cell it is in and hands that cell over
-      whole, with the chunk's cells after it and every later chunk's
-      refined cells, none of them begun; the points it evaluated stay in
-      the table.  The cells handed over wait, their tables merged into
-      one, until the chunks are done; then `_refine_batched` runs all of
-      them in one call, a generation of cells at a time: one evaluate_many
-      batch per tree level of the points not in the table, the arithmetic
-      elementwise, each split node's value summed as l + r as the walk
-      sums it.  A child cell's trees are subtrees of its parent's under a
-      looser test, so they are read from the parent's levels, not run
-      again.  Any failure there (an evaluation error, a depth cap, more
-      than _MAX_NODES nodes) drops what that run accepted, and the cells
-      handed over are walked, in order, without a budget, so the error is
-      the walk's: message, subinterval and all.
+    - Below depth 0, in batches.  Where the budget runs out, the walk drops
+      the pieces of the base cell it is in and hands that cell over whole,
+      with the chunk's cells after it and every later chunk's refined cells,
+      none of them begun, and keeps its table of the cell it dropped.  After
+      the last chunk, `_refine_batched` runs them in one call, a generation
+      of cells at a time, the arithmetic elementwise, each split node's
+      value summed as l + r as the walk sums it.  Nothing is looked up: a
+      cell carries sqrt(r/p) at its midpoint and quarter points, from the
+      depth-0 batch or its parent's trees, and a child cell's trees are
+      subtrees of its parent's under a looser test, read from the parent's
+      levels.  Each deeper tree level is one evaluate_many batch of points
+      never evaluated (but by the walk in the cell it dropped: those its
+      table gives).  Any failure there (an evaluation error, a depth cap,
+      more than _MAX_NODES nodes) drops what that run accepted, and the
+      cells handed over are walked, in order, without a budget, so the error
+      is the walk's: message, subinterval and all.
 
     A chunk whose depth-0 batch fails is walked cell by cell from an empty
     table, point by point, after the cells waiting before it are run: that
     walk reaches the points in the order of a build without batches, so
     the error names the same point.  Where no batch fails every point is
     evaluated once (x = 0 aside: 0.0 and -0.0 are one key, so neither is
-    stored).  A table hit returns the value of the same float and a
-    failure is never stored, so neither batches nor tables change a map's
-    bits.
+    stored).  A value carried or found in a table is that of the same
+    float and a failure is never stored, so neither batches nor tables
+    change a map's bits.
 
     Work goes first where sqrt(r/p) is largest, since a non-integrable
     point sits there: base cells in decreasing order of their endpoint
@@ -559,7 +548,7 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         (remembered, or budgeted), each with a table seeded with its
         (point, value) pairs.  Returns the cells not done: none, or, where
         the budget ran out, the cell it ran out in, its pieces dropped and
-        its table put into `known`, and every cell after it."""
+        its table put into `dropped`, and every cell after it."""
         for n, (i, seeds) in enumerate(cells):
             memo.clear()
             # seeded as remembered fills it: x = 0 is never stored
@@ -590,12 +579,13 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
                         stack.append((x0, xm, s0, sm, depth + 1))
             except _Handover:
                 del xs[first:], integrals[first:], ds[first:]
-                known.update(memo)
+                dropped.update(memo)
                 return cells[n:]
         return []
 
-    # the cells handed over, in the walk's order, and sqrt(r/p) at their points
-    handed, known = [], {}
+    # the cells handed over, in the walk's order, and sqrt(r/p) at the
+    # points the walk evaluated in the one it dropped
+    handed, dropped = [], {}
 
     def flush():
         """Run the cells handed over as one batched refinement, or where that
@@ -604,15 +594,27 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         if not handed:
             return
         done = len(xs)
+        # the walk's values in the cell it dropped, in x order (or inf, no point)
+        keys, walked = np.array(sorted(dropped.items()) or [(math.inf, 0.0)]).T
+
+        def fresh(points):
+            values, ask = np.empty(len(points)), np.ones(len(points), bool)
+            near = np.flatnonzero((keys[0] <= points) & (points <= keys[-1]))
+            at = np.searchsorted(keys, points[near])
+            hit = keys[at] == points[near]
+            values[near[hit]], ask[near[hit]] = walked[at[hit]], False
+            values[ask] = sigma_expr.evaluate_many(points[ask])
+            return values
+
         try:
-            _refine_batched(_Table(sigma_expr.evaluate_many, known),
-                            [base(i) for i, _ in handed], half_tol, quad_tol, (xs, integrals, ds))
+            _refine_batched(fresh, [base(i) + tuple(s for _, s in seeds) for i, seeds in handed],
+                            half_tol, quad_tol, (xs, integrals, ds))
         except (ExprError, _Fallback):
             # the walk alone meets the failure where a build without batches does
             del xs[done:], integrals[done:], ds[done:]
             walk(handed, remembered)
         handed.clear()
-        known.clear()
+        dropped.clear()
 
     # the whole grid first: a failing node is reported before any point between nodes
     ends = batch(nodes)
@@ -646,8 +648,6 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         if lookups_left > 0:  # once the budget is spent, later chunks are not walked
             refined = walk(refined, budgeted)
         handed += refined
-        for _, seeds in refined:
-            known.update((x, s) for x, s in seeds if x)
     flush()
     # back to x order: pieces do not overlap, so their right ends are distinct
     order = np.argsort(xs, kind="stable")

@@ -469,7 +469,8 @@ def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
     # a Newton pass costs less than three counts
     cost = {size: sum(k for rows, k in shifts if rows == size)
             + 3 * newton.count(size) for size in (n, 2 * n + 1)}
-    for size, seeded in ((n, n // 8 >= 50), (2 * n + 1, True)):
+    m = max(n // 8, 50)
+    for size, seeded in ((n, 2 * m <= n and m >= 4 * 5), (2 * n + 1, True)):
         shifts.clear()
         eig_bisect(discretize_schrodinger(prob, size), 5)
         plain = sum(k for _, k in shifts)

@@ -65,6 +65,23 @@ def test_an_int_exponent_beyond_the_float_range_overflows_in_the_domain(x):
     assert Const(2**53 + 1).text() == "9007199254740992.0"
 
 
+@pytest.mark.parametrize("x", [2.0, -2.0])
+def test_an_int_exponent_past_the_int_to_str_digit_limit_overflows_in_the_domain(x):
+    # 5,001 digits: more than Python's int-to-str conversion limit (4,300
+    # by default), so the tree keys and prints the int without str()
+    ast = ExpressionAST(Pow(Var(), Const(10**5000)), "x")
+    digits = "1" + "0" * 5000
+    assert ast.to_text() == "x^" + digits
+    with pytest.raises(EvalDomainError) as err:
+        ast.evaluate(x)
+    assert (err.value.reason, err.value.fragment, err.value.x) == (
+        "overflow in power", "x^" + digits, x)
+    with pytest.raises(EvalDomainError) as many:
+        ast.evaluate_many([0.0, x])
+    assert str(many.value) == str(err.value)
+    assert Const(-(10**5000) - 7).text() == "-1" + "0" * 4999 + "7"
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse("1/(x")

@@ -136,11 +136,12 @@ def test_batched_refinement_fails_as_the_walk_does(monkeypatch, problem, cap, me
 
 
 # the walk's lookup budget, counted over a build: none, one lookup, exactly
-# the 82 lookups in which the walk meets singular-p's pole, the default, and
-# past case1's first chunk (its left-end cell, about 178,000 lookups), so
-# that the budget runs out in its second
+# the 82 lookups in which the walk meets singular-p's pole, the default,
+# 1,024 (so that the cell the walk drops is walked deeper), and past case1's
+# first chunk (its left-end cell, about 178,000 lookups), so that the budget
+# runs out in its second
 LATER_CHUNK = 181_000
-WALK_BUDGETS = (0, 1, 82, liouville._WALK_LOOKUPS, LATER_CHUNK)
+WALK_BUDGETS = (0, 1, 82, liouville._WALK_LOOKUPS, 1024, LATER_CHUNK)
 
 
 def _same_map(a, b):
@@ -459,7 +460,7 @@ def test_build_map_matches_reference_at_every_walk_budget(monkeypatch, budget_or
     grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES).tolist()
     base_cells = set(zip(grid, grid[1:]))
     for cells in runs:
-        assert all(depth == 0 and (x0, x1) in base_cells for x0, x1, _, _, depth in cells)
+        assert all(depth == 0 and (x0, x1) in base_cells for x0, x1, _, _, depth, *_ in cells)
     if name == "singular-p":
         # from 82 lookups on the walk itself meets the pole
         assert not runs if budget >= 82 else len(runs) == 1
@@ -659,9 +660,10 @@ def test_batched_trees_give_the_walks_values_at_every_node(c, w, a, width, tol):
         return np.array([fn(x) for x in xs.tolist()])
 
     b = a + width
-    root = liouville._simpson_root(fn, a, b, fn(a), fn(b), tol)
+    root = liouville._simpson_root(a, b, fn(a), fn(0.5 * (a + b)), fn(b), tol)
     try:
-        levels = liouville._simpson_levels(lookup, np.array([root], dtype=float).T, 10**6)
+        nodes = liouville._sampled(lookup, np.array([root], dtype=float).T)
+        levels = liouville._simpson_levels(lookup, nodes, 10**6)
     except liouville._Fallback:
         with pytest.raises(QuadratureError):
             liouville._simpson_step(fn, *root)
@@ -703,6 +705,66 @@ def test_build_map_evaluates_a_refined_cell_at_most_twice_per_point(monkeypatch,
     assert max(seen.values()) == 1
     if total is not None:
         assert sum(seen.values()) <= total
+
+
+@pytest.mark.parametrize("budget", [0, liouville._WALK_LOOKUPS, LATER_CHUNK])
+@pytest.mark.parametrize("label, k, params", [
+    ("case1", 2.0, {"r0": 1.0}),
+    ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}),
+    ("case3-J", 0.75, {"q0": 1.0, "r0": 1.0}),
+])
+def test_batched_refinement_evaluates_only_points_never_evaluated(monkeypatch, label, k,
+                                                                   params, budget):
+    # each cell carries sqrt(r/p) at its midpoint and quarter points, and
+    # generation 0's trees take their first points' values from the depth-0
+    # batch: the batched run's evaluate_many batches hold no point evaluated
+    # before in the build, neither a cell's midpoint nor a tree root's, and
+    # none twice; inside the cell the walk dropped, its values are reused
+    problem = build_case(label, PaineSpec(k, 0.1), **params).canonical
+    monkeypatch.setattr(liouville, "_WALK_LOOKUPS", budget)
+    seen = Counter()
+    again, batched, refining = [], [], []
+    sigma_ast = liouville._sigma_ast
+
+    class Recording:
+        def __init__(self, expr):
+            self.expr = expr
+
+        def evaluate(self, x):
+            seen[x] += 1
+            return self.expr.evaluate(x)
+
+        def evaluate_many(self, xs):
+            xs = [float(x) for x in xs]
+            if refining:
+                # x = 0 aside, which is evaluated each time
+                again.extend(x for x in xs if seen[x] and x)
+                batched.extend(xs)
+            seen.update(xs)
+            return self.expr.evaluate_many(xs)
+
+    monkeypatch.setattr(liouville, "_sigma_ast", lambda problem: Recording(sigma_ast(problem)))
+    refine = liouville._refine_batched
+
+    def recording(*args):
+        refining.append(True)
+        try:
+            return refine(*args)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(liouville, "_refine_batched", recording)
+    m = build_map(problem, 1e-10)
+    assert again == []
+    assert max(Counter(batched).values(), default=1) == 1
+    if budget == 0 or label == "case1":
+        assert batched  # the run evaluated deeper levels
+    # so the midpoints of the cells (the map's nodes, where a cell split)
+    # and of the accepted cells' tree roots are each evaluated once
+    halves = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(m._xs, m._xs[1:])]
+    points = {*m._xs, *(mid for _, mid, _ in halves), *(0.5 * (lo + mid) for lo, mid, _ in halves),
+              *(0.5 * (mid + hi) for _, mid, hi in halves)}
+    assert all(seen[x] == 1 for x in points if x)
 
 
 def _assert_float_queries(m):
