@@ -123,7 +123,10 @@ def _cmd_transform(args) -> int:
     samples = args.samples
     ts = [reduced.alpha + (reduced.beta - reduced.alpha) * i / (samples - 1)
           for i in range(samples)]
-    values = reduced.invariant.evaluate_many(ts)
+    values, err = reduced.invariant.evaluate_many(ts)
+    if err is not None:
+        raise err
+    values = values.tolist()
     payload = {
         "alpha": reduced.alpha,
         "beta": reduced.beta,

@@ -10,8 +10,8 @@ one comparison per row for a positive pivot, and each bisection pass counts
 every distinct midpoint once: brackets that have not separated yet share a
 midpoint and so share its count.  The bisection's bookkeeping (brackets,
 midpoints, window bounds) runs on lists of floats as well; only the
-Gershgorin bounds are numpy.  Assembly evaluates each coefficient by
-`problems._evaluate_upto`, so its error names the first failing point.
+Gershgorin bounds are numpy.  Assembly evaluates each coefficient as one
+`evaluate_many` batch, so its error names the first failing point.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
 of the second-order schemes.  Each grid's bisection starts from the same
 Gershgorin brackets and takes the same midpoints as a plain bisection, but
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _evaluate_upto
+from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _first_nonpositive
 
 
 _EPS = float(np.finfo(float).eps)
@@ -299,20 +299,11 @@ def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
     """Three-point scheme: diag 2/h^2 + I(t_i), offdiag -1/h^2."""
     h, inv_h2 = _mesh(problem.alpha, problem.beta, n)
     ts = problem.alpha + np.arange(1, n + 1) * h
-    values, err = _evaluate_upto(problem.invariant, ts)
+    values, err = problem.invariant.evaluate_many(ts)
     if err is not None:
         raise SolverError(f"potential evaluation failed at t={float(ts[len(values)])!r}: {err}")
-    # the list goes as its array comes: the diagonal is added in place
-    values = np.array(values, dtype=float)
     values += 2.0 * inv_h2
     return SymTridiag(values, np.full(n - 1, -inv_h2))
-
-
-def _first_nonpositive(values: np.ndarray) -> int | None:
-    """The index of the first value <= 0, after one C-speed min test."""
-    if values.min(initial=math.inf) > 0.0:
-        return None
-    return int(np.argmax(values <= 0.0))
 
 
 def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
@@ -321,27 +312,23 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
     A_ii = (p_{i-1/2} + p_{i+1/2})/h^2 + q_i,  A_{i,i+1} = -p_{i+1/2}/h^2,
     then D^{-1/2} A D^{-1/2} with D_ii = r_i.
 
-    Each coefficient's values become an array before the next is evaluated,
-    so one list of values is alive at a time.  The first failure is the
-    one of a point-by-point walk: p at every midpoint, then q and r in turn
-    at each node, each node's r refused where it is not positive.
+    Each coefficient is one `evaluate_many` batch.  The first failure is
+    the one of a point-by-point walk: p at every midpoint, then q and r in
+    turn at each node, each node's r refused where it is not positive.
     """
     a, b = problem.a, problem.b
     h, inv_h2 = _mesh(a, b, n)
     mids = a + (np.arange(n + 1) + 0.5) * h
     nodes = a + np.arange(1, n + 1) * h
-    pm, err = _evaluate_upto(problem.p, mids)
-    pm = np.array(pm, dtype=float)
+    pm, err = problem.p.evaluate_many(mids)
     j = _first_nonpositive(pm)
     if j is not None:
         raise SolverError(f"nonpositive p = {float(pm[j])!r} at midpoint x={float(mids[j])!r}")
     if err is not None:
         raise SolverError(f"p evaluation failed at x={float(mids[len(pm)])!r}: {err}")
-    qv, err = _evaluate_upto(problem.q, nodes)
-    qv = np.array(qv, dtype=float)
+    qv, err = problem.q.evaluate_many(nodes)
     # r matters only before the node where q raised: q's error comes first there
-    rv, r_err = _evaluate_upto(problem.r, nodes[:len(qv)])
-    rv = np.array(rv, dtype=float)
+    rv, r_err = problem.r.evaluate_many(nodes[:len(qv)])
     i = _first_nonpositive(rv)
     if i is not None:
         raise SolverError(f"nonpositive r = {float(rv[i])!r} at node x={float(nodes[i])!r}")

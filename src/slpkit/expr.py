@@ -62,9 +62,9 @@ for element the hook's own value; the others run per element through the
 hook itself, with ``_apply``'s checks.  A block in which any element may
 fail (a zero divisor, a power or hook value ``evaluate`` would refuse, a
 hook error, a nonfinite result) is evaluated again point by point by
-``evaluate``, so the first failing point raises the error ``evaluate``
-raises there, as from ``[evaluate(x) for x in xs]``, carrying the values
-of the points before it as ``values``.
+``evaluate``.  ``evaluate_many`` returns ``(values, error)``: a float64
+array of ``evaluate``'s values up to the first failing point, and the
+error ``evaluate`` raises there, or None.
 """
 
 from __future__ import annotations
@@ -705,8 +705,9 @@ def _compile(root: Node, variable: str, block: bool = False) -> Callable:
     return FunctionType(_code(source), env)
 
 
-def _run_block(fn, chunk) -> list:
-    """fn's values at the points of chunk, or _Deferred."""
+def _run_block(fn, chunk):
+    """fn's values at the points of chunk (an array, or a scalar where fn
+    does not depend on x), or _Deferred."""
     try:  # float() of each point, as evaluate converts it
         if isinstance(chunk, np.ndarray):
             x = chunk.astype(float, copy=False)
@@ -715,14 +716,9 @@ def _run_block(fn, chunk) -> list:
     except (TypeError, ValueError, OverflowError):
         raise _Deferred from None
     v = fn(x)
-    if not isinstance(v, np.ndarray):
-        # a tree without the variable: evaluate's value at every point
-        if not math.isfinite(v):
-            raise _Deferred
-        return [v] * len(chunk)
-    if not np.isfinite(v).all():
+    if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
         raise _Deferred
-    return v.tolist()
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -753,14 +749,16 @@ class ExpressionAST:
             raise EvalDomainError("nonfinite result", self.to_text(), x)
         return v
 
-    def evaluate_many(self, xs) -> list:
-        """[self.evaluate(x) for x in xs], value for value and error for error.
+    def evaluate_many(self, xs) -> tuple:
+        """evaluate's values at the points of xs, in order, up to the first
+        point where it raises ExprError, and that error (None where every
+        point gives a value).  The values are a float64 array, so
+        len(values) is the index of the failing point.
 
         The points, read once in order, are evaluated by the block form in
         blocks of _BLOCK: each line runs once per block.  A block where
-        some element may fail is evaluated point by point by evaluate, so
-        the first failing point raises evaluate's error there; the error's
-        `values` are the values of the points before it.
+        some element may fail is evaluated point by point by evaluate, as
+        Python floats, so the error is evaluate's at the first failing point.
         """
         try:
             fn = self._fn_block
@@ -768,20 +766,20 @@ class ExpressionAST:
             fn = _compile(self.root, self.variable_name, block=True)
             object.__setattr__(self, "_fn_block", fn)
         points = xs if isinstance(xs, (list, tuple, np.ndarray)) else list(xs)
-        out = []
+        out = np.empty(len(points))
         with np.errstate(all="ignore"):
             for start in range(0, len(points), _BLOCK):
                 chunk = points[start:start + _BLOCK]
                 try:
-                    out += _run_block(fn, chunk)
+                    out[start:start + len(chunk)] = _run_block(fn, chunk)
                 except _Deferred:
-                    try:
-                        for x in chunk:
-                            out.append(self.evaluate(x))
-                    except ExprError as err:
-                        err.values = out
-                        raise
-        return out
+                    walk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+                    for i, x in enumerate(walk, start):
+                        try:
+                            out[i] = self.evaluate(x)
+                        except ExprError as err:
+                            return out[:i], err
+        return out, None
 
     def __hash__(self) -> int:
         try:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .expr import Add, Call, Const, Div, Mul, Pow, Sub, ExpressionAST, ExprError
-from .problems import CanonicalSLP, SchrodingerSLP, _evaluate_upto, validate
+from .problems import CanonicalSLP, SchrodingerSLP, validate
 
 
 class TransformError(ValueError):
@@ -308,10 +308,10 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     def evaluate(points):
         nonlocal spent
         spent += len(points)
-        values, failure = _evaluate_upto(sigma, points)
+        values, failure = sigma.evaluate_many(points)
         if failure is not None:
             raise refused(failure, points[len(values)].item())
-        return np.array(values)
+        return values
 
     def lookup(x):
         try:
@@ -410,21 +410,21 @@ class TabulatedInvariant:
     def evaluate(self, t: float) -> float:
         return self._invariant.evaluate(self.map.x_of_t(t))
 
-    def evaluate_many(self, ts) -> list:
-        """[self.evaluate(t) for t in ts], value for value and error for error:
-        x_of_t at each t, then the invariant at those x as one batch.  Where
-        x_of_t fails at some t, the invariant's first failure at the x
-        before it raises, and otherwise x_of_t's error there."""
-        xs = []
+    def evaluate_many(self, ts) -> tuple:
+        """evaluate's values at the points of ts up to the first that fails,
+        as a float64 array, and the error evaluate raises there (None where
+        none fails): x_of_t at each t, then the invariant at those x as one
+        batch.  Where x_of_t fails at some t, the invariant's first failure
+        at the x before it comes first, and otherwise x_of_t's error
+        (TransformError or NumericalError) there."""
+        xs, off_map = [], None
         try:
             for t in ts:
                 xs.append(self.map.x_of_t(t))
         except (TransformError, NumericalError) as err:
             off_map = err
-        else:
-            return self._invariant.evaluate_many(xs)
-        _, failure = _evaluate_upto(self._invariant, xs)
-        raise off_map if failure is None else failure
+        values, failure = self._invariant.evaluate_many(xs)
+        return values, off_map if failure is None else failure
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the records store no boundary coefficients.
 
 Validation is deliberately sampling-based: coefficient expressions are
 opaque, so positivity of p and r (and evaluability of I) is checked on a
-dense grid rather than proved.  `_evaluate_upto` evaluates the samples,
-and assembly's and verify's points, up to the first that fails, so a
+dense grid rather than proved.  Each coefficient evaluates its samples as
+one `evaluate_many` batch, which stops at the first that fails, so a
 violation names the first failing sample.  `validate` is a pre-check of
 the input record; each numerical stage owns positivity at the points it
 evaluates.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, Add, Div, Pow, Var, ExpressionAST, ExprError
+from .expr import Const, Add, Div, Pow, Var, ExpressionAST
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class CanonicalSLP:
 
 @dataclass(frozen=True)
 class SchrodingerSLP:
-    """Reduced-form problem; `invariant` is anything with evaluate(t) -> float.
+    """Reduced-form problem; `invariant` is anything with evaluate(t) ->
+    float and evaluate_many(ts) -> (values, error), as ExpressionAST has.
 
     Usually an ExpressionAST; the forward transformation supplies a
     map-backed evaluator instead (see liouville.TabulatedInvariant).
@@ -107,31 +108,11 @@ def _check_interval(lo: float, hi: float, out: list) -> None:
         out.append(Violation("interval", f"width must be finite, got [{lo}, {hi}]"))
 
 
-def _evaluate_upto(fn, xs, errors=ExprError) -> tuple:
-    """fn's values at the points of xs, in order, up to the first point that
-    raises one of `errors`, and that error (None where every point gives a
-    value); so len(values) is the index of the failing point.
-
-    One evaluate_many batch where fn has one and it succeeds.  Otherwise
-    the points are walked one by one, as Python floats, from the first
-    point whose value the batch's error does not carry (its `values`, see
-    ExpressionAST.evaluate_many), and the walk stops at the first failure
-    with the error evaluate raises there.
-    """
-    values = []
-    many = getattr(fn, "evaluate_many", None)
-    if many is not None:
-        try:
-            return many(xs), None
-        except errors as err:
-            values = getattr(err, "values", [])
-    rest = xs[len(values):]
-    for x in rest.tolist() if isinstance(rest, np.ndarray) else rest:
-        try:
-            values.append(fn.evaluate(x))
-        except errors as err:
-            return values, err
-    return values, None
+def _first_nonpositive(values: np.ndarray) -> int | None:
+    """The index of the first value <= 0, after one C-speed min test."""
+    if values.min(initial=math.inf) > 0.0:
+        return None
+    return int(np.argmax(values <= 0.0))
 
 
 def _samples(lo: float, hi: float) -> list:
@@ -141,18 +122,18 @@ def _samples(lo: float, hi: float) -> list:
 def _sample_positive(name: str, fn: ExpressionAST, lo: float, hi: float,
                      out: list) -> None:
     xs = _samples(lo, hi)
-    values, err = _evaluate_upto(fn, xs)
+    values, err = fn.evaluate_many(xs)
     # a sign that fails before the failing point comes first
-    if values and min(values) <= 0.0:
-        i = next(i for i, v in enumerate(values) if v <= 0.0)
-        out.append(Violation("positivity", f"{name} = {values[i]!r} <= 0 at x={xs[i]!r}"))
+    i = _first_nonpositive(values)
+    if i is not None:
+        out.append(Violation("positivity", f"{name} = {values[i].item()!r} <= 0 at x={xs[i]!r}"))
     elif err is not None:
         out.append(Violation("evaluation", f"{name} failed at x={xs[len(values)]!r}: {err}"))
 
 
 def _sample_invariant(fn, lo: float, hi: float, out: list) -> None:
     ts = _samples(lo, hi)
-    values, err = _evaluate_upto(fn, ts)
+    values, err = fn.evaluate_many(ts)
     if err is not None:
         out.append(Violation("evaluation", f"invariant failed at t={ts[len(values)]!r}: {err}"))
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .eigensolver import solve_spectrum
-from .errors import NumericalError
-from .expr import ExprError
 from .inverse import InverseResult
-from .liouville import TabulatedInvariant, TransformError
-from .problems import PaineSpec, _evaluate_upto, paine_schrodinger
+from .liouville import TabulatedInvariant
+from .problems import PaineSpec, paine_schrodinger
 
 ROUNDTRIP_TOL = 1e-8
 GAP_BUDGET_FACTOR = 5.0
@@ -45,15 +45,14 @@ def _residual_profile(result: InverseResult, spec: PaineSpec, samples: int) -> l
     alpha, beta = result.map.domain_t
     reference = paine_schrodinger(spec).invariant
     ts = [alpha + (beta - alpha) * j / (samples + 1) for j in range(1, samples + 1)]
-    errors = (ExprError, TransformError, NumericalError)
-    values, err = _evaluate_upto(TabulatedInvariant(result.canonical, result.map), ts, errors)
+    values, err = TabulatedInvariant(result.canonical, result.map).evaluate_many(ts)
     # the reference matters only before the t where I(x(t)) failed
-    references, ref_err = _evaluate_upto(reference, ts[:len(values)], errors)
+    references, ref_err = reference.evaluate_many(ts[:len(values)])
     if ref_err is not None:
         raise ref_err
     if err is not None:
         raise err
-    return [(t, abs(value - ref)) for t, value, ref in zip(ts, values, references)]
+    return list(zip(ts, np.abs(values - references).tolist()))
 
 
 def roundtrip_invariant(result: InverseResult, spec: PaineSpec,

@@ -58,9 +58,8 @@ def test_an_int_exponent_beyond_the_float_range_overflows_in_the_domain(x):
         ast.evaluate(x)
     assert (err.value.reason, err.value.fragment, err.value.x) == (
         "overflow in power", "x^" + digits, x)
-    with pytest.raises(EvalDomainError) as many:
-        ast.evaluate_many([0.0, x])
-    assert str(many.value) == str(err.value)
+    values, many = ast.evaluate_many([0.0, x])
+    assert values.tolist() == [0.0] and str(many) == str(err.value)
     # an int that converts to float keeps the float's text
     assert Const(2**53 + 1).text() == "9007199254740992.0"
 
@@ -76,9 +75,8 @@ def test_an_int_exponent_past_the_int_to_str_digit_limit_overflows_in_the_domain
         ast.evaluate(x)
     assert (err.value.reason, err.value.fragment, err.value.x) == (
         "overflow in power", "x^" + digits, x)
-    with pytest.raises(EvalDomainError) as many:
-        ast.evaluate_many([0.0, x])
-    assert str(many.value) == str(err.value)
+    values, many = ast.evaluate_many([0.0, x])
+    assert values.tolist() == [0.0] and str(many) == str(err.value)
     assert Const(-(10**5000) - 7).text() == "-1" + "0" * 4999 + "7"
 
 
@@ -428,6 +426,28 @@ def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
                 lambda x: _walk_evaluate(tree, x), x), (tree.to_text(), x)
 
 
+def _upto(tree, xs):
+    """evaluate at the points of xs up to the first ExprError, and that error."""
+    values = []
+    for x in xs:
+        try:
+            values.append(tree.evaluate(x))
+        except expr.ExprError as err:
+            return values, err
+    return values, None
+
+
+def _upto_outcome(fn, xs):
+    """The hex of each value and (type, message, repr of x) of the error, or
+    what fn raised: -0.0 stays apart from 0.0, and every float round-trips."""
+    try:
+        values, err = fn(xs)
+    except Exception as err:  # any exception must match, not only ExprError
+        return ("raised", type(err), str(err), repr(getattr(err, "x", None)))
+    return ([float(v).hex() for v in values],
+            None if err is None else (type(err), str(err), repr(err.x)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(root=trees, xs=st.lists(points, min_size=0, max_size=6),
        variable=st.sampled_from(("x", "t")))
@@ -439,7 +459,7 @@ def test_compiled_evaluation_matches_tree_walk(root, xs, variable):
 # the first failure in the second block, after a block without one
 @example(root=Call("ln", (Var(),)), xs=[2.0] * expr._BLOCK + [3.0, -1.0, 0.0],
          variable="x")
-# int constants only: the value is evaluate's int at every point
+# int constants only: evaluate's int at every point, as a float64
 @example(root=Add(Pow(Const(-1), Const(1)), Mul(Const(1), Const(0))), xs=[0.5, 2],
          variable="x")
 # an overflow to inf that a later line turns finite
@@ -468,27 +488,31 @@ def test_evaluate_many_matches_evaluate_point_by_point(root, xs, variable):
     except expr.ExprError:
         pass
     for tree in checked:
-        # the list's repr holds each value's repr: -0.0 stays apart from 0.0,
-        # 1 from 1.0, and every float round-trips
-        expected = _outcome(lambda xs: [tree.evaluate(x) for x in xs], xs)
+        expected = _upto_outcome(lambda xs: _upto(tree, xs), xs)
         # a fresh instance compiles only the batch form; an iterator can be
         # read only once
         fresh = ExpressionAST(tree.root, variable)
         for form in (list, iter):
             for many in (fresh.evaluate_many, tree.evaluate_many):
-                assert _outcome(lambda xs: many(form(xs)), xs) == expected, (
+                assert _upto_outcome(lambda xs: many(form(xs)), xs) == expected, (
                     tree.to_text(), xs, form)
+                if expected[0] != "raised":
+                    values, _ = many(form(xs))
+                    assert type(values) is np.ndarray and values.dtype == np.float64
 
 
 def test_evaluate_many_shares_the_scalar_lines():
     a = parse("2*x^3 + besselj(1, x)")
     b = parse("0.25*t^1.5 + bessely(0.5, t)", "t")
-    assert a.evaluate_many([1.5, 2.5]) == [a.evaluate(1.5), a.evaluate(2.5)]
-    assert b.evaluate_many([1.5]) == [b.evaluate(1.5)]
+    values, err = a.evaluate_many([1.5, 2.5])
+    assert values.tolist() == [a.evaluate(1.5), a.evaluate(2.5)] and err is None
+    values, err = b.evaluate_many([1.5])
+    assert values.tolist() == [b.evaluate(1.5)] and err is None
     # one code object per shape for each form, the forms apart
     assert a._fn_block.__code__ is b._fn_block.__code__
     assert a._fn_block.__code__ is not a._fn.__code__
-    assert a.evaluate_many([]) == []
+    values, err = a.evaluate_many([])
+    assert values.shape == (0,) and values.dtype == np.float64 and err is None
 
 
 def test_a_tree_taller_than_the_frame_limit_compiles():
@@ -499,7 +523,8 @@ def test_a_tree_taller_than_the_frame_limit_compiles():
         root = Pow(root, Const(1.0 if i % 2 else 3.0))
     ast = ExpressionAST(root)
     assert ast.evaluate(1.0) == 1.0
-    assert ast.evaluate_many([1.0, -1.0]) == [1.0, -1.0]
+    values, err = ast.evaluate_many([1.0, -1.0])
+    assert values.tolist() == [1.0, -1.0] and err is None
 
 
 def test_compiled_evaluation_matches_tree_walk_on_each_failure_kind():

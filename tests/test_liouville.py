@@ -289,15 +289,19 @@ def test_schrodinger_invariant_wrapper_validates():
 
 
 def _many_and_one_by_one(invariant, ts):
-    """The outcomes of evaluate_many(ts) and of evaluate at each t in turn:
-    the values' hex, or the error's type and text."""
-    outcomes = []
-    for fn in (invariant.evaluate_many, lambda ts: [invariant.evaluate(t) for t in ts]):
+    """The outcomes of evaluate_many(ts) and of evaluate at each t in turn,
+    up to the first t that fails: the values' hex, and the error's type and
+    text there."""
+    values, err = invariant.evaluate_many(ts)
+    assert type(values) is np.ndarray and values.dtype == np.float64
+    many = [v.hex() for v in values.tolist()], type(err), str(err)
+    one_by_one = []
+    for t in ts:
         try:
-            outcomes.append([v.hex() for v in fn(ts)])
-        except (EvalDomainError, TransformError, NumericalError) as err:
-            outcomes.append((type(err), str(err)))
-    return outcomes
+            one_by_one.append(invariant.evaluate(t).hex())
+        except (EvalDomainError, TransformError, NumericalError) as failure:
+            return many, (one_by_one, type(failure), str(failure))
+    return many, (one_by_one, type(None), "None")
 
 
 def test_tabulated_invariant_evaluate_many_matches_evaluate():
@@ -306,7 +310,7 @@ def test_tabulated_invariant_evaluate_many_matches_evaluate():
     many, one_by_one = _many_and_one_by_one(reduced.invariant, ts)
     assert many == one_by_one
     # q/r fails at x = 0.5, which the linear map puts at t = 0.5, and t = 2.0
-    # is off the map: whichever comes first raises, as point by point
+    # is off the map: whichever comes first is the error, as point by point
     invariant = liouville.TabulatedInvariant(
         canonical(q="1/(x-0.5)", b=1.0), TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [1.0, 1.0]))
     for ts in ([0.25, 0.5, 2.0], [2.0, 0.25, 0.5], [0.25, 2.0, 0.5], [0.25, 0.75, 2.0],
@@ -323,8 +327,9 @@ def test_tabulated_invariant_evaluate_many_stops_at_the_first_t_off_the_map(monk
     calls = []
     x_of_t = invariant.map.x_of_t
     monkeypatch.setattr(invariant.map, "x_of_t", lambda t: calls.append(t) or x_of_t(t))
-    with pytest.raises(TransformError, match=r"t=2\.0 outside map domain"):
-        invariant.evaluate_many([0.25, 0.75, 2.0, 0.5])
+    values, err = invariant.evaluate_many([0.25, 0.75, 2.0, 0.5])
+    assert len(values) == 2
+    assert isinstance(err, TransformError) and "t=2.0 outside map domain" in str(err)
     assert calls == [0.25, 0.75, 2.0]
 
 
@@ -565,40 +570,30 @@ def test_build_map_hands_over_once_within_its_budget(monkeypatch, label, k, para
 
 
 class _FailingSigma:
-    """sqrt(r/p) failing at the points of `fails`, one by one and in
-    batches, and in a batch that holds a point of `batch_fails`; each scalar
-    evaluation at a point of either goes to `events`."""
+    """sqrt(r/p) failing at the points of `fails`, one by one and in batches."""
 
-    def __init__(self, expr, fails, batch_fails, events):
-        self.expr, self.fails, self.events = expr, fails, events
-        self.batch_fails = fails | batch_fails
+    def __init__(self, expr, fails):
+        self.expr, self.fails = expr, fails
 
     def evaluate(self, x):
-        if x in self.batch_fails:
-            self.events.append(("scalar", x))
         if x in self.fails:
             raise EvalDomainError("made to fail", "sqrt(r/p)", x)
         return self.expr.evaluate(x)
 
     def evaluate_many(self, xs):
-        xs = [float(x) for x in xs]
-        failing = self.batch_fails.intersection(xs)
-        if failing:
-            raise EvalDomainError("made to fail in a batch", "sqrt(r/p)", min(failing))
+        xs = xs.tolist()
+        for i, x in enumerate(xs):
+            if x in self.fails:
+                values, _ = self.expr.evaluate_many(xs[:i])
+                return values, EvalDomainError("made to fail in a batch", "sqrt(r/p)", x)
         return self.expr.evaluate_many(xs)
 
 
-@pytest.mark.parametrize("fails, batch_fails", [
-    # only a batch that holds the later point fails: its points are then
-    # evaluated one by one, which succeeds, and the map is the reference's
-    ((), ("later",)),
-    # sqrt(r/p) fails at both points: the later one, a depth-0 point of the
-    # third chunk, is reached before the loop reaches the one in the
-    # left-end cell's refinement, which the reference, left to right, meets first
-    (("late", "later"), ()),
-], ids=["a-batch-fails", "two-points-fail"])
-def test_build_map_raises_at_the_first_failing_point_it_reaches(monkeypatch, fails,
-                                                                batch_fails):
+# sqrt(r/p) fails at both points: the later one, a depth-0 point of the
+# third chunk, is reached before the loop reaches the one in the left-end
+# cell's refinement, which the reference, left to right, meets first
+@pytest.mark.parametrize("fails", [("late", "later")], ids=["two-points-fail"])
+def test_build_map_raises_at_the_first_failing_point_it_reaches(monkeypatch, fails):
     problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
     grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES).tolist()
     # a point of the left-end cell (the first chunk) that only the loop
@@ -608,21 +603,14 @@ def test_build_map_raises_at_the_first_failing_point_it_reaches(monkeypatch, fai
     for _ in range(9):
         late = 0.5 * (late + grid[1])
     points = {"late": late, "later": 0.5 * (grid[10] + grid[11])}
-    events = []
     sigma_ast = liouville._sigma_ast
     monkeypatch.setattr(liouville, "_sigma_ast", lambda problem: _FailingSigma(
-        sigma_ast(problem), {points[p] for p in fails}, {points[p] for p in batch_fails},
-        events))
+        sigma_ast(problem), {points[p] for p in fails}))
     oracle = _outcome(_oracle_build_map, problem)
-    events.clear()
     outcome = _outcome(build_map, problem)
-    if fails:
-        assert oracle[1:] == (late, late)
-        assert outcome[1:] == (points["later"], points["later"])
-        assert outcome[0].startswith("sqrt(r/p) not evaluable mid-integration: made to fail in")
-    else:
-        assert outcome == oracle
-        assert ("scalar", points["later"]) in events
+    assert oracle[1:] == (late, late)
+    assert outcome[1:] == (points["later"], points["later"])
+    assert outcome[0].startswith("sqrt(r/p) not evaluable mid-integration: made to fail in")
 
 
 @settings(max_examples=6, deadline=None)

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slpkit.errors import NumericalError
-from slpkit.expr import _BLOCK, ExprError, parse
+from slpkit.expr import _BLOCK, EvalDomainError, ExprError, parse
 from slpkit.liouville import TransformError, forward_transform
 from slpkit.problems import (CanonicalSLP, PaineSpec, SchrodingerSLP, Spectrum,
-                             _evaluate_upto, paine_schrodinger, validate)
+                             paine_schrodinger, validate)
 
 
 def canonical(p="1", q="0", r="1", a=0.0, b=math.pi):
@@ -106,7 +106,7 @@ def test_validate_reports_the_first_failing_invariant_sample():
 
 
 # ---------------------------------------------------------------------------
-# _evaluate_upto: the values and the error of a point-by-point loop
+# evaluate_many: the values and the error of a point-by-point loop
 
 def _loop_upto(fn, xs, errors):
     values = []
@@ -122,6 +122,15 @@ def _outcome(values, err):
     return [float(v).hex() for v in values], type(err), str(err)
 
 
+def _float64_upto(values, err):
+    """(values, err), checking values is a float64 array that ends at the
+    failing point; an EvalDomainError's point must be a Python float."""
+    assert type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1
+    if isinstance(err, EvalDomainError):
+        assert type(err.x) is float
+    return values, err
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3 * _BLOCK), c=st.floats(-0.25, 1.25),
        form=st.sampled_from(["sqrt({c!r} - x)", "ln(x - {c!r})", "1/(x - {c!r})",
@@ -131,12 +140,12 @@ def _outcome(values, err):
 @example(n=3000, c=0.5, form="sqrt({c!r} - x)", as_array=False)
 # the walk reads Python floats: evaluate's error at an np.float64 says so
 @example(n=2, c=1.0, form="{c!r}*x*1e308*10", as_array=True)
-def test_evaluate_upto_matches_a_point_by_point_loop(n, c, form, as_array):
+def test_evaluate_many_matches_a_point_by_point_loop(n, c, form, as_array):
     fn = parse(form.format(c=c))
     grid = np.linspace(0.0, 1.0, n)
     xs = grid if as_array else grid.tolist()
     want = _outcome(*_loop_upto(fn, grid.tolist(), ExprError))
-    assert _outcome(*_evaluate_upto(fn, xs)) == want
+    assert _outcome(*_float64_upto(*fn.evaluate_many(xs))) == want
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,12 +155,13 @@ def _tabulated_invariant():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40))
-def test_evaluate_upto_matches_the_loop_on_a_tabulated_invariant(offsets):
+@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40), st.booleans())
+def test_evaluate_many_matches_the_loop_on_a_tabulated_invariant(offsets, as_array):
     # a t off the map raises TransformError from x_of_t
     reduced = _tabulated_invariant()
     alpha, beta = reduced.alpha, reduced.beta
     ts = [alpha + (beta - alpha) * u for u in offsets]
     errors = (ExprError, TransformError, NumericalError)
     want = _outcome(*_loop_upto(reduced.invariant, ts, errors))
-    assert _outcome(*_evaluate_upto(reduced.invariant, ts, errors)) == want
+    got = reduced.invariant.evaluate_many(np.array(ts) if as_array else ts)
+    assert _outcome(*_float64_upto(*got)) == want
