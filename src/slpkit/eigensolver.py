@@ -360,13 +360,10 @@ def _guesses(problem, n: int, count: int):
     solve reports.
     """
     m = max(n // _GUESS_DIV, 50)
-    if count < 1 or 2 * m > n or m < 4 * count:
+    if 2 * m > n or m < 4 * count:
         return None
     try:
-        T = _assemble(problem, m)
-        rows, pivmin = _sturm_rows(T)
-        none = [math.nan] * count
-        return _bisect(T, rows, pivmin, count, _GUESS_TOL, none, none)
+        return eig_bisect(_assemble(problem, m), count, _GUESS_TOL)
     except (SolverError, DiscretizationError):
         return None
 

@@ -61,10 +61,11 @@ besselj and bessely in ``special``) runs it over the whole array, element
 for element the hook's own value; the others run per element through the
 hook itself, with ``_apply``'s checks.  A block in which any element may
 fail (a zero divisor, a power or hook value ``evaluate`` would refuse, a
-hook error, a nonfinite result) is evaluated again point by point by
-``evaluate``.  ``evaluate_many`` returns ``(values, error)``: a float64
-array of ``evaluate``'s values up to the first failing point, and the
-error ``evaluate`` raises there, or None.
+hook error, a nonfinite result), or with a power whose exponent depends
+on x, is evaluated again point by point by ``evaluate``.
+``evaluate_many`` returns ``(values, error)``: a float64 array of
+``evaluate``'s values up to the first failing point, and the error
+``evaluate`` raises there, or None.
 """
 
 from __future__ import annotations
@@ -595,8 +596,10 @@ def _apply(hook, node: "Call", variable: str, x: float, *args):
 # (numpy's exp and log differ from math's in the last bit).  Wherever an
 # element may fail (a zero divisor, a power or hook that _power or _apply
 # would refuse, an error from a block form, a nonfinite result) the block
-# raises _Deferred, and evaluate_many evaluates that block point by point
-# instead.
+# raises _Deferred, and so does a power whose exponent depends on x; a
+# subtree without the variable runs _power and _apply themselves and may
+# raise their EvalDomainError.  On either, evaluate_many evaluates that
+# block point by point instead.
 
 _BLOCK = 1024  # points per block: each line's array holds at most this many
 
@@ -634,22 +637,14 @@ def _powers(base, expo):
 
 
 def _power_block(base, expo, node: "Pow", variable: str, x):
-    if not isinstance(base, np.ndarray) and not isinstance(expo, np.ndarray):
-        try:
-            return _power(base, expo, node, variable, 0.0)
-        except EvalDomainError:
-            raise _Deferred from None
-    try:  # OverflowError: an overflowing power, or a scalar float() refuses
+    if isinstance(expo, np.ndarray):
+        raise _Deferred  # an exponent over x: no builder emits one
+    if not isinstance(base, np.ndarray):
+        return _power(base, expo, node, variable, 0.0)
+    try:  # OverflowError: an overflowing power, or float() of the exponent refuses
         zero = np.equal(base, 0.0)
-        if isinstance(expo, np.ndarray):
-            integral = np.isfinite(expo) & np.equal(np.floor(expo), expo)
-            refused = np.any(zero & ~np.greater(expo, 0.0)) or np.any(
-                ~zero & ~np.greater(base, 0.0) & ~integral)
-        else:
-            # every Pow the builders emit: the exponent is tested once
-            refused = (not expo > 0.0 and zero.any()) or (
-                not float(expo).is_integer() and not np.all(zero | np.greater(base, 0.0)))
-        if refused:
+        if (not expo > 0.0 and zero.any()) or (
+                not float(expo).is_integer() and not np.all(zero | np.greater(base, 0.0))):
             raise _Deferred
         v = _powers(base, expo)
     except OverflowError:
@@ -664,10 +659,7 @@ def _power_block(base, expo, node: "Pow", variable: str, x):
 def _apply_block(hook: FunctionHook, node: "Call", variable: str, x, *args):
     arrays = [a for a in args if isinstance(a, np.ndarray)]
     if not arrays:
-        try:
-            return _apply(hook.evaluate, node, variable, 0.0, *args)
-        except EvalDomainError:
-            raise _Deferred from None
+        return _apply(hook.evaluate, node, variable, 0.0, *args)
     try:
         if hook.block is not None:
             v = hook.block(*args)
@@ -692,7 +684,7 @@ def _compile(root: Node, variable: str, block: bool = False) -> Callable:
     failing subexpression (the variable printed as `variable`).  With
     `block`, a function of a float64 array of points that runs the block
     form's lines and returns an array, or a scalar where root does not
-    depend on x, or raises _Deferred."""
+    depend on x, or raises _Deferred or EvalDomainError."""
     em = _Emitter(block)
     result = em.value(root)
     env = {"__builtins__": builtins, "V": variable, **em.env}
@@ -707,7 +699,7 @@ def _compile(root: Node, variable: str, block: bool = False) -> Callable:
 
 def _run_block(fn, chunk):
     """fn's values at the points of chunk (an array, or a scalar where fn
-    does not depend on x), or _Deferred."""
+    does not depend on x), or _Deferred or EvalDomainError."""
     try:  # float() of each point, as evaluate converts it
         if isinstance(chunk, np.ndarray):
             x = chunk.astype(float, copy=False)
@@ -772,7 +764,7 @@ class ExpressionAST:
                 chunk = points[start:start + _BLOCK]
                 try:
                     out[start:start + len(chunk)] = _run_block(fn, chunk)
-                except _Deferred:
+                except (_Deferred, ExprError):
                     walk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
                     for i, x in enumerate(walk, start):
                         try:

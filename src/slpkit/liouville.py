@@ -171,7 +171,6 @@ class TransformMap:
 # map construction
 
 _BASE_NODES = 2049
-_MAX_CHUNK = 256  # base cells per depth-0 batch, at most
 _WALK_LOOKUPS = 384  # sqrt(r/p) lookups the walk front makes in a build, at most
 _MAX_EVALUATIONS = 1 << 20  # sqrt(r/p) evaluations a build makes, at most
 
@@ -277,10 +276,11 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     resolved.  A cell's piece depends on the cell alone, so the map does
     not depend on which stage refines it; pieces are summed in x order.
 
-    - Depth 0: the grid nodes as one `evaluate_many` batch, then the base
-      cells in decreasing order of their endpoint sum, in chunks of 1, 4,
-      16, 64, then 256 cells, each one batch of its cells' seven points.
-    - The walk front: while its _WALK_LOOKUPS lookups last, a chunk's
+    - Depth 0: the grid nodes as one `evaluate_many` batch, then two
+      batches of the base cells' seven points each: the cell with the
+      largest endpoint sum, then every other cell (in decreasing order of
+      their endpoint sum).
+    - The walk front: while its _WALK_LOOKUPS lookups last, a batch's
       split cells are refined depth first, 4 scalar lookups per half,
       the half with the larger endpoint sum first: a non-integrable point,
       where sqrt(r/p) is largest, is reached in a few hundred lookups.
@@ -344,10 +344,7 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     waiting = []  # the cells the front leaves to the loop
     # largest endpoint sum first; the stable sort keeps equal sums in x order
     order = np.argsort(-(ends[:-1] + ends[1:]), kind="stable")
-    start, size = 0, 1
-    while start < len(order):
-        chunk = order[start:start + size]
-        start, size = start + size, min(4 * size, _MAX_CHUNK)
+    for chunk in (order[:1], order[1:]):
         x0, x1 = nodes[chunk], nodes[chunk + 1]
         points = _points(x0, x1)
         values = evaluate(np.array(points).T.ravel()).reshape(-1, 7).T

@@ -93,14 +93,30 @@ def test_build_map_reports_divergent_integrand():
         build_map(bad, 1e-10)
 
 
-def test_build_map_reaches_a_non_integrable_point_first(monkeypatch):
+_CASE3_Y_ZERO = 0.745115928764406
+
+
+@pytest.mark.parametrize("problem, x, message", [
+    (canonical(p="(x-0.511)^2", b=1.0), 0.511,
+     "sqrt(r/p) not evaluable mid-integration: division by zero in '1/(x-0.511)^2' "
+     "at 0.511 on subinterval [0.511, 0.511]"),
+    # p's interior zero near x = 0.745, which validate's samples miss
+    (build_case("case3-Y", PaineSpec(1.0, 0.1), q0=1.0, r0=1.0).canonical, _CASE3_Y_ZERO,
+     "sqrt(r/p) not evaluable mid-integration: division by zero in "
+     "'1/(9.869604401089358*(x^2*bessely(1.118033988749895,3.141592653589793*x)^4))' "
+     f"at {_CASE3_Y_ZERO!r} on subinterval [{_CASE3_Y_ZERO!r}, {_CASE3_Y_ZERO!r}]"),
+], ids=["singular-p", "case3-Y-k1"])
+def test_build_map_reaches_a_non_integrable_point_first(monkeypatch, problem, x, message):
     # the cells and halves where sqrt(r/p) is largest go first, so the walk
     # front lands on the pole after four evaluations per level instead of
-    # first resolving every neighbour of it (148,122 evaluations)
+    # first resolving every neighbour of it (148,122 evaluations on
+    # singular-p); both fail inside the top base cell's subtree, before the
+    # batch of every other base cell is evaluated
     seen = _count_sigma(monkeypatch)
-    with pytest.raises(QuadratureError, match=r"at 0\.511 ") as err:
-        build_map(canonical(p="(x-0.511)^2", b=1.0), 1e-10)
-    assert err.value.lo == err.value.hi == 0.511
+    with pytest.raises(QuadratureError) as err:
+        build_map(problem, 1e-10)
+    assert str(err.value) == message
+    assert err.value.lo == err.value.hi == x
     assert sum(seen.values()) <= 2 * 2048
 
 
@@ -590,15 +606,15 @@ class _FailingSigma:
 
 
 # sqrt(r/p) fails at both points: the later one, a depth-0 point of the
-# third chunk, is reached before the loop reaches the one in the left-end
-# cell's refinement, which the reference, left to right, meets first
+# batch of every base cell but the top one, is reached before the loop
+# reaches the one in the left-end cell's refinement, which the reference,
+# left to right, meets first
 @pytest.mark.parametrize("fails", [("late", "later")], ids=["two-points-fail"])
 def test_build_map_raises_at_the_first_failing_point_it_reaches(monkeypatch, fails):
     problem = build_case("case1", PaineSpec(2.0, 0.1), r0=1.0).canonical
     grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES).tolist()
-    # a point of the left-end cell (the first chunk) that only the loop
-    # reaches, past the front's budget, and the midpoint of a cell of the
-    # third chunk
+    # a point of the left-end cell (the top one) that only the loop
+    # reaches, past the front's budget, and the midpoint of another cell
     late = grid[0]
     for _ in range(9):
         late = 0.5 * (late + grid[1])
