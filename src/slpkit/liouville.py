@@ -10,11 +10,12 @@ the potential I through its x-space expression, and inverts the map.
 The map's cells are refined by one acceptance rule: one Simpson step on
 each half and a Hermite test at the midpoint; a failing cell is halved,
 each half reusing three of its parent's seven values of sqrt(r/p).  A
-short scalar walk front applies the rule first, depth first where
-sqrt(r/p) is largest, so a non-integrable point fails within a few
-hundred lookups; one numpy loop then applies it to every cell left, a
-generation at a time.  A work budget bounds a build's evaluations, and a
-cell too narrow to halve is accepted (the ulp floor).
+short scalar walk front applies the rule first to the base cell where
+sqrt(r/p) is largest, depth first, so a non-integrable point there fails
+within a few hundred lookups; one numpy loop then applies it to every
+other base cell and every cell the front leaves, a generation at a time.
+A work budget bounds a build's evaluations, and a cell too narrow to
+halve is accepted (the ulp floor).
 
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
@@ -237,11 +238,6 @@ def _halves(cell, eighths):
     return (x0, xm, s0, sm, sq1, se1, se2), (xm, x1, sm, s1, sq3, se3, se4)
 
 
-def _push(stack, left, right):
-    # the half with the larger endpoint sum on top: a pole sits there
-    stack += (left, right) if left[2] + left[3] < right[2] + right[3] else (right, left)
-
-
 @np.errstate(all="ignore")
 def _refine(cells, evaluate, room, half_tol, quad_tol):
     """The rule over `cells` (rows as _rule's cell, a column per cell), a
@@ -276,15 +272,16 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
     resolved.  A cell's piece depends on the cell alone, so the map does
     not depend on which stage refines it; pieces are summed in x order.
 
-    - Depth 0: the grid nodes as one `evaluate_many` batch, then two
-      batches of the base cells' seven points each: the cell with the
-      largest endpoint sum, then every other cell (in decreasing order of
-      their endpoint sum).
-    - The walk front: while its _WALK_LOOKUPS lookups last, a batch's
-      split cells are refined depth first, 4 scalar lookups per half,
-      the half with the larger endpoint sum first: a non-integrable point,
+    - Depth 0: the grid nodes as one `evaluate_many` batch; a batch of
+      base cells' midpoints and quarter points then makes them cells of
+      the rule: the cell with the largest endpoint sum, then every other
+      cell (in decreasing order of their endpoint sum).
+    - The walk front: while its _WALK_LOOKUPS lookups last, the top base
+      cell is refined depth first, 4 scalar lookups per cell, the half
+      with the larger endpoint sum first: a non-integrable point there,
       where sqrt(r/p) is largest, is reached in a few hundred lookups.
-    - The loop: `_refine` takes every cell left, a generation at a time.
+    - The loop: `_refine` takes the cells the front leaves and every other
+      base cell as its first generation.
 
     Each point is evaluated once.  Where sqrt(r/p) fails, QuadratureError
     names the first failing point reached (in a batch, cell by cell).  A
@@ -319,50 +316,40 @@ def build_map(problem: CanonicalSLP, quad_tol: float = 1e-10) -> TransformMap:
         except ExprError as err:
             raise refused(err, x) from None
 
-    walked = []  # the front's pieces: right end, integral, slope
-
-    def walk(stack):
-        """The rule, depth first from the top of a stack of cells, while
-        the lookups and the work budget last; returns the cells left."""
-        nonlocal lookups, spent
-        while stack and lookups >= 4 and spent + 4 <= _MAX_EVALUATIONS:
-            cell = stack.pop()
-            lookups, spent = lookups - 4, spent + 4
-            points = _points(cell[0], cell[1])
-            eighths = [lookup(x) for x in points[3:]]
-            total, ok = _rule(cell, points, eighths, half_tol, quad_tol)
-            if ok:
-                walked.append((cell[1], total, cell[3]))
-            else:
-                _push(stack, *_halves(cell, eighths))
-        return stack
-
     nodes = np.linspace(problem.a, problem.b, _BASE_NODES)
+    if not (np.diff(nodes) > 0).all():
+        raise TransformError(f"interval [{problem.a!r}, {problem.b!r}] holds too few floats "
+                             f"for a grid of {_BASE_NODES} nodes")
     ends = evaluate(nodes)
-    # accepted pieces, in any order: right ends, integrals, slopes
-    pieces = [(nodes[:1], np.zeros(1), ends[:1])]
-    waiting = []  # the cells the front leaves to the loop
     # largest endpoint sum first; the stable sort keeps equal sums in x order
     order = np.argsort(-(ends[:-1] + ends[1:]), kind="stable")
-    for chunk in (order[:1], order[1:]):
+
+    def base(chunk):
+        """Base cells as _rule's cells: one batch of their midpoints and
+        quarter points."""
         x0, x1 = nodes[chunk], nodes[chunk + 1]
-        points = _points(x0, x1)
-        values = evaluate(np.array(points).T.ravel()).reshape(-1, 7).T
-        cells = (x0, x1, ends[chunk], ends[chunk + 1], *values[:3])
-        with np.errstate(all="ignore"):
-            total, ok = _rule(cells, points, values[3:], half_tol, quad_tol)
-        pieces.append((x1[ok], total[ok], cells[3][ok]))
-        split = np.flatnonzero(~ok)[::-1]  # the first split cell's halves on top
-        halves = _halves([c[split] for c in cells], values[3:, split])
-        stack = []
-        for left, right in zip(*(np.array(half).T.tolist() for half in halves)):
-            _push(stack, left, right)
-        waiting += walk(stack)
-    if walked:
-        pieces.append(np.array(walked).T)
-    if waiting:
-        pieces += _refine(np.array(waiting).T, evaluate, _MAX_EVALUATIONS - spent,
-                          half_tol, quad_tol)
+        values = evaluate(np.array(_points(x0, x1)[:3]).T.ravel()).reshape(-1, 3).T
+        return np.array([x0, x1, ends[chunk], ends[chunk + 1], *values])
+
+    # the walk front: the top cell, depth first, while the lookups and the
+    # work budget last
+    stack, walked = base(order[:1]).T.tolist(), []
+    while stack and lookups >= 4 and spent + 4 <= _MAX_EVALUATIONS:
+        cell = stack.pop()
+        lookups, spent = lookups - 4, spent + 4
+        points = _points(cell[0], cell[1])
+        eighths = [lookup(x) for x in points[3:]]
+        total, ok = _rule(cell, points, eighths, half_tol, quad_tol)
+        if ok:
+            walked.append((cell[1], total, cell[3]))
+        else:
+            # the half with the larger endpoint sum on top: a pole sits there
+            left, right = _halves(cell, eighths)
+            stack += (left, right) if left[2] + left[3] < right[2] + right[3] else (right, left)
+    # accepted pieces, in any order: right ends, integrals, slopes
+    pieces = [(nodes[:1], np.zeros(1), ends[:1]), np.array(walked).reshape(-1, 3).T]
+    cells = np.hstack([np.array(stack).reshape(-1, 7).T, base(order[1:])])
+    pieces += _refine(cells, evaluate, _MAX_EVALUATIONS - spent, half_tol, quad_tol)
     xs, integrals, ds = (np.concatenate(column) for column in zip(*pieces))
     # back to x order: pieces do not overlap, so their right ends are distinct
     order = np.argsort(xs, kind="stable")

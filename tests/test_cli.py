@@ -268,6 +268,16 @@ def test_an_interval_whose_width_overflows_is_an_input_error(tmp_path, capsys, c
     assert err == f"error: {path}: [interval] width must be finite, got [-1e+308, 1e+308]\n"
 
 
+def test_transform_rejects_an_interval_too_narrow_for_its_grid(tmp_path, capsys):
+    # it used to refine every cell, then exit 2 naming an invariant of the
+    # tabulated map ("tabulated map must be strictly increasing")
+    path = write(tmp_path, "narrow.json", {**IDENTITY, "interval": [1.0, 1.0000000000000004]})
+    code, out, err = run_cli(capsys, "transform", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: interval [1.0, 1.0000000000000004] holds too few floats "
+                   "for a grid of 2049 nodes\n")
+
+
 def test_transform_rejects_a_schrodinger_file(tmp_path, capsys):
     path = write(tmp_path, "paine.json", PAINE)
     code, out, err = run_cli(capsys, "transform", path)

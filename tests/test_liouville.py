@@ -133,6 +133,32 @@ def test_build_map_refuses_past_its_work_budget(monkeypatch):
     assert grid[0] <= err.value.lo < err.value.hi <= grid[1]
 
 
+def test_build_map_meets_a_pole_outside_the_top_base_cell():
+    # r peaks near x = 0.2, so the top base cell sits there and the front
+    # never sees p's zero at 0.511: the loop meets it
+    problem = canonical(p="(x-0.511)^2", r="1+1e9*exp(-((x-0.2)/0.01)^2)", b=1.0)
+    with pytest.raises(QuadratureError) as err:
+        build_map(problem, 1e-10)
+    assert str(err.value) == (
+        "sqrt(r/p) not evaluable mid-integration: division by zero in "
+        "'(1+1000000000*exp(-((x-0.2)/0.01)^2))/(x-0.511)^2' at 0.511 "
+        "on subinterval [0.511, 0.511]")
+
+
+def test_build_map_refuses_an_interval_too_narrow_for_its_grid(monkeypatch):
+    # three floats cannot make 2,049 strictly increasing nodes: refused
+    # before sqrt(r/p) is evaluated, not by the tabulated map's invariant
+    seen = _count_sigma(monkeypatch)
+    with pytest.raises(TransformError) as err:
+        build_map(canonical(a=1.0, b=1.0000000000000004), 1e-10)
+    assert str(err.value) == ("interval [1.0, 1.0000000000000004] holds too few floats "
+                              "for a grid of 2049 nodes")
+    assert not seen
+    # a tiny interval of normal floats still builds
+    m = build_map(canonical(b=1e-300), 1e-10)
+    assert len(m._xs) == 2049 and m.domain_t == (0.0, 1e-300)
+
+
 def _build_error(problem):
     with pytest.raises(QuadratureError) as err:
         build_map(problem, 1e-10)
@@ -158,8 +184,9 @@ def test_batched_refinement_fails_as_the_walk_does(monkeypatch, problem, cap, me
 
 # the walk front's lookup budget, counted over a build: none, fewer than one
 # cell's four lookups, part of the dive to singular-p's pole (the front meets
-# it at its 156th lookup), past it, the default, 1,024, and more than case1's
-# whole refinement takes (about 8,400 lookups), so that the front builds it alone
+# it at its 160th lookup), past it, the default, 1,024, and more than case1's
+# whole refinement takes (about 8,400 lookups), so that the front refines the
+# top base cell alone
 WHOLE_BUILD = 181_000
 WALK_BUDGETS = (0, 1, 82, 256, liouville._WALK_LOOKUPS, 1024, WHOLE_BUILD)
 
@@ -558,18 +585,18 @@ def test_build_map_matches_reference_at_every_walk_budget(monkeypatch, budget_or
     monkeypatch.setattr(liouville, "_WALK_LOOKUPS", budget)
     runs = _recording_refinements(monkeypatch)
     assert _outcome(build_map, problem) == budget_oracles[name]
-    # the loop gets halves of cells that failed the rule, each inside one
-    # base cell and narrower than it
+    # the loop gets the other base cells whole and the cells the front
+    # leaves, each inside one base cell and no wider than it
     grid = np.linspace(problem.a, problem.b, liouville._BASE_NODES)
     for cells in runs:
         x0, x1 = cells[:2]
         i = np.searchsorted(grid, x0, side="right") - 1
-        assert (x1 <= grid[i + 1]).all() and (x1 - x0 < grid[i + 1] - grid[i]).all()
+        assert (x1 <= grid[i + 1]).all() and (x1 - x0 <= grid[i + 1] - grid[i]).all()
     if name == "singular-p":
-        # from its 156th lookup the front itself meets the pole
+        # from its 160th lookup the front itself meets the pole
         assert not runs if budget >= 256 else len(runs) == 1
         return
-    assert len(runs) == (budget < WHOLE_BUILD)
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("label, k, params", TRANSFORM_SHAPES)
@@ -735,8 +762,8 @@ def test_build_map_evaluates_sqrt_r_over_p_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize("label, k, params, total, budget", [
     # refined cells that re-evaluated their parent's points would make 203,963;
-    # case1 is left to the loop at a budget of 1 and in part at the
-    # default, and built by the front alone at WHOLE_BUILD
+    # case1's top base cell is left to the loop at a budget of 1 and in part
+    # at the default, and refined by the front alone at WHOLE_BUILD
     *[("case1", 2.0, {"r0": 1.0}, 24_825, budget)
       for budget in (1, liouville._WALK_LOOKUPS, WHOLE_BUILD)],
     ("case2-B", 3.0, {"q0": 1.0, "x0": 0.3}, None, liouville._WALK_LOOKUPS),
