@@ -4,29 +4,26 @@ Both problem forms reduce to a symmetric tridiagonal matrix on a uniform
 interior grid; the Dirichlet conditions of the problem records drop the
 boundary nodes.  Eigenvalues come from bisection on the Sturm sign count --
 the number of negative pivots of the shifted LDL^T recurrence equals the
-number of eigenvalues below the shift -- bracketed from Gershgorin bounds.
-The count runs on Python floats (the matrix is converted once per bisection),
-one comparison per row for a positive pivot, and each bisection pass counts
-every distinct midpoint once: brackets that have not separated yet share a
-midpoint and so share its count.  The bisection's bookkeeping (brackets,
-midpoints, window bounds) runs on lists of floats as well; only the
-Gershgorin bounds are numpy.  Assembly evaluates each coefficient as one
+number of eigenvalues below the shift -- from the Gershgorin bounds.  The
+count runs on Python floats (the matrix is converted once per bisection),
+one comparison per row for a positive pivot, and never decreases as the
+shift grows, so a count k at a shift bounds every eigenvalue: the shift is
+above the k smallest and not above the rest.  Each bisection holds a lower
+and an upper bound per eigenvalue, takes every count into all of them, and
+counts only the distinct midpoints they do not decide; the bookkeeping runs
+on lists of floats.  Assembly evaluates each coefficient as one
 `evaluate_many` batch, so its error names the first failing point.
 Richardson extrapolation across n and 2n cancels the leading O(h^2) error
-of the second-order schemes.  Each grid's bisection starts from the same
-Gershgorin brackets and takes the same midpoints as a plain bisection, but
-first takes a guess of each eigenvalue -- the fine grid's guesses are the
-coarse grid's eigenvalues, the coarse grid's those of a grid of n // 8
-points, or of 50 where that is more and at most n / 2 -- and moves it by
-Newton steps on det(T - sigma I) to within about one rounding error of
-the largest entry.  Where the steps settle, each side of the result is
-certified on a ladder of radii that starts at the bisection's tol and
-grows fourfold up to that rounding error; a center within tol of its
-eigenvalue takes two counts for a window of 2 tol, and a rung that fails
-is itself a bound on the other side.  A guess that does not settle gets
-no window.  The count never decreases as the shift grows,
-so a midpoint outside the bounds is decided without a count, and the
-eigenvalues come out bit for bit the same as from a full bisection.
+of the second-order schemes.  Each grid's bisection first takes a guess of
+each eigenvalue -- the fine grid's guesses are the coarse grid's
+eigenvalues, the coarse grid's those of a grid of n // 8 points, or of 50
+where that is more and at most n / 2 -- and moves it by Newton steps on
+det(T - sigma I) to within about one rounding error of the largest entry.
+Where the steps settle, each side of the result is certified by counts,
+first at the ends of the bracket a bisection closes on around it: a center
+on its eigenvalue's bisection path takes two counts, and that bisection
+none.  A guess that does not settle costs no count.  The midpoints, and so
+the eigenvalues, are bit for bit those of a plain bisection.
 """
 
 from __future__ import annotations
@@ -125,21 +122,21 @@ def _sturm_rows(T: SymTridiag):
 def _newton_step(rows, pivmin, sigma):
     """One Newton step on det(T - sigma I): sigma - det/det', or NaN.
 
-    det'/det is the sum of q_i'/q_i over the pivots of the count's
-    recurrence (same arithmetic, same clamp), with
-    q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2.
+    det'/det is the sum of t_i = q_i'/q_i over the pivots of the count's
+    recurrence (same arithmetic, same clamp); with r = e_{i-1}^2 / q_{i-1},
+    q_i' = -1 + r t_{i-1}, so t_i = (r t_{i-1} - 1) / q_i.
     """
     npiv = -pivmin
     q = 1.0
-    dq = 0.0
+    t = 0.0
     s = 0.0
     for di, ei in rows:
         r = ei / q
-        dq = r * dq / q - 1.0
         q = di - sigma - r
         if npiv < q < pivmin:
             q = npiv
-        s += dq / q
+        t = (r * t - 1.0) / q
+        s += t
     return sigma - 1.0 / s if 0.0 < abs(s) < math.inf else math.nan
 
 
@@ -160,92 +157,93 @@ def _settle(rows, pivmin, sigma, limit):
     return None
 
 
-def _windows(rows, pivmin, guesses, tol, tight):
-    """Per-eigenvalue bounds that decide a bisection step without a count.
-
-    Newton steps move each guess of the j-th smallest eigenvalue onto it;
-    the iteration settles once a step s is at most _SETTLE * tight, leaving
-    an error of about s^2 / gap, below tight unless another eigenvalue lies
-    within about _SETTLE^2 * tight.  A guess that does not settle gets no
-    bounds and costs no count.
-
-    Nothing here is trusted.  Each side of a settled center c is certified
-    on a ladder of radii: tol, then _LADDER times the last, up to a last
-    rung of tight.  The lower side climbs until count(c - radius) <= j, the
-    upper side until count(c + radius) > j.  Since the count never
-    decreases as the shift grows, every counted shift is a bound, whatever
-    its distance from the eigenvalue: a failed lower rung (count > j) is an
-    upper bound, which ends the upper side before it starts, and a failed
-    upper rung is a lower bound.  A side that fails up to tight is left as
-    NaN, which decides nothing.  So a center within tol of its eigenvalue
-    gets c -+ tol for two counts, and no window is wider than 2 * tight.
-    Any midpoint at or below a held lower bound has count <= j ("not
-    above"), and any midpoint at or above a held upper bound has count > j.
-    """
-    radii = [tol]
-    while radii[-1] < tight:
-        radii.append(min(_LADDER * radii[-1], tight))
-    wlo = [math.nan] * len(guesses)
-    whi = [math.nan] * len(guesses)
-    for j, guess in enumerate(guesses):
-        center = _settle(rows, pivmin, guess, _SETTLE * tight)
-        if center is None:
-            continue
-        for side in (-1.0, 1.0):
-            if not math.isnan(whi[j]):
-                break  # the lower side's failed rungs bound it from above
-            for radius in radii:
-                shift = center + side * radius
-                above = _sturm_counts(rows, [shift], pivmin)[0] > j
-                if above:
-                    whi[j] = shift
-                else:
-                    wlo[j] = shift
-                if above == (side > 0.0):
-                    break  # this side held
-    return wlo, whi
-
-
-def _bisect(T: SymTridiag, rows, pivmin, count: int, tol: float, wlo, whi) -> list:
-    """Bisection from the Gershgorin brackets; held bounds decide without a count.
-
-    The brackets, midpoints and bounds are lists of floats: per pass the
-    bookkeeping is a few list comprehensions over `count` brackets.
-    """
-    n = T.n
+def _start(T: SymTridiag):
+    """The bracket every bisection of T starts from: its Gershgorin bounds, padded."""
     d = T.diag
-    radius = np.zeros(n)
-    if n > 1:
+    radius = np.zeros(T.n)
+    if T.n > 1:
         absed = np.abs(T.offdiag)
         radius[:-1] += absed
         radius[1:] += absed
     glo = float((d - radius).min())
     ghi = float((d + radius).max())
     pad = 1e-10 * max(1.0, abs(glo), abs(ghi))
-    lo = [glo - pad] * count
-    hi = [ghi + pad] * count
+    return glo - pad, ghi + pad
+
+
+def _hold(lo, hi, shift, k):
+    """Take a count k at `shift` into the held bounds of every eigenvalue.
+
+    k eigenvalues lie below the shift, so it bounds the j-th smallest from
+    above for each j < k and from below for each j >= k.
+    """
+    hi[:k] = [min(h, shift) for h in hi[:k]]
+    lo[k:] = [max(l, shift) for l in lo[k:]]
+
+
+def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
+    """Held bounds close around each eigenvalue, in `lo` and `hi`.
+
+    Newton steps move each guess of the j-th smallest eigenvalue onto it;
+    the iteration settles once a step s is at most _SETTLE * tight, leaving
+    an error of about s^2 / gap, below tight unless another eigenvalue lies
+    within about _SETTLE^2 * tight.  A guess that does not settle costs no
+    count.  Nothing here is trusted: each side of a settled center c climbs
+    a ladder of shifts until one is held as a bound on that side.  Its
+    first rung is that side's end of the bracket a bisection from `start`
+    (_bisect's midpoints and stopping rule) closes on when it takes c for
+    the eigenvalue; then c -+ _LADDER^k * tol for k >= 1, up to a last
+    rung of c -+ tight.  Every count goes through _hold, and a rung the
+    held bounds already decide takes none: a failed rung is a bound on the
+    other side, and a rung counted for one eigenvalue can hold another's.
+    """
+    radii = [min(_LADDER * tol, tight)]
+    while radii[-1] < tight:
+        radii.append(min(_LADDER * radii[-1], tight))
+    for j, guess in enumerate(guesses):
+        center = _settle(rows, pivmin, guess, _SETTLE * tight)
+        if center is None:
+            continue
+        left, right = start
+        for _ in range(200):
+            if right - left <= tol:
+                break
+            mid = 0.5 * (left + right)
+            left, right = (left, mid) if mid > center else (mid, right)
+        for end, side in ((left, -1.0), (right, 1.0)):
+            for shift in [end] + [center + side * radius for radius in radii]:
+                if lo[j] < shift < hi[j]:
+                    _hold(lo, hi, shift, _sturm_counts(rows, [shift], pivmin)[0])
+                if shift <= lo[j] if side < 0.0 else shift >= hi[j]:
+                    break  # this side held
+
+
+def _bisect(rows, pivmin, start, tol: float, lo, hi) -> list:
+    """Bisection from `start`; the held bounds decide without a count.
+
+    After the pass's counts go through _hold, every midpoint is at or below
+    its eigenvalue's lower bound or at or above its upper one.
+    """
+    left = [start[0]] * len(lo)
+    right = [start[1]] * len(lo)
     for _ in range(200):
-        if all(h - l <= tol for l, h in zip(lo, hi)):
+        if all(r - l <= tol for l, r in zip(left, right)):
             break
-        mid = [0.5 * (l + h) for l, h in zip(lo, hi)]
-        # True or False where a held bound decides, None where a count must
-        above = [True if m >= u else False if m <= w else None
-                 for m, w, u in zip(mid, wlo, whi)]
+        mid = [0.5 * (l + r) for l, r in zip(left, right)]
         # brackets share midpoints until they separate; count each once
-        shifts = sorted({m for m, a in zip(mid, above) if a is None})
-        if shifts:
-            counts = dict(zip(shifts, _sturm_counts(rows, shifts, pivmin)))
-            above = [counts[m] > j if a is None else a
-                     for j, (m, a) in enumerate(zip(mid, above))]
-        hi = [m if a else h for m, a, h in zip(mid, above, hi)]
-        lo = [l if a else m for m, a, l in zip(mid, above, lo)]
+        shifts = sorted({m for m, a, b in zip(mid, lo, hi) if a < m < b})
+        for shift, k in zip(shifts, _sturm_counts(rows, shifts, pivmin)):
+            _hold(lo, hi, shift, k)
+        above = [m >= b for m, b in zip(mid, hi)]
+        right = [m if a else r for m, a, r in zip(mid, above, right)]
+        left = [l if a else m for m, a, l in zip(mid, above, left)]
     else:
         raise SolverError(
             f"bisection failed to bracket within 200 iterations "
-            f"(bounds [{glo}, {ghi}], tol {tol})")
+            f"(start [{start[0]}, {start[1]}], tol {tol})")
     # brackets bisect independently, so two that overlap within tol can
     # end with their midpoints out of order; restore global order
-    return sorted(0.5 * (l + h) for l, h in zip(lo, hi))
+    return sorted(0.5 * (l + r) for l, r in zip(left, right))
 
 
 def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
@@ -262,15 +260,17 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
     if not 0.0 < tol < math.inf:
         raise DiscretizationError(f"tol must be positive and finite, got {tol}")
     rows, pivmin = _sturm_rows(T)
-    if _near is None:
-        wlo = whi = [math.nan] * count
-    else:
+    start = _start(T)
+    # held bounds: count(lo[j]) <= j < count(hi[j]), from every count taken
+    lo = [-math.inf] * count
+    hi = [math.inf] * count
+    if _near is not None:
         # about one rounding error of the largest entry: the size of the
         # region where the computed count can disagree with the exact one
         scale = float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max(initial=0.0))
         tight = max(_EPS * scale, tol)
-        wlo, whi = _windows(rows, pivmin, _near, tol, tight)
-    return _bisect(T, rows, pivmin, count, tol, wlo, whi)
+        _windows(rows, pivmin, _near, tol, tight, start, lo, hi)
+    return _bisect(rows, pivmin, start, tol, lo, hi)
 
 
 # ---------------------------------------------------------------------------

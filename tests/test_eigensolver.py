@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
-                                _newton_step, _sturm_counts, _sturm_rows, _windows,
+                                _assemble, _hold, _newton_step, _start, _sturm_counts,
+                                _sturm_rows, _windows,
                                 discretize_canonical, discretize_schrodinger,
                                 eig_bisect, laplacian_eigenvalue,
                                 solve_spectrum)
@@ -341,6 +342,28 @@ def test_sturm_counts_never_decrease_as_the_shift_grows(data):
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_count_bounds_every_eigenvalue(data):
+    # the sharing rule alone: after _hold takes each count, lo[j] is the
+    # largest shift whose oracle count is <= j and hi[j] the smallest whose
+    # count is > j, or -+inf where there is none
+    T = data.draw(tridiagonals())
+    rows, pivmin = _sturm_rows(T)
+    edge = [pivmin, -pivmin] + [d + k * pivmin for d in T.diag.tolist() for k in (-1.0, 1.0)]
+    pool = st.one_of(st.sampled_from(T.diag.tolist()), st.sampled_from(edge), entries)
+    shifts = data.draw(st.lists(pool, min_size=1, max_size=12))
+    lo = [-math.inf] * T.n
+    hi = [math.inf] * T.n
+    for shift, k in zip(shifts, _sturm_counts(rows, shifts, pivmin)):
+        _hold(lo, hi, shift, k)
+    e2 = T.offdiag * T.offdiag
+    oracle = oracle_sturm_counts(T.diag, e2, np.array(shifts), oracle_pivmin(e2)).tolist()
+    for j in range(T.n):
+        assert lo[j] == max((s for s, k in zip(shifts, oracle) if k <= j), default=-math.inf)
+        assert hi[j] == min((s for s, k in zip(shifts, oracle) if k > j), default=math.inf)
+
+
 # a guess off by these amounts settles on its eigenvalue, on a neighbour,
 # or nowhere within the Newton steps
 OFFSETS = [0.0, 1e-12, -1e-12, 1e-9, 1e-6, -1e-3, 0.1, -1.0, 8.0, -100.0, 1e6]
@@ -366,7 +389,7 @@ def test_windowed_bisection_matches_oracle_bisection(T, data):
 
 
 def counted_windows(monkeypatch, T, guesses, tol, tight):
-    """_windows on T, as arrays, and every shift it counted."""
+    """The held bounds _windows leaves on T, and every shift it counted."""
     from slpkit import eigensolver
     shifts = []
 
@@ -376,21 +399,33 @@ def counted_windows(monkeypatch, T, guesses, tol, tight):
 
     monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
     rows, pivmin = _sturm_rows(T)
-    wlo, whi = _windows(rows, pivmin, guesses, tol, tight)
+    lo = [-math.inf] * len(guesses)
+    hi = [math.inf] * len(guesses)
+    _windows(rows, pivmin, guesses, tol, tight, _start(T), lo, hi)
     monkeypatch.undo()
-    return np.array(wlo), np.array(whi), shifts
+    return lo, hi, shifts
 
 
-def assert_bounds_certified(T, wlo, whi, shifts, tight):
-    """Each held bound is a shift counted for it, on its side of the j-th
-    eigenvalue, and no window is wider than 2 * tight."""
-    for j, (lo, hi) in enumerate(zip(wlo.tolist(), whi.tolist())):
-        if not math.isnan(lo):
-            assert lo in shifts and sturm_count(T, lo) <= j
-        if not math.isnan(hi):
-            assert hi in shifts and sturm_count(T, hi) > j
-        if not (math.isnan(lo) or math.isnan(hi)):
-            assert hi - lo <= 2.0 * tight + np.spacing(hi)
+def assert_bounds_certified(T, lo, hi, shifts):
+    """Each held bound is a counted shift, on its side of the j-th eigenvalue."""
+    for j, (low, high) in enumerate(zip(lo, hi)):
+        if low > -math.inf:
+            assert low in shifts and sturm_count(T, low) <= j
+        if high < math.inf:
+            assert high in shifts and sturm_count(T, high) > j
+
+
+def path_end(T, center, tol):
+    """The bracket a bisection from the padded Gershgorin bounds closes on
+    when it takes `center` for the eigenvalue."""
+    radius = np.abs(np.r_[0.0, T.offdiag]) + np.abs(np.r_[T.offdiag, 0.0])
+    glo, ghi = float((T.diag - radius).min()), float((T.diag + radius).max())
+    pad = 1e-10 * max(1.0, abs(glo), abs(ghi))
+    lo, hi = glo - pad, ghi + pad
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid > center else (mid, hi)
+    return lo, hi
 
 
 def test_certified_bounds_bracket_and_decide(monkeypatch):
@@ -398,22 +433,25 @@ def test_certified_bounds_bracket_and_decide(monkeypatch):
     exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 4)]
     tol, tight = 1e-11, 1e-9
     # each guess settles on the eigenvalue nearest to it: the first on its
-    # own, which both sides certify at the first rung; the second on the
-    # third eigenvalue, so every lower rung fails (count > 1) and the last
-    # is an upper bound; the third on the second, so its lower side holds
-    # at c - tol and every upper rung fails (count <= 2): the last is a
-    # lower bound
-    wlo, whi, shifts = counted_windows(
-        monkeypatch, T, [exact[0] + 1e-3, exact[2], exact[1] + 0.1], tol, tight)
-    assert_bounds_certified(T, wlo, whi, shifts, tight)
-    assert wlo[0] < exact[0] < whi[0]
-    assert whi[0] - wlo[0] == pytest.approx(2.0 * tol)
-    assert np.isnan(wlo[1]) and exact[1] < whi[1] == pytest.approx(exact[2] - tight)
-    assert wlo[2] == pytest.approx(exact[1] + tight) and np.isnan(whi[2])
-    assert wlo[2] < exact[2]
-    # radii 1e-11, 4e-11, 1.6e-10, 6.4e-10, then 1e-9: 2 counts for the
-    # first window, 5 for the second, 1 + 5 for the third
-    assert len(shifts) == 13
+    # own, whose path ends both hold; the second on the third eigenvalue,
+    # so every lower rung fails (count 2 > 1): path end, c - 4 tol,
+    # 16 tol, 64 tol, then tight; the third on the second, where every
+    # rung is already decided by bounds the others' counts hold
+    lo, hi, shifts = counted_windows(
+        monkeypatch, T, [exact[0] + 1e-4, exact[2], exact[1] + 0.1], tol, tight)
+    assert_bounds_certified(T, lo, hi, shifts)
+    assert len(shifts) == 2 + 5
+    # the first window is the bracket a plain bisection ends on
+    assert lo[0] < exact[0] < hi[0] and hi[0] - lo[0] <= tol
+    assert 0.5 * (lo[0] + hi[0]) == eig_bisect(T, 3, tol=tol)[0]
+    # its upper end (count 1) is the second eigenvalue's lower bound, and
+    # the second's last failed rung its upper bound, just below the third
+    assert lo[1] == hi[0] and hi[1] == shifts[-1] == pytest.approx(exact[2] - tight)
+    # the second's first failed rung, its path end within tol below the
+    # third eigenvalue (count 2), is the third's lower bound, for no count
+    # of its own; nothing bounds the third from above
+    assert lo[2] == shifts[2] and exact[2] - tol < lo[2] < exact[2]
+    assert hi[2] == math.inf
 
 
 def test_a_failed_rung_is_the_opposite_bound(monkeypatch):
@@ -425,26 +463,33 @@ def test_a_failed_rung_is_the_opposite_bound(monkeypatch):
     monkeypatch.setattr(eigensolver, "_settle",
                         lambda rows, pivmin, guess, limit: guess)
     guesses = [exact[0] + 3.0 * tol, exact[1] - 20.0 * tol]
-    wlo, whi, shifts = counted_windows(monkeypatch, T, guesses, tol, tight)
-    assert_bounds_certified(T, wlo, whi, shifts, tight)
-    # the lower side fails at c - tol, which is the upper bound, and holds
-    # at c - 4 tol; the upper side is never counted
-    assert (wlo[0], whi[0]) == (guesses[0] - 4.0 * tol, guesses[0] - tol)
-    # the lower side holds at c - tol; the upper side fails at c + tol,
-    # 4 tol and 16 tol, the last of which is the lower bound, and holds at
-    # c + 64 tol
-    assert (wlo[1], whi[1]) == (guesses[1] + 16.0 * tol, guesses[1] + 64.0 * tol)
+    lo, hi, shifts = counted_windows(monkeypatch, T, guesses, tol, tight)
+    assert_bounds_certified(T, lo, hi, shifts)
+    # each side's first rung is that side's end of the bisection path
+    assert shifts[0] == path_end(T, guesses[0], tol)[0]
+    assert shifts[2:4] == list(path_end(T, guesses[1], tol))
+    # the lower path end, within tol below c, fails and is the upper bound;
+    # c - 4 tol holds; the upper side is never counted
+    assert guesses[0] - tol < shifts[0] <= guesses[0]
+    assert (lo[0], hi[0]) == (guesses[0] - 4.0 * tol, shifts[0])
+    # the lower path end holds; the upper side fails at its path end,
+    # c + 4 tol and 16 tol, the last of which is the lower bound, and
+    # holds at c + 64 tol
+    assert (lo[1], hi[1]) == (guesses[1] + 16.0 * tol, guesses[1] + 64.0 * tol)
     assert len(shifts) == 2 + 5
 
 
-def paine_two_call_solve(n, count):
+def two_call_solve(prob, n, count):
     """solve_spectrum as two independent full bisections, then Richardson."""
-    prob = paine_schrodinger(PaineSpec(1.0, 0.1))
-    lam_n = oracle_eig_bisect(discretize_schrodinger(prob, n), count)
-    lam_2n = oracle_eig_bisect(discretize_schrodinger(prob, 2 * n + 1), count)
+    lam_n = oracle_eig_bisect(_assemble(prob, n), count)
+    lam_2n = oracle_eig_bisect(_assemble(prob, 2 * n + 1), count)
     pairs = sorted(((4.0 * l2 - l1) / 3.0, abs(l2 - l1) / 3.0)
                    for l1, l2 in zip(lam_n, lam_2n))
     return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
+
+
+def paine_two_call_solve(n, count):
+    return two_call_solve(paine_schrodinger(PaineSpec(1.0, 0.1)), n, count)
 
 
 @pytest.mark.parametrize("n", [200, 401])
@@ -478,6 +523,30 @@ def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
         assert cost[size] < plain / 2 if seeded else cost[size] == plain
 
 
+def test_a_spectrum_without_own_windows_takes_fewer_counts_than_plain(monkeypatch):
+    # case3-Y's canonical eigenvalues cluster near 1.0 and each Newton center
+    # settles on a neighbour, so its own rungs fail; the bounds that other
+    # eigenvalues' rungs hold still save counts
+    from slpkit import eigensolver
+    from slpkit.inverse import build_case
+    prob = build_case("case3-Y", PaineSpec(1.0, 0.1), q0=1.0, r0=1.0, x0=0.25).canonical
+    n = 400
+    counts = Counter()
+
+    def counting(rows, batch, pivmin):
+        counts[len(rows)] += len(batch)
+        return _sturm_counts(rows, batch, pivmin)
+
+    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    spectrum = solve_spectrum(prob, n, 5)
+    assert (spectrum.eigenvalues, spectrum.error_estimates) == two_call_solve(prob, n, 5)
+    seeded = dict(counts)
+    for size in (n, 2 * n + 1):
+        counts.clear()
+        eig_bisect(_assemble(prob, size), 5)
+        assert seeded[size] < counts[size]
+
+
 # ---------------------------------------------------------------------------
 # Newton-refined guesses: they move the windows, never the result
 
@@ -487,7 +556,18 @@ def test_newton_step_matches_the_dense_spectrum():
     T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), 60)
     exact = np.linalg.eigvalsh(T.dense())
     rows, pivmin = _sturm_rows(T)
-    for sigma in (0.5, 3.0, 10.0, 40.0):
+    # the last shift is within 1e-6 of the first eigenvalue
+    for sigma in (0.5, 3.0, 10.0, 40.0, float(exact[0]) + 7e-7):
+        expected = sigma + 1.0 / float(np.sum(1.0 / (exact - sigma)))
+        assert _newton_step(rows, pivmin, sigma) == pytest.approx(expected, rel=1e-12)
+    # at sigma = 1 the first pivot is exactly 0 and is clamped to -pivmin;
+    # the block it ends is decoupled, so 1 is an eigenvalue, where the
+    # dense step is 0 (one term of the sum is infinite)
+    T = SymTridiag(np.array([1.0, 3.0, 4.0]), np.array([0.0, 1.0]))
+    rows, pivmin = _sturm_rows(T)
+    assert _newton_step(rows, pivmin, 1.0) == 1.0
+    exact = np.linalg.eigvalsh(T.dense())
+    for sigma in (2.5, 1.0 - 3e-7):
         expected = sigma + 1.0 / float(np.sum(1.0 / (exact - sigma)))
         assert _newton_step(rows, pivmin, sigma) == pytest.approx(expected, rel=1e-12)
 
@@ -499,16 +579,17 @@ def test_refined_windows_hold_tightly_on_paine(monkeypatch):
     tol = 1e-10
     tight = max(_EPS * (float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max())), tol)
     assert tight > 3.0 * tol
-    wlo, whi, shifts = counted_windows(monkeypatch, T, _guesses(prob, 2000, 5), tol, tight)
-    assert not np.isnan(wlo).any() and not np.isnan(whi).any()
-    assert_bounds_certified(T, wlo, whi, shifts, tight)
-    # every center is within tol: c -+ tol, each rounded to the nearest
-    # float, for two counts
-    assert (np.abs(whi - wlo - 2.0 * tol) <= np.spacing(whi)).all()
+    lo, hi, shifts = counted_windows(monkeypatch, T, _guesses(prob, 2000, 5), tol, tight)
+    assert all(map(math.isfinite, lo + hi))
+    assert_bounds_certified(T, lo, hi, shifts)
+    # two counts per window: the first four centers' path ends both hold,
+    # so each window is the bracket a plain bisection ends on; the fifth
+    # center sits 0.76 tol above the count's switch, so its lower path end
+    # fails and is the upper bound, and c - tight holds
     assert len(shifts) == 10
-    # the windows hold the eigenvalues the plain bisection finds
     plain = eig_bisect(T, 5)
-    assert (wlo <= plain).all() and (np.array(plain) <= whi).all()
+    assert all(h - l <= tol and 0.5 * (l + h) == p for l, h, p in zip(lo[:4], hi[:4], plain))
+    assert lo[4] < plain[4] < hi[4] and hi[4] - lo[4] <= tight
 
 
 def test_paine_richardson_solve_counts(monkeypatch):
@@ -527,8 +608,11 @@ def test_paine_richardson_solve_counts(monkeypatch):
     monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
     monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
     solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), 2000, 5)
-    # windows c -+ tight (about 3.6 tol here) took 30 and 40 counts
-    assert shifts[2000] <= 21 and shifts[4001] <= 22
+    # on the 2000-point grid the windows take two counts per eigenvalue and
+    # the bisection one more; on the 4001-point grid the centers lie within
+    # the count's rounding region (tight is about 14 tol), so more path
+    # ends fail
+    assert shifts[2000] <= 11 and shifts[4001] <= 22
     assert (newton[2000], newton[4001]) == (10, 7)
 
 
@@ -547,9 +631,11 @@ def test_guesses_that_never_settle_cost_no_count(monkeypatch):
     plain_counts = sum(shifts)
     monkeypatch.setattr(eigensolver, "_NEWTON_STEPS", 0)
     shifts.clear()
-    wlo, whi = _windows(rows, pivmin, plain, 1e-10, 1e-9)
+    lo = [-math.inf] * 5
+    hi = [math.inf] * 5
+    _windows(rows, pivmin, plain, 1e-10, 1e-9, _start(T), lo, hi)
     assert shifts == []
-    assert np.isnan(wlo).all() and np.isnan(whi).all()
+    assert lo == [-math.inf] * 5 and hi == [math.inf] * 5
     # with no windows the seeded bisection is the plain one, count for count
     assert eig_bisect(T, 5, _near=plain) == plain == oracle_eig_bisect(T, 5)
     assert sum(shifts) == plain_counts
