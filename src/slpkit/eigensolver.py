@@ -9,21 +9,26 @@ count runs on Python floats (the matrix is converted once per bisection),
 one comparison per row for a positive pivot, and never decreases as the
 shift grows, so a count k at a shift bounds every eigenvalue: the shift is
 above the k smallest and not above the rest.  Each bisection holds a lower
-and an upper bound per eigenvalue, takes every count into all of them, and
-counts only the distinct midpoints they do not decide; the bookkeeping runs
-on lists of floats.  Assembly evaluates each coefficient as one
-`evaluate_many` batch, so its error names the first failing point.
-Richardson extrapolation across n and 2n cancels the leading O(h^2) error
-of the second-order schemes.  Each grid's bisection first takes a guess of
-each eigenvalue -- the fine grid's guesses are the coarse grid's
-eigenvalues, the coarse grid's those of a grid of n // 8 points, or of 50
-where that is more and at most n / 2 -- and moves it by Newton steps on
-det(T - sigma I) to within about one rounding error of the largest entry.
-Where the steps settle, each side of the result is certified by counts,
-first at the ends of the bracket a bisection closes on around it: a center
-on its eigenvalue's bisection path takes two counts, and that bisection
-none.  A guess that does not settle costs no count.  The midpoints, and so
-the eigenvalues, are bit for bit those of a plain bisection.
+and an upper bound per eigenvalue and takes every count into all of them.
+It walks one eigenvalue's path after another, counting only the midpoints
+those bounds do not decide; a path that stops early then continues to the
+deepest path's depth, as if all brackets were halved together.  Assembly
+evaluates each coefficient as one `evaluate_many` batch, so its error
+names the first failing point.  Richardson extrapolation across n and 2n
+cancels the leading O(h^2) error of the second-order schemes.  Each grid's
+bisection first takes a guess of each eigenvalue and moves it by Newton
+steps on det(T - sigma I) to within about one rounding error of the
+largest entry.  The coarse grid's guesses are the eigenvalues of a grid of
+n // 8 points, or of 50 where that is more and at most n / 2; the fine
+grid's are the coarse eigenvalues moved by the O(h^2) error those two
+grids show (the coarse eigenvalues themselves where there is no guess
+grid).  Where the steps settle, each side of the result is certified by
+counts at nodes of the bisection's own grid: first the ends of the bracket
+a bisection closes on around it, then those of brackets farther out.  A
+center on its eigenvalue's bisection path takes two counts, and that
+bisection none.  A guess that does not settle costs no count.  The
+midpoints, and so the eigenvalues, are bit for bit those of a plain
+bisection.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _first_nonpositive
 
 
 _EPS = float(np.finfo(float).eps)
+# a bisection path that is still wider than tol after this many halvings fails
+_MAX_HALVINGS = 200
 # Newton refinement of the window guesses (see _windows)
 _NEWTON_STEPS = 6
 _SETTLE = 1e4
@@ -181,6 +188,30 @@ def _hold(lo, hi, shift, k):
     lo[k:] = [max(l, shift) for l in lo[k:]]
 
 
+def _descend(bracket, tol: float, above, steps: int = _MAX_HALVINGS):
+    """Halve `bracket` at most `steps` times, until it is at most tol wide:
+    the last bracket, and the number of halvings.
+
+    Each midpoint is 0.5 * (left + right); the half below it is kept where
+    `above(mid)` is true.  A bracket at most tol wide holds only brackets
+    at most tol wide, so a path stops at the first such depth.
+    """
+    left, right = bracket
+    for depth in range(steps):
+        if right - left <= tol:
+            return left, right, depth
+        mid = 0.5 * (left + right)
+        left, right = (left, mid) if above(mid) else (mid, right)
+    return left, right, steps
+
+
+def _closing(start, tol: float, x: float):
+    """The bracket a bisection from `start` closes on when it takes x for
+    the eigenvalue: _bisect's midpoints and stopping rule."""
+    left, right, _ = _descend(start, tol, lambda mid: mid > x)
+    return left, right
+
+
 def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
     """Held bounds close around each eigenvalue, in `lo` and `hi`.
 
@@ -189,29 +220,30 @@ def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
     an error of about s^2 / gap, below tight unless another eigenvalue lies
     within about _SETTLE^2 * tight.  A guess that does not settle costs no
     count.  Nothing here is trusted: each side of a settled center c climbs
-    a ladder of shifts until one is held as a bound on that side.  Its
-    first rung is that side's end of the bracket a bisection from `start`
-    (_bisect's midpoints and stopping rule) closes on when it takes c for
-    the eigenvalue; then c -+ _LADDER^k * tol for k >= 1, up to a last
-    rung of c -+ tight.  Every count goes through _hold, and a rung the
-    held bounds already decide takes none: a failed rung is a bound on the
-    other side, and a rung counted for one eigenvalue can hold another's.
+    a ladder of shifts until one is held as a bound on that side.  The
+    rungs are that side's ends of the brackets the bisection closes on
+    (_closing) for c, then for c -+ _LADDER^k * w, k = 0, 1, 2, ..., where
+    w is the width of c's bracket and _LADDER^k * w is at most tight.  Each
+    rung is a node of the bisection's own grid, so a held window leaves no
+    partial cell for _bisect to count in.  Every count goes through _hold,
+    and a rung the held bounds already decide takes none: a failed rung is
+    a bound on the other side, and a rung counted for one eigenvalue can
+    hold another's.
     """
-    radii = [min(_LADDER * tol, tight)]
-    while radii[-1] < tight:
-        radii.append(min(_LADDER * radii[-1], tight))
     for j, guess in enumerate(guesses):
         center = _settle(rows, pivmin, guess, _SETTLE * tight)
         if center is None:
             continue
-        left, right = start
-        for _ in range(200):
-            if right - left <= tol:
-                break
-            mid = 0.5 * (left + right)
-            left, right = (left, mid) if mid > center else (mid, right)
-        for end, side in ((left, -1.0), (right, 1.0)):
-            for shift in [end] + [center + side * radius for radius in radii]:
+        left, right = _closing(start, tol, center)
+        radii = [0.0]
+        radius = right - left
+        # a zero width (a tol below the float spacing) would never grow
+        while 0.0 < radius <= tight:
+            radii.append(radius)
+            radius *= _LADDER
+        for end, side in ((0, -1.0), (1, 1.0)):
+            for radius in radii:
+                shift = _closing(start, tol, center + side * radius)[end]
                 if lo[j] < shift < hi[j]:
                     _hold(lo, hi, shift, _sturm_counts(rows, [shift], pivmin)[0])
                 if shift <= lo[j] if side < 0.0 else shift >= hi[j]:
@@ -219,31 +251,36 @@ def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
 
 
 def _bisect(rows, pivmin, start, tol: float, lo, hi) -> list:
-    """Bisection from `start`; the held bounds decide without a count.
+    """Each eigenvalue's bisection path from `start`, one after another;
+    the held bounds decide without a count.
 
-    After the pass's counts go through _hold, every midpoint is at or below
-    its eigenvalue's lower bound or at or above its upper one.
+    A midpoint strictly inside its eigenvalue's held bounds is counted,
+    and the count goes through _hold, so it bounds every other eigenvalue
+    too; after that the midpoint is at or below the lower bound or at or
+    above the upper one.  Each path first runs to its own stopping depth,
+    where its bracket is at most tol wide; the paths that stopped early
+    then continue to the deepest path's depth.  These are the brackets of
+    all paths halved together until every one is at most tol wide.
     """
-    left = [start[0]] * len(lo)
-    right = [start[1]] * len(lo)
-    for _ in range(200):
-        if all(r - l <= tol for l, r in zip(left, right)):
-            break
-        mid = [0.5 * (l + r) for l, r in zip(left, right)]
-        # brackets share midpoints until they separate; count each once
-        shifts = sorted({m for m, a, b in zip(mid, lo, hi) if a < m < b})
-        for shift, k in zip(shifts, _sturm_counts(rows, shifts, pivmin)):
-            _hold(lo, hi, shift, k)
-        above = [m >= b for m, b in zip(mid, hi)]
-        right = [m if a else r for m, a, r in zip(mid, above, right)]
-        left = [l if a else m for m, a, l in zip(mid, above, left)]
-    else:
+    def toward(j):
+        def above(mid):
+            if lo[j] < mid < hi[j]:
+                _hold(lo, hi, mid, _sturm_counts(rows, [mid], pivmin)[0])
+            return mid >= hi[j]
+        return above
+
+    paths = [_descend(start, tol, toward(j)) for j in range(len(lo))]
+    deepest = max(depth for _, _, depth in paths)
+    if deepest == _MAX_HALVINGS:
         raise SolverError(
-            f"bisection failed to bracket within 200 iterations "
+            f"bisection failed to bracket within {_MAX_HALVINGS} iterations "
             f"(start [{start[0]}, {start[1]}], tol {tol})")
+    # no width is <= -inf: each path is halved exactly to the deepest depth
+    ends = [_descend((left, right), -math.inf, toward(j), deepest - depth)
+            for j, (left, right, depth) in enumerate(paths)]
     # brackets bisect independently, so two that overlap within tol can
     # end with their midpoints out of order; restore global order
-    return sorted(0.5 * (l + r) for l, r in zip(left, right))
+    return sorted(0.5 * (left + right) for left, right, _ in ends)
 
 
 def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> list:
@@ -350,6 +387,11 @@ def _assemble(problem, n: int) -> SymTridiag:
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
+def _guess_points(n: int) -> int:
+    """The points of the grid whose eigenvalues guess the n-point grid's."""
+    return max(n // _GUESS_DIV, 50)
+
+
 def _guesses(problem, n: int, count: int):
     """Guesses of the n-point grid's eigenvalues: those of a grid of n // 8
     points, or of 50 where that is more.
@@ -359,7 +401,7 @@ def _guesses(problem, n: int, count: int):
     n-point grid's, and a failure there must not change what the n-point
     solve reports.
     """
-    m = max(n // _GUESS_DIV, 50)
+    m = _guess_points(n)
     if 2 * m > n or m < 4 * count:
         return None
     try:
@@ -373,16 +415,28 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
 
     The fine grid has 2n+1 interior points so the mesh width is exactly
     halved; with a literal 2n the h^2 terms would not cancel cleanly and
-    the extrapolation would be limited to O(h^2/n).  The coarse eigenvalues
-    are the fine-grid bisection's guesses, and the eigenvalues of a grid
-    of n // 8 points (at least 50) are the coarse bisection's.
+    the extrapolation would be limited to O(h^2/n).  The eigenvalues lam_m
+    of a grid of m = n // 8 points (at least 50) are the coarse bisection's
+    guesses.  The fine bisection's are the coarse eigenvalues lam_n moved
+    by three quarters of their O(h^2) error, which the two grids give as
+    (lam_n - lam_m) / (((n+1)/(m+1))^2 - 1); on the Paine problem that
+    prediction is within about 1e-6, so most Newton steps from it settle at
+    once.  Without lam_m the guesses are lam_n.
     """
-    lam_n = eig_bisect(_assemble(problem, n), count, _near=_guesses(problem, n, count))
+    # a grid the scheme refuses fails before any guess work
+    coarse = _assemble(problem, n)
+    lam_m = _guesses(problem, n, count)
+    lam_n = eig_bisect(coarse, count, _near=lam_m)
     if not richardson:
         values = lam_n
         errors = [0.0] * count
     else:
-        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1), count, _near=lam_n)
+        near = lam_n
+        if lam_m is not None:
+            m = _guess_points(n)
+            ratio = 0.75 / (((n + 1) / (m + 1)) ** 2 - 1.0)
+            near = [l + (l - g) * ratio for l, g in zip(lam_n, lam_m)]
+        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1), count, _near=near)
         values = [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         errors = [abs(l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         # near-degenerate clusters can come out of the two grids in a

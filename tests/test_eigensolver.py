@@ -15,6 +15,7 @@ from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
 from slpkit.expr import parse
 from slpkit.problems import (CanonicalSLP, PaineSpec, SchrodingerSLP,
                              paine_schrodinger)
+from test_acceptance import SPECTRAL_CASES
 
 PI = math.pi
 
@@ -247,11 +248,9 @@ def oracle_pivmin(e2):
     return np.finfo(float).tiny * max(1.0, float(e2.max()) if len(e2) else 1.0)
 
 
-def oracle_eig_bisect(T, count, tol=1e-10):
-    """Bisection that counts every bracket's midpoint, shared or not."""
+def oracle_start(T):
+    """The padded Gershgorin bounds."""
     d = T.diag
-    e2 = T.offdiag * T.offdiag
-    pivmin = oracle_pivmin(e2)
     radius = np.zeros(T.n)
     if T.n > 1:
         radius[:-1] += np.abs(T.offdiag)
@@ -259,8 +258,18 @@ def oracle_eig_bisect(T, count, tol=1e-10):
     glo = float((d - radius).min())
     ghi = float((d + radius).max())
     pad = 1e-10 * max(1.0, abs(glo), abs(ghi))
-    lo = np.full(count, glo - pad)
-    hi = np.full(count, ghi + pad)
+    return glo - pad, ghi + pad
+
+
+def oracle_eig_bisect(T, count, tol=1e-10):
+    """Bisection that halves every bracket together, counting every
+    bracket's midpoint, shared or not, until all are at most tol wide."""
+    d = T.diag
+    e2 = T.offdiag * T.offdiag
+    pivmin = oracle_pivmin(e2)
+    glo, ghi = oracle_start(T)
+    lo = np.full(count, glo)
+    hi = np.full(count, ghi)
     want = np.arange(count)
     for _ in range(200):
         if (hi - lo <= tol).all():
@@ -322,6 +331,84 @@ def test_eig_bisect_matches_oracle_bisection(T, data):
 def test_eig_bisect_bit_identical_on_paine(n):
     T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), n)
     assert eig_bisect(T, 5) == oracle_eig_bisect(T, 5)
+
+
+def lockstep_levels(T, count, depth):
+    """The brackets of the lockstep bisection after 0, 1, ..., depth - 1
+    halvings, as (lo, hi) arrays."""
+    e2 = T.offdiag * T.offdiag
+    pivmin = oracle_pivmin(e2)
+    lo, hi = (np.full(count, end) for end in oracle_start(T))
+    levels = []
+    for _ in range(depth):
+        levels.append((lo, hi))
+        mid = 0.5 * (lo + hi)
+        above = oracle_sturm_counts(T.diag, e2, mid, pivmin) > np.arange(count)
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return levels
+
+
+def test_paths_that_stop_early_continue_to_the_common_depth():
+    # the brackets of one depth can differ in their last bits; at the first
+    # depth where they do, a tol equal to the narrowest stops that path one
+    # halving before the others, and the lockstep bisection halves it again
+    T = SymTridiag(np.full(99, 2.0), np.full(98, -1.0))
+    count = 5
+    levels = lockstep_levels(T, count, 60)
+    depth = next(k for k, (lo, hi) in enumerate(levels) if len(set((hi - lo).tolist())) > 1)
+    lo, hi = levels[depth]
+    tol = float((hi - lo).min())
+    assert ((hi - lo) <= tol).any() and ((hi - lo) > tol).any()
+    plain = oracle_eig_bisect(T, count, tol)
+    lo1, hi1 = levels[depth + 1]
+    assert plain == sorted((0.5 * (lo1 + hi1)).tolist())
+    # each path stopped at its own depth would end elsewhere
+    own = np.where(hi - lo <= tol, 0.5 * (lo + hi), 0.5 * (lo1 + hi1))
+    assert sorted(own.tolist()) != plain
+    exact = np.linalg.eigvalsh(T.dense())[:count].tolist()
+    for t, reference in ((tol, plain), (1e-12, oracle_eig_bisect(T, count, 1e-12))):
+        # no guesses; exact ones; and guesses that settle on the wrong
+        # eigenvalue, never settle, or are off by -+1e-3
+        for near in (None, exact,
+                     [exact[1], math.nan, exact[2] + 1e-3, exact[3] - 1e-3, exact[0]],
+                     [1e6, exact[0], exact[4] - 1e-3, exact[3] + 1e-3, exact[2]]):
+            assert eig_bisect(T, count, tol=t, _near=near) == reference
+
+
+def test_a_bisection_that_cannot_reach_tol_fails_after_200_halvings():
+    # a tol far below the float spacing near the eigenvalues is never met
+    T = SymTridiag(np.array([1.0, 2.0]), np.array([0.5]))
+    for near in (None, np.linalg.eigvalsh(T.dense()).tolist()):
+        with pytest.raises(SolverError) as err:
+            eig_bisect(T, 2, tol=1e-300, _near=near)
+        assert str(err.value) == ("bisection failed to bracket within 200 iterations "
+                                  "(start [0.49999999975, 2.50000000025], tol 1e-300)")
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalues against LAPACK: a change that loses digits fails here
+
+
+GATE_MATRICES = SPECTRAL_CASES + [("paine", PaineSpec(1.0, 0.1), None)]
+
+
+# eig_bisect at tol 1e-10 is within 3.7e-11 of eigvalsh on every one of
+# these matrices (case4 canonical and the Paine matrix come closest to it)
+@pytest.mark.parametrize("label, spec, params", GATE_MATRICES, ids=[
+    "-".join([label, f"k{spec.k}", f"m{spec.m}"] + [f"{k}={v}" for k, v in (params or {}).items()])
+    for label, spec, params in GATE_MATRICES])
+def test_eig_bisect_agrees_with_eigvalsh(label, spec, params):
+    # the canonical matrix of each exact gate case, and the Paine
+    # Schrodinger matrix, on 400 points
+    from slpkit.inverse import build_case
+    if params is None:
+        T = discretize_schrodinger(paine_schrodinger(spec), 400)
+    else:
+        T = discretize_canonical(build_case(label, spec, **params).canonical, 400)
+    tol = 1e-10
+    mine = np.array(eig_bisect(T, 5, tol))
+    reference = np.linalg.eigvalsh(T.dense())[:5]
+    assert np.abs(mine - reference).max() <= 2.0 * max(tol, 3.7e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +505,29 @@ def assert_bounds_certified(T, lo, hi, shifts):
 def path_end(T, center, tol):
     """The bracket a bisection from the padded Gershgorin bounds closes on
     when it takes `center` for the eigenvalue."""
-    radius = np.abs(np.r_[0.0, T.offdiag]) + np.abs(np.r_[T.offdiag, 0.0])
-    glo, ghi = float((T.diag - radius).min()), float((T.diag + radius).max())
-    pad = 1e-10 * max(1.0, abs(glo), abs(ghi))
-    lo, hi = glo - pad, ghi + pad
+    lo, hi = oracle_start(T)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if mid > center else (mid, hi)
     return lo, hi
 
 
+def is_node(T, shift, tol):
+    """Whether `shift` is an end of the brackets a bisection closes on: the
+    one it closes on when it takes the shift for the eigenvalue starts there."""
+    return path_end(T, shift, tol)[0] == shift
+
+
 def test_certified_bounds_bracket_and_decide(monkeypatch):
+    from slpkit.eigensolver import _settle
     T = discretize_schrodinger(free_particle(), 99)
     exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 4)]
     tol, tight = 1e-11, 1e-9
     # each guess settles on the eigenvalue nearest to it: the first on its
     # own, whose path ends both hold; the second on the third eigenvalue,
-    # so every lower rung fails (count 2 > 1): path end, c - 4 tol,
-    # 16 tol, 64 tol, then tight; the third on the second, where every
+    # so every lower rung fails (count 2 > 1): the path end, then the
+    # nodes below c - w, 4 w, 16 w and 64 w (w, the path's width, is
+    # 0.72 tol; 256 w is past tight); the third on the second, where every
     # rung is already decided by bounds the others' counts hold
     lo, hi, shifts = counted_windows(
         monkeypatch, T, [exact[0] + 1e-4, exact[2], exact[1] + 0.1], tol, tight)
@@ -444,9 +536,18 @@ def test_certified_bounds_bracket_and_decide(monkeypatch):
     # the first window is the bracket a plain bisection ends on
     assert lo[0] < exact[0] < hi[0] and hi[0] - lo[0] <= tol
     assert 0.5 * (lo[0] + hi[0]) == eig_bisect(T, 3, tol=tol)[0]
-    # its upper end (count 1) is the second eigenvalue's lower bound, and
-    # the second's last failed rung its upper bound, just below the third
-    assert lo[1] == hi[0] and hi[1] == shifts[-1] == pytest.approx(exact[2] - tight)
+    # the second's rungs are nodes of the bisection's grid, the lower ends
+    # of the brackets it closes on for c - 4^k w, none farther than tight
+    rows, pivmin = _sturm_rows(T)
+    center = _settle(rows, pivmin, exact[2], 1e4 * tight)
+    left, right = path_end(T, center, tol)
+    w = right - left
+    assert 0.5 * tol < w <= tol
+    assert shifts[2:] == [path_end(T, center - r, tol)[0] for r in (0.0, w, 4 * w, 16 * w, 64 * w)]
+    assert all(is_node(T, s, tol) and exact[2] - tight < s < exact[2] for s in shifts[2:])
+    # the first window's upper end (count 1) is the second eigenvalue's
+    # lower bound, and the second's last failed rung its upper bound
+    assert lo[1] == hi[0] and hi[1] == shifts[-1]
     # the second's first failed rung, its path end within tol below the
     # third eigenvalue (count 2), is the third's lower bound, for no count
     # of its own; nothing bounds the third from above
@@ -465,18 +566,26 @@ def test_a_failed_rung_is_the_opposite_bound(monkeypatch):
     guesses = [exact[0] + 3.0 * tol, exact[1] - 20.0 * tol]
     lo, hi, shifts = counted_windows(monkeypatch, T, guesses, tol, tight)
     assert_bounds_certified(T, lo, hi, shifts)
-    # each side's first rung is that side's end of the bisection path
-    assert shifts[0] == path_end(T, guesses[0], tol)[0]
-    assert shifts[2:4] == list(path_end(T, guesses[1], tol))
-    # the lower path end, within tol below c, fails and is the upper bound;
-    # c - 4 tol holds; the upper side is never counted
+    assert all(is_node(T, s, tol) for s in shifts)
+    # each side's first rung is that side's end of the bisection path; the
+    # later ones are that side's ends of the brackets the bisection closes
+    # on for c -+ 4^k w, where w is the width of c's own bracket
+    (l0, h0), (l1, h1) = (path_end(T, g, tol) for g in guesses)
+    w0, w1 = h0 - l0, h1 - l1
+    assert shifts[:3] == [l0] + [path_end(T, guesses[0] - r, tol)[0] for r in (w0, 4 * w0)]
+    assert shifts[3:] == [l1, h1] + [path_end(T, guesses[1] + r, tol)[1]
+                                     for r in (w1, 4 * w1, 16 * w1, 64 * w1)]
+    # the lower path end, within tol below c, and the node below c - w
+    # fail, and the last of them is the upper bound; the node below c - 4 w
+    # holds; the upper side is never counted
     assert guesses[0] - tol < shifts[0] <= guesses[0]
-    assert (lo[0], hi[0]) == (guesses[0] - 4.0 * tol, shifts[0])
-    # the lower path end holds; the upper side fails at its path end,
-    # c + 4 tol and 16 tol, the last of which is the lower bound, and
-    # holds at c + 64 tol
-    assert (lo[1], hi[1]) == (guesses[1] + 16.0 * tol, guesses[1] + 64.0 * tol)
-    assert len(shifts) == 2 + 5
+    assert (lo[0], hi[0]) == (shifts[2], shifts[1])
+    # the lower path end holds; the upper side fails at its path end and at
+    # the nodes above c + w, 4 w and 16 w, the last of which is the lower
+    # bound, and holds at the node above c + 64 w
+    assert (lo[1], hi[1]) == (shifts[-2], shifts[-1])
+    assert guesses[1] + 64.0 * w1 <= hi[1] < guesses[1] + 65.0 * w1
+    assert len(shifts) == 3 + 6
 
 
 def two_call_solve(prob, n, count):
@@ -582,14 +691,13 @@ def test_refined_windows_hold_tightly_on_paine(monkeypatch):
     lo, hi, shifts = counted_windows(monkeypatch, T, _guesses(prob, 2000, 5), tol, tight)
     assert all(map(math.isfinite, lo + hi))
     assert_bounds_certified(T, lo, hi, shifts)
-    # two counts per window: the first four centers' path ends both hold,
-    # so each window is the bracket a plain bisection ends on; the fifth
-    # center sits 0.76 tol above the count's switch, so its lower path end
-    # fails and is the upper bound, and c - tight holds
+    # two counts per window, and each window is the bracket a plain
+    # bisection ends on: the first four centers' path ends both hold; the
+    # fifth center sits 0.76 tol above the count's switch, so its lower
+    # path end fails and is the upper bound, and the node below c - w holds
     assert len(shifts) == 10
     plain = eig_bisect(T, 5)
-    assert all(h - l <= tol and 0.5 * (l + h) == p for l, h, p in zip(lo[:4], hi[:4], plain))
-    assert lo[4] < plain[4] < hi[4] and hi[4] - lo[4] <= tight
+    assert all(h - l <= tol and 0.5 * (l + h) == p for l, h, p in zip(lo, hi, plain))
 
 
 def test_paine_richardson_solve_counts(monkeypatch):
@@ -608,12 +716,20 @@ def test_paine_richardson_solve_counts(monkeypatch):
     monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
     monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
     solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), 2000, 5)
-    # on the 2000-point grid the windows take two counts per eigenvalue and
-    # the bisection one more; on the 4001-point grid the centers lie within
-    # the count's rounding region (tight is about 14 tol), so more path
-    # ends fail
-    assert shifts[2000] <= 11 and shifts[4001] <= 22
-    assert (newton[2000], newton[4001]) == (10, 7)
+    # on the 2000-point grid the windows take two counts per eigenvalue; on
+    # the 4001-point grid the centers lie within the count's rounding region
+    # (tight is about 14 tol), so more path ends fail, and the nodes next
+    # to them hold.  The fine grid's guesses, predicted from the 250- and
+    # 2000-point eigenvalues, are within about 1e-6 and settle in one
+    # Newton step each
+    assert shifts[2000] <= 10 and shifts[4001] <= 17
+    assert (newton[2000], newton[4001]) == (10, 5)
+    # the canonical case4 (C1 = 2) problem takes about two counts per
+    # eigenvalue on either grid
+    from slpkit.inverse import build_case
+    shifts.clear()
+    solve_spectrum(build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).canonical, 2000, 5)
+    assert shifts[2000] <= 10 and shifts[4001] <= 11
 
 
 def test_guesses_that_never_settle_cost_no_count(monkeypatch):
@@ -654,6 +770,21 @@ def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):
     seeded = solve_spectrum(prob, 400, 3)
     monkeypatch.setattr(eigensolver, "_guesses", lambda problem, n, count: None)
     assert solve_spectrum(prob, 400, 3) == seeded
+
+
+def test_a_grid_the_scheme_refuses_fails_before_any_guess_work(monkeypatch):
+    # p dips below zero at a midpoint of the 1999-point grid: the solve is
+    # refused there, without solving its 249-point guess grid first
+    from slpkit import eigensolver
+    dip = CanonicalSLP(parse("1 - 1.5*exp(-((x-0.50225)/0.0001)^2)"),
+                       parse("0"), parse("1"), 0.0, 1.0)
+
+    def refuse(problem, n, count):
+        raise AssertionError(f"guess grid solved for the refused {n}-point grid")
+
+    monkeypatch.setattr(eigensolver, "_guesses", refuse)
+    with pytest.raises(SolverError, match="nonpositive p"):
+        solve_spectrum(dip, 1999, 5)
 
 
 # ---------------------------------------------------------------------------
