@@ -31,8 +31,19 @@ from .problems import CanonicalSLP, PaineSpec, SchrodingerSLP, validate
 from .verify import spectral_match
 
 
+# the largest --n and --samples, refused above before anything is allocated:
+# a solve holds about 160 bytes per point of its 2n+1-point grid (some
+# 320 MB at this bound) and a transform about 180 bytes per sample
+_MAX_POINTS = 10**6
+
+
 class ProblemFileError(ValueError):
     pass
+
+
+def _at_most_max_points(option: str, value: int) -> None:
+    if value > _MAX_POINTS:
+        raise ValueError(f"{option} must be at most {_MAX_POINTS}, got {value}")
 
 
 def _is_number(value) -> bool:
@@ -103,6 +114,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _at_most_max_points("--n", args.n)
     problem = load_problem(args.file)
     spectrum = solve_spectrum(problem, args.n, args.count, richardson=args.richardson)
     form = "canonical" if isinstance(problem, CanonicalSLP) else "schrodinger"
@@ -116,6 +128,7 @@ def _cmd_solve(args) -> int:
 def _cmd_transform(args) -> int:
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    _at_most_max_points("--samples", args.samples)
     problem = load_problem(args.file)
     if not isinstance(problem, CanonicalSLP):
         raise ProblemFileError("transform expects a canonical problem file")
@@ -168,6 +181,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_most_max_points("--n", args.n)
     spec, result = _build_from_args(args)
     report = spectral_match(result, spec, count=args.count, n=args.n)
     _emit(_serialize.report_dict(report))

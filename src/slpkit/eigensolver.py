@@ -9,13 +9,15 @@ count runs on Python floats (the matrix is converted once per bisection),
 one comparison per row for a positive pivot, and never decreases as the
 shift grows, so a count k at a shift bounds every eigenvalue: the shift is
 above the k smallest and not above the rest.  Each bisection holds a lower
-and an upper bound per eigenvalue and takes every count into all of them.
-It walks one eigenvalue's path after another, counting only the midpoints
-those bounds do not decide; a path that stops early then continues to the
-deepest path's depth, as if all brackets were halved together.  Assembly
-evaluates each coefficient as one `evaluate_many` batch, so its error
-names the first failing point.  Richardson extrapolation across n and 2n
-cancels the leading O(h^2) error of the second-order schemes.  Each grid's
+and an upper bound per eigenvalue, and one helper, `_above`, takes every
+count: it counts a shift only where the eigenvalue's bounds do not decide
+it, and takes the count into the bounds of all of them.  The bisection
+walks one eigenvalue's path after another; a path that stops early then
+continues to the deepest path's depth, as if all brackets were halved
+together.  Assembly evaluates each coefficient as one `evaluate_many`
+batch, so its error names the first failing point.  Richardson
+extrapolation across n and 2n cancels the leading O(h^2) error of the
+second-order schemes.  Each grid's
 bisection first takes a guess of each eigenvalue and moves it by Newton
 steps on det(T - sigma I) to within about one rounding error of the
 largest entry.  The coarse grid's guesses are the eigenvalues of a grid of
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,8 +92,9 @@ class SymTridiag:
         return full
 
 
-def _sturm_counts(rows, shifts, pivmin):
-    """Sign counts of the shifted LDL^T pivots, one per shift.
+def _sturm_count(rows, sigma, pivmin) -> int:
+    """Sign count of the pivots of the LDL^T recurrence shifted by sigma:
+    the number of eigenvalues below sigma.
 
     `rows` is the list of (d_i, e_{i-1}^2) pairs, with e_{-1}^2 = 0, as
     Python floats: the recurrence runs on plain floats, which is the same
@@ -101,18 +105,15 @@ def _sturm_counts(rows, shifts, pivmin):
     for every q including +-0.0 and NaN.
     """
     npiv = -pivmin
-    out = []
-    for sigma in shifts:
-        cnt = 0
-        q = 1.0  # with e_{-1}^2 = 0 the first pivot is d_0 - sigma exactly
-        for di, ei in rows:
-            q = di - sigma - ei / q
-            if q < pivmin:
-                if q > npiv:
-                    q = npiv
-                cnt += 1
-        out.append(cnt)
-    return out
+    cnt = 0
+    q = 1.0  # with e_{-1}^2 = 0 the first pivot is d_0 - sigma exactly
+    for di, ei in rows:
+        q = di - sigma - ei / q
+        if q < pivmin:
+            if q > npiv:
+                q = npiv
+            cnt += 1
+    return cnt
 
 
 def _pivmin(e2: np.ndarray) -> float:
@@ -188,6 +189,20 @@ def _hold(lo, hi, shift, k):
     lo[k:] = [max(l, shift) for l in lo[k:]]
 
 
+def _above(rows, pivmin, lo, hi, j, shift) -> bool:
+    """Whether `shift` is at or above the j-th smallest eigenvalue's held
+    upper bound, and so above the eigenvalue.
+
+    The one place a count is taken: only for a shift strictly inside the
+    eigenvalue's held bounds, which they do not decide.  The count goes
+    through _hold, so it bounds every eigenvalue, and leaves the shift at
+    or below the lower bound or at or above the upper one.
+    """
+    if lo[j] < shift < hi[j]:
+        _hold(lo, hi, shift, _sturm_count(rows, shift, pivmin))
+    return shift >= hi[j]
+
+
 def _descend(bracket, tol: float, above, steps: int = _MAX_HALVINGS):
     """Halve `bracket` at most `steps` times, until it is at most tol wide:
     the last bracket, and the number of halvings.
@@ -225,10 +240,10 @@ def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
     (_closing) for c, then for c -+ _LADDER^k * w, k = 0, 1, 2, ..., where
     w is the width of c's bracket and _LADDER^k * w is at most tight.  Each
     rung is a node of the bisection's own grid, so a held window leaves no
-    partial cell for _bisect to count in.  Every count goes through _hold,
-    and a rung the held bounds already decide takes none: a failed rung is
-    a bound on the other side, and a rung counted for one eigenvalue can
-    hold another's.
+    partial cell for _bisect to count in.  Every rung goes through _above,
+    so a rung the held bounds already decide takes no count: a failed rung
+    is a bound on the other side, and a rung counted for one eigenvalue
+    can hold another's.
     """
     for j, guess in enumerate(guesses):
         center = _settle(rows, pivmin, guess, _SETTLE * tight)
@@ -244,40 +259,32 @@ def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
         for end, side in ((0, -1.0), (1, 1.0)):
             for radius in radii:
                 shift = _closing(start, tol, center + side * radius)[end]
-                if lo[j] < shift < hi[j]:
-                    _hold(lo, hi, shift, _sturm_counts(rows, [shift], pivmin)[0])
-                if shift <= lo[j] if side < 0.0 else shift >= hi[j]:
-                    break  # this side held
+                # a lower rung holds below the eigenvalue, an upper one above
+                if _above(rows, pivmin, lo, hi, j, shift) == (side > 0.0):
+                    break
 
 
 def _bisect(rows, pivmin, start, tol: float, lo, hi) -> list:
     """Each eigenvalue's bisection path from `start`, one after another;
     the held bounds decide without a count.
 
-    A midpoint strictly inside its eigenvalue's held bounds is counted,
-    and the count goes through _hold, so it bounds every other eigenvalue
-    too; after that the midpoint is at or below the lower bound or at or
-    above the upper one.  Each path first runs to its own stopping depth,
+    Each midpoint goes through _above, so it is counted only where its
+    eigenvalue's held bounds do not decide it, and that count bounds every
+    other eigenvalue too.  Each path first runs to its own stopping depth,
     where its bracket is at most tol wide; the paths that stopped early
     then continue to the deepest path's depth.  These are the brackets of
     all paths halved together until every one is at most tol wide.
     """
-    def toward(j):
-        def above(mid):
-            if lo[j] < mid < hi[j]:
-                _hold(lo, hi, mid, _sturm_counts(rows, [mid], pivmin)[0])
-            return mid >= hi[j]
-        return above
-
-    paths = [_descend(start, tol, toward(j)) for j in range(len(lo))]
+    toward = [partial(_above, rows, pivmin, lo, hi, j) for j in range(len(lo))]
+    paths = [_descend(start, tol, above) for above in toward]
     deepest = max(depth for _, _, depth in paths)
     if deepest == _MAX_HALVINGS:
         raise SolverError(
             f"bisection failed to bracket within {_MAX_HALVINGS} iterations "
             f"(start [{start[0]}, {start[1]}], tol {tol})")
     # no width is <= -inf: each path is halved exactly to the deepest depth
-    ends = [_descend((left, right), -math.inf, toward(j), deepest - depth)
-            for j, (left, right, depth) in enumerate(paths)]
+    ends = [_descend((left, right), -math.inf, above, deepest - depth)
+            for above, (left, right, depth) in zip(toward, paths)]
     # brackets bisect independently, so two that overlap within tol can
     # end with their midpoints out of order; restore global order
     return sorted(0.5 * (left + right) for left, right, _ in ends)
@@ -387,23 +394,12 @@ def _assemble(problem, n: int) -> SymTridiag:
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
-def _guess_points(n: int) -> int:
-    """The points of the grid whose eigenvalues guess the n-point grid's."""
-    return max(n // _GUESS_DIV, 50)
-
-
-def _guesses(problem, n: int, count: int):
-    """Guesses of the n-point grid's eigenvalues: those of a grid of n // 8
-    points, or of 50 where that is more.
-
-    None when that grid is more than half the n-point grid, is too small
-    for `count` eigenvalues or cannot be solved: its points are not the
-    n-point grid's, and a failure there must not change what the n-point
+def _guesses(problem, m: int, count: int):
+    """The `count` smallest eigenvalues of the m-point grid, at _GUESS_TOL,
+    or None where that grid cannot be solved: its points are not those of
+    the grid it guesses for, and a failure there must not change what that
     solve reports.
     """
-    m = _guess_points(n)
-    if 2 * m > n or m < 4 * count:
-        return None
     try:
         return eig_bisect(_assemble(problem, m), count, _GUESS_TOL)
     except (SolverError, DiscretizationError):
@@ -417,15 +413,17 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
     halved; with a literal 2n the h^2 terms would not cancel cleanly and
     the extrapolation would be limited to O(h^2/n).  The eigenvalues lam_m
     of a grid of m = n // 8 points (at least 50) are the coarse bisection's
-    guesses.  The fine bisection's are the coarse eigenvalues lam_n moved
-    by three quarters of their O(h^2) error, which the two grids give as
-    (lam_n - lam_m) / (((n+1)/(m+1))^2 - 1); on the Paine problem that
-    prediction is within about 1e-6, so most Newton steps from it settle at
-    once.  Without lam_m the guesses are lam_n.
+    guesses, where that grid is at most half the coarse one and has at
+    least 4 points per eigenvalue.  The fine bisection's are the coarse
+    eigenvalues lam_n moved by three quarters of their O(h^2) error, which
+    the two grids give as (lam_n - lam_m) / (((n+1)/(m+1))^2 - 1); on the
+    Paine problem that prediction is within about 1e-6, so most Newton
+    steps from it settle at once.  Without lam_m the guesses are lam_n.
     """
     # a grid the scheme refuses fails before any guess work
     coarse = _assemble(problem, n)
-    lam_m = _guesses(problem, n, count)
+    m = max(n // _GUESS_DIV, 50)
+    lam_m = _guesses(problem, m, count) if 2 * m <= n and m >= 4 * count else None
     lam_n = eig_bisect(coarse, count, _near=lam_m)
     if not richardson:
         values = lam_n
@@ -433,7 +431,6 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
     else:
         near = lam_n
         if lam_m is not None:
-            m = _guess_points(n)
             ratio = 0.75 / (((n + 1) / (m + 1)) ** 2 - 1.0)
             near = [l + (l - g) * ratio for l, g in zip(lam_n, lam_m)]
         lam_2n = eig_bisect(_assemble(problem, 2 * n + 1), count, _near=near)

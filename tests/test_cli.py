@@ -305,6 +305,31 @@ def test_transform_rejects_bad_numeric_options(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "paine.json", "--n", "1000001"), "--n must be at most 1000000, got 1000001"),
+    (("solve", "paine.json", "--n", "100000000000"),
+     "--n must be at most 1000000, got 100000000000"),
+    (("verify", "case4", "--k", "1", "--C1", "2", "--n", "100000000000"),
+     "--n must be at most 1000000, got 100000000000"),
+    (("transform", "case4.json", "--samples", "100000000000"),
+     "--samples must be at most 1000000, got 100000000000"),
+])
+def test_grid_sizes_past_the_bound_are_refused_before_any_work(tmp_path, capsys,
+                                                               monkeypatch, argv, message):
+    import slpkit.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid past the bound was not refused first")
+
+    for name in ("load_problem", "solve_spectrum", "build_case", "forward_transform"):
+        monkeypatch.setattr(slpkit.cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "paine.json", PAINE)
+    write(tmp_path, "case4.json", CASE4)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_transform_csv_output(tmp_path, capsys):
     path = write(tmp_path, "case4.json", CASE4)
     csv_path = tmp_path / "out.csv"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slpkit.eigensolver import (DiscretizationError, SolverError, SymTridiag,
-                                _assemble, _hold, _newton_step, _start, _sturm_counts,
+                                _assemble, _hold, _newton_step, _start, _sturm_count,
                                 _sturm_rows, _windows,
                                 discretize_canonical, discretize_schrodinger,
                                 eig_bisect, laplacian_eigenvalue,
@@ -29,7 +29,21 @@ PAINE_ORACLE = (1.519865838810803, 4.943309840435783, 10.284662654623384,
 def sturm_count(T, sigma):
     """Number of eigenvalues of T strictly below the shift."""
     rows, pivmin = _sturm_rows(T)
-    return _sturm_counts(rows, [float(sigma)], pivmin)[0]
+    return _sturm_count(rows, float(sigma), pivmin)
+
+
+def counting_kernel(monkeypatch):
+    """Route every Sturm count through a recorder: the list it returns
+    gets (rows, shift) for each count, rows being the matrix size."""
+    from slpkit import eigensolver
+    counts = []
+
+    def counting(rows, shift, pivmin):
+        counts.append((len(rows), shift))
+        return _sturm_count(rows, shift, pivmin)
+
+    monkeypatch.setattr(eigensolver, "_sturm_count", counting)
+    return counts
 
 
 def free_particle():
@@ -204,7 +218,7 @@ def test_a_guess_grid_the_scheme_cannot_represent_gives_no_guesses():
     problem = SchrodingerSLP(parse("1", "t"), 0.0, 5e156)
     with pytest.raises(DiscretizationError):
         discretize_schrodinger(problem, 1000 // 8)
-    assert eigensolver._guesses(problem, 1000, 1) is None
+    assert eigensolver._guesses(problem, 1000 // 8, 1) is None
     spectrum = solve_spectrum(problem, 1000, 1, richardson=False)
     assert spectrum.eigenvalues == pytest.approx((1.0,))
 
@@ -292,7 +306,7 @@ def assert_counts_match_oracle(T, shifts):
     e2 = T.offdiag * T.offdiag
     expected = oracle_sturm_counts(T.diag, e2, np.array(shifts), oracle_pivmin(e2))
     rows, pivmin = _sturm_rows(T)
-    assert _sturm_counts(rows, shifts, pivmin) == expected.tolist()
+    assert [_sturm_count(rows, shift, pivmin) for shift in shifts] == expected.tolist()
 
 
 @st.composite
@@ -425,7 +439,7 @@ def test_sturm_counts_never_decrease_as_the_shift_grows(data):
     pool = st.one_of(st.sampled_from(T.diag.tolist()), st.sampled_from(near), entries)
     shifts = sorted(data.draw(st.lists(pool, min_size=2, max_size=16)))
     assert_counts_match_oracle(T, shifts)
-    counts = _sturm_counts(rows, shifts, pivmin)
+    counts = [_sturm_count(rows, shift, pivmin) for shift in shifts]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -442,8 +456,8 @@ def test_every_count_bounds_every_eigenvalue(data):
     shifts = data.draw(st.lists(pool, min_size=1, max_size=12))
     lo = [-math.inf] * T.n
     hi = [math.inf] * T.n
-    for shift, k in zip(shifts, _sturm_counts(rows, shifts, pivmin)):
-        _hold(lo, hi, shift, k)
+    for shift in shifts:
+        _hold(lo, hi, shift, _sturm_count(rows, shift, pivmin))
     e2 = T.offdiag * T.offdiag
     oracle = oracle_sturm_counts(T.diag, e2, np.array(shifts), oracle_pivmin(e2)).tolist()
     for j in range(T.n):
@@ -477,20 +491,13 @@ def test_windowed_bisection_matches_oracle_bisection(T, data):
 
 def counted_windows(monkeypatch, T, guesses, tol, tight):
     """The held bounds _windows leaves on T, and every shift it counted."""
-    from slpkit import eigensolver
-    shifts = []
-
-    def counting(rows, batch, pivmin):
-        shifts.extend(batch)
-        return _sturm_counts(rows, batch, pivmin)
-
-    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    counts = counting_kernel(monkeypatch)
     rows, pivmin = _sturm_rows(T)
     lo = [-math.inf] * len(guesses)
     hi = [math.inf] * len(guesses)
     _windows(rows, pivmin, guesses, tol, tight, _start(T), lo, hi)
     monkeypatch.undo()
-    return lo, hi, shifts
+    return lo, hi, [shift for _, shift in counts]
 
 
 def assert_bounds_certified(T, lo, hi, shifts):
@@ -604,30 +611,25 @@ def paine_two_call_solve(n, count):
 @pytest.mark.parametrize("n", [200, 401])
 def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
     from slpkit import eigensolver
-    shifts = []
+    counts = counting_kernel(monkeypatch)
     newton = []
-
-    def counting(rows, batch, pivmin):
-        shifts.append((len(rows), len(batch)))
-        return _sturm_counts(rows, batch, pivmin)
 
     def newton_counting(rows, pivmin, sigma):
         newton.append(len(rows))
         return _newton_step(rows, pivmin, sigma)
 
-    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
     monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
     prob = paine_schrodinger(PaineSpec(1.0, 0.1))
     spectrum = solve_spectrum(prob, n, 5)
     assert (spectrum.eigenvalues, spectrum.error_estimates) == paine_two_call_solve(n, 5)
     # a Newton pass costs less than three counts
-    cost = {size: sum(k for rows, k in shifts if rows == size)
+    cost = {size: [rows for rows, _ in counts].count(size)
             + 3 * newton.count(size) for size in (n, 2 * n + 1)}
     m = max(n // 8, 50)
     for size, seeded in ((n, 2 * m <= n and m >= 4 * 5), (2 * n + 1, True)):
-        shifts.clear()
+        counts.clear()
         eig_bisect(discretize_schrodinger(prob, size), 5)
-        plain = sum(k for _, k in shifts)
+        plain = len(counts)
         # a seeded grid skips most of a plain bisection's counts
         assert cost[size] < plain / 2 if seeded else cost[size] == plain
 
@@ -636,24 +638,17 @@ def test_a_spectrum_without_own_windows_takes_fewer_counts_than_plain(monkeypatc
     # case3-Y's canonical eigenvalues cluster near 1.0 and each Newton center
     # settles on a neighbour, so its own rungs fail; the bounds that other
     # eigenvalues' rungs hold still save counts
-    from slpkit import eigensolver
     from slpkit.inverse import build_case
     prob = build_case("case3-Y", PaineSpec(1.0, 0.1), q0=1.0, r0=1.0, x0=0.25).canonical
     n = 400
-    counts = Counter()
-
-    def counting(rows, batch, pivmin):
-        counts[len(rows)] += len(batch)
-        return _sturm_counts(rows, batch, pivmin)
-
-    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    counts = counting_kernel(monkeypatch)
     spectrum = solve_spectrum(prob, n, 5)
     assert (spectrum.eigenvalues, spectrum.error_estimates) == two_call_solve(prob, n, 5)
-    seeded = dict(counts)
+    seeded = Counter(rows for rows, _ in counts)
     for size in (n, 2 * n + 1):
         counts.clear()
         eig_bisect(_assemble(prob, size), 5)
-        assert seeded[size] < counts[size]
+        assert seeded[size] < len(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +683,8 @@ def test_refined_windows_hold_tightly_on_paine(monkeypatch):
     tol = 1e-10
     tight = max(_EPS * (float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max())), tol)
     assert tight > 3.0 * tol
-    lo, hi, shifts = counted_windows(monkeypatch, T, _guesses(prob, 2000, 5), tol, tight)
+    # the guesses solve_spectrum takes for the 2000-point grid: 250 points
+    lo, hi, shifts = counted_windows(monkeypatch, T, _guesses(prob, 250, 5), tol, tight)
     assert all(map(math.isfinite, lo + hi))
     assert_bounds_certified(T, lo, hi, shifts)
     # two counts per window, and each window is the bracket a plain
@@ -702,18 +698,13 @@ def test_refined_windows_hold_tightly_on_paine(monkeypatch):
 
 def test_paine_richardson_solve_counts(monkeypatch):
     from slpkit import eigensolver
-    shifts = Counter()
+    counts = counting_kernel(monkeypatch)
     newton = Counter()
-
-    def counting(rows, batch, pivmin):
-        shifts[len(rows)] += len(batch)
-        return _sturm_counts(rows, batch, pivmin)
 
     def newton_counting(rows, pivmin, sigma):
         newton[len(rows)] += 1
         return _newton_step(rows, pivmin, sigma)
 
-    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
     monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
     solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), 2000, 5)
     # on the 2000-point grid the windows take two counts per eigenvalue; on
@@ -721,40 +712,36 @@ def test_paine_richardson_solve_counts(monkeypatch):
     # (tight is about 14 tol), so more path ends fail, and the nodes next
     # to them hold.  The fine grid's guesses, predicted from the 250- and
     # 2000-point eigenvalues, are within about 1e-6 and settle in one
-    # Newton step each
-    assert shifts[2000] <= 10 and shifts[4001] <= 17
-    assert (newton[2000], newton[4001]) == (10, 5)
+    # Newton step each; the 250-point guess grid is a plain bisection
+    assert Counter(rows for rows, _ in counts) == {250: 94, 2000: 10, 4001: 17}
+    assert dict(newton) == {2000: 10, 4001: 5}
     # the canonical case4 (C1 = 2) problem takes about two counts per
     # eigenvalue on either grid
     from slpkit.inverse import build_case
-    shifts.clear()
+    counts.clear()
+    newton.clear()
     solve_spectrum(build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).canonical, 2000, 5)
-    assert shifts[2000] <= 10 and shifts[4001] <= 11
+    assert Counter(rows for rows, _ in counts) == {250: 100, 2000: 10, 4001: 11}
+    assert dict(newton) == {2000: 10, 4001: 5}
 
 
 def test_guesses_that_never_settle_cost_no_count(monkeypatch):
     from slpkit import eigensolver
     T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), 200)
     rows, pivmin = _sturm_rows(T)
-    shifts = []
-
-    def counting(rows, batch, pivmin):
-        shifts.append(len(batch))
-        return _sturm_counts(rows, batch, pivmin)
-
-    monkeypatch.setattr(eigensolver, "_sturm_counts", counting)
+    counts = counting_kernel(monkeypatch)
     plain = eig_bisect(T, 5)
-    plain_counts = sum(shifts)
+    plain_counts = list(counts)
     monkeypatch.setattr(eigensolver, "_NEWTON_STEPS", 0)
-    shifts.clear()
+    counts.clear()
     lo = [-math.inf] * 5
     hi = [math.inf] * 5
     _windows(rows, pivmin, plain, 1e-10, 1e-9, _start(T), lo, hi)
-    assert shifts == []
+    assert counts == []
     assert lo == [-math.inf] * 5 and hi == [math.inf] * 5
     # with no windows the seeded bisection is the plain one, count for count
     assert eig_bisect(T, 5, _near=plain) == plain == oracle_eig_bisect(T, 5)
-    assert sum(shifts) == plain_counts
+    assert counts == plain_counts
 
 
 def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):
@@ -766,9 +753,9 @@ def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):
                         parse("0"), parse("1"), 0.0, 1.0)
     with pytest.raises(SolverError):
         discretize_canonical(prob, 50)
-    assert eigensolver._guesses(prob, 400, 3) is None
+    assert eigensolver._guesses(prob, 50, 3) is None
     seeded = solve_spectrum(prob, 400, 3)
-    monkeypatch.setattr(eigensolver, "_guesses", lambda problem, n, count: None)
+    monkeypatch.setattr(eigensolver, "_guesses", lambda problem, m, count: None)
     assert solve_spectrum(prob, 400, 3) == seeded
 
 
@@ -779,8 +766,8 @@ def test_a_grid_the_scheme_refuses_fails_before_any_guess_work(monkeypatch):
     dip = CanonicalSLP(parse("1 - 1.5*exp(-((x-0.50225)/0.0001)^2)"),
                        parse("0"), parse("1"), 0.0, 1.0)
 
-    def refuse(problem, n, count):
-        raise AssertionError(f"guess grid solved for the refused {n}-point grid")
+    def refuse(problem, m, count):
+        raise AssertionError(f"{m}-point guess grid solved for a refused grid")
 
     monkeypatch.setattr(eigensolver, "_guesses", refuse)
     with pytest.raises(SolverError, match="nonpositive p"):

@@ -148,17 +148,37 @@ def test_asymptotic_profile_rejects_exact_results():
 
 
 def test_asymptotic_profile_c1_expansion_point_value():
-    # the cosine-family residual at the expansion point tau = 1 is exactly
-    # 1/2: the map truncation is second order, but the potential depends on
-    # second derivatives, leaving |q0 - mu^2 - 3/4 - k| = 1/2 for every
-    # admissible (k, q0)
-    for k, q0, m in ((1.0, 2.0, 1.0), (0.5, 1.0, 1.0), (2.0, 4.0, 1.0)):
-        spec = PaineSpec(k, m)
-        res = build_case("case2-C1", spec, q0=q0)
-        from slpkit.liouville import invariant_at_x
-        x_at_0 = res.map.x_of_t(0.0)
-        value = invariant_at_x(res.canonical, x_at_0)
-        assert abs(value - spec.k / spec.m**2) == pytest.approx(0.5, abs=1e-9)
+    # the cosine-family residual I(x(t)) - k/(t+m)^2 at the expansion point
+    # tau = t + m = 1 is exactly -1/2 (I below k/tau^2): the map truncation
+    # is second order, but the potential depends on second derivatives,
+    # leaving q0 - mu^2 - 3/4 - k = -1/2 for every admissible (k, q0)
+    # (k, m, q0, x0), and the first-order coefficient |res + 1/2| / |tau - 1|
+    for (k, m, q0, x0), slope in (((1.0, 1.0, 2.0, 0.0), 4.0), ((0.5, 1.0, 1.0, 0.0), 3.0),
+                                  ((2.0, 1.0, 4.0, 0.0), 6.0), ((0.25, 1.0, 3.0, 0.0), 7.5),
+                                  ((2.0, 0.5, 5.0, 0.3), 8.0), ((0.5, 0.1, 0.8, -0.2), 2.6)):
+        res = build_case("case2-C1", PaineSpec(k, m), q0=q0, x0=x0)
+        t = 1.0 - m
+        x_at_1 = res.map.x_of_t(t)
+        residual = invariant_at_x(res.canonical, x_at_1) - k / (t + m)**2
+        assert residual == pytest.approx(-0.5, abs=1e-9)
+
+        # to first order in tau - 1, on each side of tau = 1 inside the
+        # interval (m = 1 puts tau = 1 at its end t = 0)
+        def offset(tau):
+            x = res.map.x_of_t(tau - m)
+            return abs(invariant_at_x(res.canonical, x) - k / tau**2 + 0.5)
+
+        for side in (1.0, -1.0) if m < 1.0 else (1.0,):
+            limit = offset(1.0 + side * 1e-4) / 1e-4
+            assert limit == pytest.approx(slope, abs=0.05)
+            for delta in (1e-2, 1e-3):
+                assert offset(1.0 + side * delta) / delta == pytest.approx(limit, rel=0.1)
+
+        # a q raised by 1e-3 fails the law: I moves by 1e-3 / r, r = tau^2 = 1
+        c = res.canonical
+        raised = CanonicalSLP(c.p, parse(f"({c.q}) + 0.001"), c.r, c.a, c.b)
+        moved = invariant_at_x(raised, x_at_1) - invariant_at_x(c, x_at_1)
+        assert moved == pytest.approx(1e-3, abs=1e-9)
 
 
 def test_asymptotic_profile_shapes_and_regime_convergence():
