@@ -17,6 +17,11 @@ other base cell and every cell the front leaves, a generation at a time.
 A work budget bounds a build's evaluations, and a cell too narrow to
 halve is accepted (the ulp floor).
 
+The map is inverted by Newton's method on each t's own Hermite piece,
+safeguarded by bisection; `x_of_t_many` runs those steps for a batch of
+t at once, elementwise, so every x is the scalar `x_of_t`'s bit for bit,
+and `TabulatedInvariant.evaluate_many` inverts its batch that way.
+
 The positive branch dx/dt = +sqrt(p/r) is always taken, so t is strictly
 increasing and interval orientation is preserved.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,12 +75,23 @@ def _hermite_slope(x, x0, x1, t0, t1, d0, d1):
             + t1 * (6 * s - 6 * s2) / h + d1 * (3 * s2 - 2 * s))
 
 
-def _clip(name, value, domain, rel):
+def _inside(value, domain, rel):
+    """Whether value (a float, or elementwise a float64 array) lies in
+    domain widened by rel of its scale at each end; NaN does not."""
     lo, hi = domain
     span = hi - lo
-    # written so that NaN fails it too
-    if not lo - rel * (1 + abs(lo) + span) <= value <= hi + rel * (1 + abs(hi) + span):
-        raise TransformError(f"{name}={value!r} outside map domain [{lo!r}, {hi!r}]")
+    return (lo - rel * (1 + abs(lo) + span) <= value) & (value <= hi + rel * (1 + abs(hi) + span))
+
+
+def _outside(name, value, domain):
+    lo, hi = domain
+    return TransformError(f"{name}={value!r} outside map domain [{lo!r}, {hi!r}]")
+
+
+def _clip(name, value, domain, rel):
+    if not _inside(value, domain, rel):
+        raise _outside(name, value, domain)
+    lo, hi = domain
     return min(max(value, lo), hi)
 
 
@@ -86,6 +102,9 @@ class TransformMap:
     Either closed form (expression trees for t(x) and x(t)) or tabulated
     (strictly increasing node lists with clamped Hermite interpolation).
     Endpoints are pinned: t_of_x(a) = alpha and t_of_x(b) = beta exactly.
+    A tabulated map also keeps its nodes as float64 arrays for
+    x_of_t_many, on the instance, outside the fields, so eq and repr are
+    those of the fields.
     """
 
     domain_x: tuple
@@ -102,8 +121,9 @@ class TransformMap:
 
     @classmethod
     def tabulated(cls, xs, ts, slopes):
-        xs = np.asarray(xs, dtype=float)
-        ts = np.asarray(ts, dtype=float)
+        # copies: the arrays are kept, and the caller's must not alias them
+        xs = np.array(xs, dtype=float)
+        ts = np.array(ts, dtype=float)
         ds = np.asarray(slopes, dtype=float)
         if not (np.diff(xs) > 0).all() or not (np.diff(ts) > 0).all():
             raise TransformError("tabulated map must be strictly increasing")
@@ -113,9 +133,16 @@ class TransformMap:
         limit = 3.0 * np.minimum(np.concatenate([sec[:1], sec]),
                                  np.concatenate([sec, sec[-1:]]))
         ds = np.minimum(ds, limit)
+        nodes = xs, ts, ds
         xs, ts = xs.tolist(), ts.tolist()
-        return cls((xs[0], xs[-1]), (ts[0], ts[-1]),
-                   _xs=xs, _ts=ts, _ds=ds.tolist())
+        map_ = cls((xs[0], xs[-1]), (ts[0], ts[-1]), _xs=xs, _ts=ts, _ds=ds.tolist())
+        map_._nodes = nodes
+        return map_
+
+    @cached_property
+    def _nodes(self):
+        """The node lists as float64 arrays; tabulated() sets them."""
+        return np.array(self._xs), np.array(self._ts), np.array(self._ds)
 
     @property
     def t_text(self) -> str | None:
@@ -166,6 +193,80 @@ class TransformMap:
             x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
         raise NumericalError(f"x_of_t did not converge at t={t!r}: |t(x) - t| = "
                              f"{abs(f)!r} after 120 steps")
+
+    def x_of_t_many(self, ts) -> tuple:
+        """x_of_t's values at the points of ts, in order, up to the first t
+        where it fails, as a float64 array, and its error there (None where
+        none fails): TransformError off the map, NumericalError where the
+        Newton iteration does not converge.  An ExprError of a closed-form
+        x(t) is raised, as x_of_t raises it.
+
+        ts is read once, each t converted by float() as x_of_t converts it.
+        A closed-form map evaluates x(t) as one evaluate_many batch; a
+        tabulated one runs x_of_t's iteration on every t at once,
+        elementwise, which is bit for bit the scalar's arithmetic."""
+        points, refused = [], None
+        try:
+            for t in ts:
+                points.append(float(t))
+        except (TypeError, ValueError, OverflowError) as err:
+            refused = err  # x_of_t raises it there, unless a t before it fails first
+        t = np.array(points, dtype=float)
+        error = None
+        off = np.flatnonzero(~_inside(t, self.domain_t, 1e-10))
+        if len(off):
+            t, error = t[:off[0]], _outside("t", points[off[0]], self.domain_t)
+        lo, hi = self.domain_t
+        t = np.where(lo > t, lo, t)  # _clip's min(max(t, lo), hi), -0.0 kept
+        t = np.where(hi < t, hi, t)
+        if self._x_ast is not None:
+            xs, failure = self._x_ast.evaluate_many(t)
+            if failure is not None:
+                raise failure
+        else:
+            xs, unconverged = self._newton_many(t)
+            if unconverged is not None:  # at a t before the one off the map
+                error = unconverged
+        if error is None and refused is not None:
+            raise refused
+        return xs, error
+
+    @np.errstate(all="ignore")
+    def _newton_many(self, t):
+        """x_of_t's tabulated branch at the points of t, which lie on the
+        map, up to the first that does not converge, and the NumericalError
+        there (or None).  Every t takes the scalar's steps, each element of
+        the arrays one t's floats; its x is taken at the step where it
+        converges (the later steps' values are never read)."""
+        xs, ts, ds = self._nodes
+        out = np.empty(len(t))
+        out[t == ts[0]] = xs[0]
+        out[t == ts[-1]] = xs[-1]
+        free = np.flatnonzero((t != ts[0]) & (t != ts[-1]))
+        t = t[free]
+        i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
+        lo, hi = xs[i], xs[i + 1]
+        args = (lo, hi, ts[i], ts[i + 1], ds[i], ds[i + 1])
+        x = 0.5 * (lo + hi)
+        target = 1e-13 * (1.0 + np.abs(t))
+        pending = np.ones(len(t), dtype=bool)
+        for _ in range(120):
+            f = _hermite_value(x, *args) - t
+            done = pending & (np.abs(f) <= target)
+            out[free[done]] = x[done]
+            pending &= ~done
+            if not pending.any():
+                return out, None
+            above = f > 0.0
+            hi = np.where(above, x, hi)
+            lo = np.where(above, lo, x)
+            slope = _hermite_slope(x, *args)
+            step = x - f / slope
+            x = np.where((slope > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        k = np.argmax(pending)  # the first t that did not converge
+        return out[:free[k]], NumericalError(
+            f"x_of_t did not converge at t={t[k].item()!r}: |t(x) - t| = "
+            f"{abs(f[k].item())!r} after 120 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +498,11 @@ class TabulatedInvariant:
     def evaluate_many(self, ts) -> tuple:
         """evaluate's values at the points of ts up to the first that fails,
         as a float64 array, and the error evaluate raises there (None where
-        none fails): x_of_t at each t, then the invariant at those x as one
-        batch.  Where x_of_t fails at some t, the invariant's first failure
-        at the x before it comes first, and otherwise x_of_t's error
-        (TransformError or NumericalError) there."""
-        xs, off_map = [], None
-        try:
-            for t in ts:
-                xs.append(self.map.x_of_t(t))
-        except (TransformError, NumericalError) as err:
-            off_map = err
+        none fails): x(t) as one x_of_t_many batch, then the invariant at
+        those x as one batch.  Where x_of_t fails at some t, the
+        invariant's first failure at the x before it comes first, and
+        otherwise x_of_t's error (TransformError or NumericalError) there."""
+        xs, off_map = self.map.x_of_t_many(ts)
         values, failure = self._invariant.evaluate_many(xs)
         return values, off_map if failure is None else failure
 

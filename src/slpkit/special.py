@@ -409,7 +409,9 @@ def _scan(fn, block, lo: float, hi: float, count: int):
 
 def _zeros_of(fn, block, lo: float, hi: float) -> list[float]:
     """Zeros of a smooth oscillatory function by scan + bisection; block is
-    fn's block form, which evaluates the scan."""
+    fn's block form, which evaluates the scan.  A bisection takes at most
+    80 steps, and stops once its midpoint is an end of its bracket: the
+    later steps would keep that point."""
     zeros = []
     if hi <= lo:
         return zeros
@@ -427,6 +429,8 @@ def _zeros_of(fn, block, lo: float, hi: float) -> list[float]:
             a, b, fa = prev_x, cur_x, prev_f
             for _ in range(80):
                 mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    break  # the bracket cannot shrink: every later step keeps it
                 fm = fn(mid)
                 if fa * fm <= 0.0:
                     b = mid

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from slpkit import _serialize
 from slpkit.inverse import (ConstructionError, _finish, build_case,
                             c_family_exact_displacement, case2_build,
                             gamma_triangle, indicial_roots)
-from slpkit.liouville import invariant_at_x
+from slpkit.expr import parse
+from slpkit.liouville import TabulatedInvariant, invariant_at_x
 from slpkit.problems import PaineSpec, validate
 from slpkit.special import bessel_j_zeros, bessel_y_zeros
 
@@ -336,6 +338,35 @@ def test_case3_j_endpoints_and_trust():
     assert any("0.5" in w for w in res.validity.warnings)
     assert_pinned(res)
     assert validate(res.canonical) == []
+
+
+@pytest.mark.parametrize("k, sups", [
+    (0.75, [0.2922, 0.1239, 0.0578, 0.0330, 0.0231, 0.0188]),
+    (2.0, [0.1724, 0.0683, 0.0313, 0.0178, 0.0124, 0.0101]),
+])
+def test_case3_j_relative_residual_decays_toward_its_anchor(k, sups):
+    # sup of |I(x(t)) - k/(t+m)^2| / (k/(t+m)^2) over (0, T], T halving from
+    # the trust region's 0.4: it falls at about first order at first, then
+    # more slowly toward the anchor t = 0; whether that slowing is a defect
+    # of the small-argument builder is still open (ROADMAP.md, asymptotic
+    # builders)
+    res = build_case("case3-J", PaineSpec(k, 0.1), q0=1.0, r0=1.0)
+    invariant = TabulatedInvariant(res.canonical, res.map)
+    got = []
+    for T in (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125):
+        ts = np.linspace(0.0, T, 201)[1:]
+        values, err = invariant.evaluate_many(ts)
+        assert err is None
+        target = k / (ts + 0.1) ** 2
+        got.append(np.max(np.abs(values - target) / target).item())
+    assert got == pytest.approx(sups, rel=1e-2)
+    assert all(wide > narrow for wide, narrow in zip(got, got[1:]))
+    # the check sees q: q raised by 1e-3 moves I by 1e-3/r, and r = 1
+    raised = replace(res.canonical, q=parse(f"({res.canonical.q.to_text()})+0.001"))
+    ts = [0.05, 0.2, 0.4]
+    moved = TabulatedInvariant(raised, res.map).evaluate_many(ts)[0] - invariant.evaluate_many(ts)[0]
+    assert res.canonical.r.to_text() == "1"
+    assert np.abs(moved - 1e-3).max() <= 1e-9
 
 
 def test_case3_y_endpoints():

@@ -1,4 +1,6 @@
+import functools
 import gc
+import itertools
 import json
 import math
 import operator
@@ -316,6 +318,131 @@ def test_x_of_t_raises_instead_of_returning_an_unconverged_point():
         steep.x_of_t(0.5)
 
 
+def _x_of_t_many_and_one_by_one(map_, ts, form=list):
+    """The outcomes of x_of_t_many(form(ts)) and of x_of_t at each t of ts
+    in turn, up to the first t that fails: the values' hex (None where an
+    error is raised), and the error's type and text there."""
+    try:
+        xs, err = map_.x_of_t_many(form(ts))
+    except Exception as raised:
+        many = None, type(raised), str(raised)
+    else:
+        assert type(xs) is np.ndarray and xs.dtype == np.float64
+        many = [x.hex() for x in xs.tolist()], type(err), str(err)
+    one_by_one = []
+    for t in ts:
+        try:
+            one_by_one.append(map_.x_of_t(t).hex())
+        except (TransformError, NumericalError) as failure:
+            return many, (one_by_one, type(failure), str(failure))
+        except Exception as raised:
+            return many, (None, type(raised), str(raised))
+    return many, (one_by_one, type(None), "None")
+
+
+def _case4_maps():
+    return (build_map(classical_case4(), 1e-10),
+            build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).map)
+
+
+def test_x_of_t_many_reads_any_iterable_of_numbers_once():
+    for map_ in _case4_maps():
+        alpha, beta = map_.domain_t
+        ts = [alpha + (beta - alpha) * i / 20 for i in range(21)]
+        for form in (list, tuple, np.array, lambda ts: (t for t in ts)):
+            many, one_by_one = _x_of_t_many_and_one_by_one(map_, ts, form)
+            assert many == one_by_one and len(many[0]) == 21
+        for ts in ([], [np.float64(0.5), np.float32(0.25), 1, np.int64(2), 3]):
+            many, one_by_one = _x_of_t_many_and_one_by_one(map_, ts)
+            assert many == one_by_one and many[1] is type(None)
+        # float() refuses a t: raised, unless a t before it is off the map
+        for ts in ([0.5, "half"], [0.5, 4.0, "half"], [0.5, None]):
+            many, one_by_one = _x_of_t_many_and_one_by_one(map_, ts)
+            assert many == one_by_one, ts
+
+
+def test_x_of_t_many_edges_match_x_of_t():
+    # x(t) = t keeps the sign of t = -0.0, which _clip keeps; a copy made
+    # by the constructor has no node arrays from tabulated() and makes them
+    identity = TransformMap.closed_form(parse("x"), parse("t", "t"), (0.0, PI), (0.0, PI))
+    tabulated, closed = _case4_maps()
+    for map_ in (tabulated, closed, identity, replace(tabulated)):
+        alpha, beta = map_.domain_t
+        span = beta - alpha
+        # _clip's slack: 1e-10 of the domain's scale beyond each end
+        low = alpha - 1e-10 * (1 + abs(alpha) + span)
+        high = beta + 1e-10 * (1 + abs(beta) + span)
+        inside = [alpha, beta, -0.0, low, high]
+        beyond = [math.nan, math.inf, -math.inf, np.nextafter(low, -math.inf),
+                  np.nextafter(high, math.inf)]
+        for t in inside + beyond:
+            many, one_by_one = _x_of_t_many_and_one_by_one(map_, [1.0, t, 2.0])
+            assert many == one_by_one, t
+            assert len(many[0]) == (3 if t in inside else 1), t
+            assert many[1] is (type(None) if t in inside else TransformError), t
+
+
+def test_x_of_t_many_gives_the_unconverged_point_error():
+    steep = TransformMap.tabulated([1000.0, 1000.0 + 1e-6], [0.0, 1.0], [1e6, 1e6])
+    for ts in ([0.0, 0.5, 2.0], [0.0, 2.0, 0.5], [1.0, 0.25, 0.5]):
+        many, one_by_one = _x_of_t_many_and_one_by_one(steep, ts)
+        assert many == one_by_one, ts
+    assert many[1] is NumericalError and "t=0.25" in many[2]
+
+
+def test_x_of_t_many_raises_a_closed_form_error_before_the_t_off_the_map():
+    failing = TransformMap.closed_form(parse("x"), parse("1/(t-0.5)", "t"), (0.0, 1.0), (0.0, 1.0))
+    many, one_by_one = _x_of_t_many_and_one_by_one(failing, [0.25, 0.5, 2.0])
+    assert many == one_by_one
+    assert many == (None, EvalDomainError, "division by zero in '1/(t-0.5)' at 0.5")
+    many, one_by_one = _x_of_t_many_and_one_by_one(failing, [0.25, 2.0, 0.5])
+    assert many == one_by_one
+    assert many[0] == [(-4.0).hex()] and many[1] is TransformError
+
+
+@st.composite
+def _tabulated_maps(draw):
+    n = draw(st.integers(2, 12))
+    steps = st.lists(st.floats(1e-6, 10.0), min_size=n - 1, max_size=n - 1)
+    xs = itertools.accumulate(draw(steps), initial=draw(st.floats(-1e3, 1e3)))
+    ts = itertools.accumulate(draw(steps), initial=draw(st.floats(-10.0, 10.0)))
+    slopes = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    return TransformMap.tabulated(list(xs), list(ts), slopes)
+
+
+def _queries(domain):
+    """Lists of t mostly on the map, some near its ends, and special values."""
+    alpha, beta = domain
+    slack = 1e-9 * (1.0 + abs(alpha) + abs(beta) + (beta - alpha))
+    on_map = st.floats(alpha, beta)
+    return st.lists(st.one_of(
+        on_map, on_map, on_map, st.floats(alpha - slack, beta + slack),
+        st.sampled_from([alpha, beta, -0.0, math.nan, math.inf, -math.inf])), max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_x_of_t_many_is_x_of_t_bit_for_bit_on_random_maps(data):
+    map_ = data.draw(_tabulated_maps())
+    many, one_by_one = _x_of_t_many_and_one_by_one(map_, data.draw(_queries(map_.domain_t)))
+    assert many == one_by_one
+
+
+@functools.lru_cache(maxsize=None)
+def _forward_map(label, k):
+    params = {"C1": 2.0} if label == "case4" else {"r0": 1.0}
+    return forward_transform(build_case(label, PaineSpec(k, 0.1), **params).canonical, 1e-10)[1]
+
+
+@pytest.mark.parametrize("label, k", [("case4", 1.0), ("case1", 2.0)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_x_of_t_many_is_x_of_t_bit_for_bit_on_transformed_maps(label, k, data):
+    map_ = _forward_map(label, k)
+    many, one_by_one = _x_of_t_many_and_one_by_one(map_, data.draw(_queries(map_.domain_t)))
+    assert many == one_by_one
+
+
 def test_forward_transform_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
@@ -363,17 +490,21 @@ def test_tabulated_invariant_evaluate_many_matches_evaluate():
 
 
 def test_tabulated_invariant_evaluate_many_stops_at_the_first_t_off_the_map(monkeypatch):
-    # x_of_t runs up to the t that fails, and no further: the invariant at
-    # the x before it is one batch, not a second walk of every t
+    # x(t) is one x_of_t_many batch, with no scalar x_of_t call, and the
+    # invariant one batch of the x before the t that fails, not of every t
     invariant = liouville.TabulatedInvariant(
         canonical(b=1.0), TransformMap.tabulated([0.0, 1.0], [0.0, 1.0], [1.0, 1.0]))
-    calls = []
+    calls, batches = [], []
     x_of_t = invariant.map.x_of_t
     monkeypatch.setattr(invariant.map, "x_of_t", lambda t: calls.append(t) or x_of_t(t))
+    evaluate_many = invariant._invariant.evaluate_many
+    monkeypatch.setattr(invariant, "_invariant", SimpleNamespace(
+        evaluate_many=lambda xs: batches.append(xs.tolist()) or evaluate_many(xs)))
     values, err = invariant.evaluate_many([0.25, 0.75, 2.0, 0.5])
     assert len(values) == 2
     assert isinstance(err, TransformError) and "t=2.0 outside map domain" in str(err)
-    assert calls == [0.25, 0.75, 2.0]
+    assert calls == []
+    assert batches == [[0.25, 0.75]]
 
 
 # ---------------------------------------------------------------------------
