@@ -17,20 +17,26 @@ continues to the deepest path's depth, as if all brackets were halved
 together.  Assembly evaluates each coefficient as one `evaluate_many`
 batch, so its error names the first failing point.  Richardson
 extrapolation across n and 2n cancels the leading O(h^2) error of the
-second-order schemes.  Each grid's
-bisection first takes a guess of each eigenvalue and moves it by Newton
-steps on det(T - sigma I) to within about one rounding error of the
-largest entry.  The coarse grid's guesses are the eigenvalues of a grid of
-n // 8 points, or of 50 where that is more and at most n / 2; the fine
-grid's are the coarse eigenvalues moved by the O(h^2) error those two
-grids show (the coarse eigenvalues themselves where there is no guess
-grid).  Where the steps settle, each side of the result is certified by
-counts at nodes of the bisection's own grid: first the ends of the bracket
-a bisection closes on around it, then those of brackets farther out.  A
-center on its eigenvalue's bisection path takes two counts, and that
-bisection none.  A guess that does not settle costs no count.  The
-midpoints, and so the eigenvalues, are bit for bit those of a plain
-bisection.
+second-order schemes.
+
+Newton steps on det(T - sigma I) move a guess of an eigenvalue onto it,
+and one helper, `_window`, certifies each side of the center they settle
+on by counts at nodes of the bisection's own grid: first the ends of the
+bracket a bisection closes on around it, then those of brackets farther
+out.  A center on its eigenvalue's bisection path takes two counts, and
+that bisection none; a guess that does not settle, or settles outside
+the eigenvalue's held bounds, costs no count.  Guesses come from two
+places.  Each grid's bisection first takes one per eigenvalue: the coarse
+grid's are the eigenvalues of a grid of n // 8 points, or of 50 where
+that is more and at most n / 2; the fine grid's are the coarse
+eigenvalues moved by the O(h^2) error those two grids show (the coarse
+eigenvalues themselves where there is no guess grid).  And a path whose
+eigenvalue is not yet held tightly hands it to `_window` at the first
+depth where the held bounds show it alone between them, with the middle
+of those bounds as the guess: clustered spectra, whose guesses settle on
+neighbours, and the guess grids, which have no guesses, stop halving
+there.  The midpoints, and so the eigenvalues, are bit for bit those of a
+plain bisection.
 """
 
 from __future__ import annotations
@@ -48,9 +54,15 @@ from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _first_nonpositive
 _EPS = float(np.finfo(float).eps)
 # a bisection path that is still wider than tol after this many halvings fails
 _MAX_HALVINGS = 200
-# Newton refinement of the window guesses (see _windows)
+# Newton refinement of the window guesses (see _window)
 _NEWTON_STEPS = 6
 _SETTLE = 1e4
+# a center settled inside an isolating bracket also stops at a step of at
+# most this share of the bracket's width (see _bisect).  Count rows plus
+# twice the Newton rows (a step costs about two counts) per operation of
+# the benchmark's verify workload (seed 8801, two rounds): 472k at 1e-2,
+# 464k at 1e-3, 469k at 1e-4
+_SETTLE_SHARE = 1e-3
 # each failed rung of a window's ladder multiplies its radius by this
 _LADDER = 4.0
 # the grid that supplies the coarse grid's guesses has n // _GUESS_DIV points;
@@ -131,8 +143,10 @@ def _newton_step(rows, pivmin, sigma):
     """One Newton step on det(T - sigma I): sigma - det/det', or NaN.
 
     det'/det is the sum of t_i = q_i'/q_i over the pivots of the count's
-    recurrence (same arithmetic, same clamp); with r = e_{i-1}^2 / q_{i-1},
-    q_i' = -1 + r t_{i-1}, so t_i = (r t_{i-1} - 1) / q_i.
+    recurrence (same arithmetic); with r = e_{i-1}^2 / q_{i-1},
+    q_i' = -1 + r t_{i-1}, so t_i = (r t_{i-1} - 1) / q_i.  A pivot the
+    count would clamp (one inside (-pivmin, pivmin)) makes the next r t
+    overflow, so that shift takes the step from the minors instead.
     """
     npiv = -pivmin
     q = 1.0
@@ -141,11 +155,32 @@ def _newton_step(rows, pivmin, sigma):
     for di, ei in rows:
         r = ei / q
         q = di - sigma - r
-        if npiv < q < pivmin:
-            q = npiv
+        if q < pivmin:
+            if q > npiv:
+                return _minors_step(rows, sigma)
         t = (r * t - 1.0) / q
         s += t
     return sigma - 1.0 / s if 0.0 < abs(s) < math.inf else math.nan
+
+
+def _minors_step(rows, sigma):
+    """The Newton step from the leading principal minors p_k of T - sigma I,
+    p_k = (d_k - sigma) p_{k-1} - e_{k-1}^2 p_{k-2}, and their derivatives:
+    sigma - p_n / p_n', or NaN.  Nothing is divided by a pivot, so a pivot
+    of zero costs no accuracy; each row rescales the four running values
+    by a power of two, which keeps them finite and leaves the ratio exact.
+    """
+    p0, p1 = 0.0, 1.0  # p_{k-2}, p_{k-1}
+    d0, d1 = 0.0, 0.0  # their derivatives
+    for di, ei in rows:
+        a = di - sigma
+        p0, p1, d0, d1 = p1, a * p1 - ei * p0, d1, a * d1 - ei * d0 - p1
+        big = max(abs(p0), abs(p1), abs(d0), abs(d1))
+        if 0.0 < big < math.inf:
+            k = -math.frexp(big)[1]
+            p0, p1, d0, d1 = (math.ldexp(v, k) for v in (p0, p1, d0, d1))
+    nxt = sigma - p1 / d1 if d1 else math.nan
+    return nxt if math.isfinite(nxt) else math.nan
 
 
 def _settle(rows, pivmin, sigma, limit):
@@ -227,13 +262,13 @@ def _closing(start, tol: float, x: float):
     return left, right
 
 
-def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
-    """Held bounds close around each eigenvalue, in `lo` and `hi`.
+def _window(rows, pivmin, start, tol, tight, lo, hi, j, guess, limit):
+    """Newton steps from `guess` onto the j-th smallest eigenvalue, and held
+    bounds close around the center they settle on.
 
-    Newton steps move each guess of the j-th smallest eigenvalue onto it;
-    the iteration settles once a step s is at most _SETTLE * tight, leaving
-    an error of about s^2 / gap, below tight unless another eigenvalue lies
-    within about _SETTLE^2 * tight.  A guess that does not settle costs no
+    The iteration settles once a step s is at most `limit`, leaving an
+    error of about s^2 / gap.  A guess that does not settle, or settles
+    outside the held bounds (lo[j], hi[j]), which already beat it, costs no
     count.  Nothing here is trusted: each side of a settled center c climbs
     a ladder of shifts until one is held as a bound on that side.  The
     rungs are that side's ends of the brackets the bisection closes on
@@ -245,46 +280,71 @@ def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
     is a bound on the other side, and a rung counted for one eigenvalue
     can hold another's.
     """
+    center = _settle(rows, pivmin, guess, limit)
+    if center is None or not lo[j] < center < hi[j]:
+        return
+    left, right = _closing(start, tol, center)
+    radii = [0.0]
+    radius = right - left
+    # a zero width (a tol below the float spacing) would never grow
+    while 0.0 < radius <= tight:
+        radii.append(radius)
+        radius *= _LADDER
+    for end, side in ((0, -1.0), (1, 1.0)):
+        for radius in radii:
+            shift = _closing(start, tol, center + side * radius)[end]
+            # a lower rung holds below the eigenvalue, an upper one above
+            if _above(rows, pivmin, lo, hi, j, shift) == (side > 0.0):
+                break
+
+
+def _windows(rows, pivmin, guesses, tol, tight, start, lo, hi):
+    """A window (_window) around each guess of the j-th smallest
+    eigenvalue, settled once a step is at most _SETTLE * tight: then the
+    error is below tight unless another eigenvalue lies within about
+    _SETTLE^2 * tight."""
     for j, guess in enumerate(guesses):
-        center = _settle(rows, pivmin, guess, _SETTLE * tight)
-        if center is None:
-            continue
-        left, right = _closing(start, tol, center)
-        radii = [0.0]
-        radius = right - left
-        # a zero width (a tol below the float spacing) would never grow
-        while 0.0 < radius <= tight:
-            radii.append(radius)
-            radius *= _LADDER
-        for end, side in ((0, -1.0), (1, 1.0)):
-            for radius in radii:
-                shift = _closing(start, tol, center + side * radius)[end]
-                # a lower rung holds below the eigenvalue, an upper one above
-                if _above(rows, pivmin, lo, hi, j, shift) == (side > 0.0):
-                    break
+        _window(rows, pivmin, start, tol, tight, lo, hi, j, guess, _SETTLE * tight)
 
 
-def _bisect(rows, pivmin, start, tol: float, lo, hi) -> list:
+def _bisect(rows, pivmin, start, tol: float, tight: float, lo, hi) -> list:
     """Each eigenvalue's bisection path from `start`, one after another;
     the held bounds decide without a count.
 
     Each midpoint goes through _above, so it is counted only where its
     eigenvalue's held bounds do not decide it, and that count bounds every
-    other eigenvalue too.  Each path first runs to its own stopping depth,
-    where its bracket is at most tol wide; the paths that stopped early
-    then continue to the deepest path's depth.  These are the brackets of
-    all paths halved together until every one is at most tol wide.
+    other eigenvalue too.  `lo` and `hi` hold one entry more than there are
+    eigenvalues to find.  At the first depth where the held bounds show the
+    j-th eigenvalue alone in (lo[j], hi[j]) -- hi[j-1] <= lo[j] and
+    hi[j] <= lo[j+1] -- a path not yet held within tight hands it to
+    _window, from the middle of those bounds, settled once a step is also
+    at most _SETTLE_SHARE of their width; the path then goes on through
+    _above.  Each path first runs to its own stopping depth, where its
+    bracket is at most tol wide; the paths that stopped early then continue
+    to the deepest path's depth.  These are the brackets of all paths
+    halved together until every one is at most tol wide.
     """
-    toward = [partial(_above, rows, pivmin, lo, hi, j) for j in range(len(lo))]
-    paths = [_descend(start, tol, above) for above in toward]
+    pending = set(range(len(lo) - 1))
+
+    def above(j, mid):
+        if j in pending and (j == 0 or hi[j - 1] <= lo[j]) and hi[j] <= lo[j + 1]:
+            pending.discard(j)
+            width = hi[j] - lo[j]
+            if width > tight:
+                _window(rows, pivmin, start, tol, tight, lo, hi, j, lo[j] + 0.5 * width,
+                        min(_SETTLE * tight, _SETTLE_SHARE * width))
+        return _above(rows, pivmin, lo, hi, j, mid)
+
+    walks = [partial(above, j) for j in range(len(lo) - 1)]
+    paths = [_descend(start, tol, walk) for walk in walks]
     deepest = max(depth for _, _, depth in paths)
     if deepest == _MAX_HALVINGS:
         raise SolverError(
             f"bisection failed to bracket within {_MAX_HALVINGS} iterations "
             f"(start [{start[0]}, {start[1]}], tol {tol})")
     # no width is <= -inf: each path is halved exactly to the deepest depth
-    ends = [_descend((left, right), -math.inf, above, deepest - depth)
-            for above, (left, right, depth) in zip(toward, paths)]
+    ends = [_descend((left, right), -math.inf, walk, deepest - depth)
+            for walk, (left, right, depth) in zip(walks, paths)]
     # brackets bisect independently, so two that overlap within tol can
     # end with their midpoints out of order; restore global order
     return sorted(0.5 * (left + right) for left, right, _ in ends)
@@ -305,16 +365,18 @@ def eig_bisect(T: SymTridiag, count: int, tol: float = 1e-10, *, _near=None) -> 
         raise DiscretizationError(f"tol must be positive and finite, got {tol}")
     rows, pivmin = _sturm_rows(T)
     start = _start(T)
-    # held bounds: count(lo[j]) <= j < count(hi[j]), from every count taken
-    lo = [-math.inf] * count
-    hi = [math.inf] * count
+    # held bounds: count(lo[j]) <= j < count(hi[j]), from every count taken;
+    # the start bracket holds every eigenvalue, and lo[count] bounds the
+    # one above the last
+    lo = [start[0]] * (count + 1)
+    hi = [start[1]] * (count + 1)
+    # about one rounding error of the largest entry: the size of the
+    # region where the computed count can disagree with the exact one
+    scale = float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max(initial=0.0))
+    tight = max(_EPS * scale, tol)
     if _near is not None:
-        # about one rounding error of the largest entry: the size of the
-        # region where the computed count can disagree with the exact one
-        scale = float(np.abs(T.diag).max()) + 2.0 * float(np.abs(T.offdiag).max(initial=0.0))
-        tight = max(_EPS * scale, tol)
         _windows(rows, pivmin, _near, tol, tight, start, lo, hi)
-    return _bisect(rows, pivmin, start, tol, lo, hi)
+    return _bisect(rows, pivmin, start, tol, tight, lo, hi)
 
 
 # ---------------------------------------------------------------------------

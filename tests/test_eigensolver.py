@@ -46,6 +46,20 @@ def counting_kernel(monkeypatch):
     return counts
 
 
+def counting_newton(monkeypatch):
+    """Route every Newton step through a recorder: the Counter it returns
+    gets the matrix size of each step."""
+    from slpkit import eigensolver
+    steps = Counter()
+
+    def counting(rows, pivmin, sigma):
+        steps[len(rows)] += 1
+        return _newton_step(rows, pivmin, sigma)
+
+    monkeypatch.setattr(eigensolver, "_newton_step", counting)
+    return steps
+
+
 def free_particle():
     return SchrodingerSLP(parse("0", "t"), 0.0, PI)
 
@@ -295,6 +309,43 @@ def oracle_eig_bisect(T, count, tol=1e-10):
     return sorted(float(v) for v in 0.5 * (lo + hi))
 
 
+def counted_plain_bisection(T, count, tol=1e-10):
+    """The number of counts oracle_eig_bisect's brackets take when one
+    eigenvalue's path is walked after another and a midpoint is counted
+    only where no count before it decides it: a plain bisection that
+    shares its counts, with no guesses and no Newton steps."""
+    e2 = T.offdiag * T.offdiag
+    pivmin = oracle_pivmin(e2)
+    taken = []  # (shift, count)
+
+    def above(j, mid):
+        bounded_above = any(s <= mid and k > j for s, k in taken)
+        if not bounded_above and not any(s >= mid and k <= j for s, k in taken):
+            k = int(oracle_sturm_counts(T.diag, e2, np.array([mid]), pivmin)[0])
+            taken.append((mid, k))
+            bounded_above = k > j
+        return bounded_above
+
+    def halve(j, lo, hi):
+        mid = 0.5 * (lo + hi)
+        return (lo, mid) if above(j, mid) else (mid, hi)
+
+    paths = []
+    for j in range(count):
+        lo, hi = oracle_start(T)
+        depth = 0
+        while hi - lo > tol:
+            lo, hi = halve(j, lo, hi)
+            depth += 1
+        paths.append((lo, hi, depth))
+    # the paths that stopped early are halved on to the deepest depth
+    deepest = max(depth for _, _, depth in paths)
+    for j, (lo, hi, depth) in enumerate(paths):
+        for _ in range(deepest - depth):
+            lo, hi = halve(j, lo, hi)
+    return len(taken)
+
+
 # small integers make exact zeros and exact cancellations; TINY and 0.7 TINY
 # make pivots on and just under pivmin: the clamp's edge
 TINY = float(np.finfo(float).tiny)
@@ -489,6 +540,40 @@ def test_windowed_bisection_matches_oracle_bisection(T, data):
     assert eig_bisect(T, count, tol=1e-12, _near=near) == oracle_eig_bisect(T, count, tol=1e-12)
 
 
+@st.composite
+def clustered(draw):
+    """Copies of one small tridiagonal block, each diagonal moved by a tiny
+    amount and the copies coupled by tiny off-diagonals: eigenvalues that
+    come in clusters whose gaps are far below their distance from the rest."""
+    size = draw(st.integers(1, 4))
+    block = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    diag = draw(st.lists(block, min_size=size, max_size=size))
+    off = draw(st.lists(block, min_size=size - 1, max_size=size - 1))
+    tiny = st.sampled_from([0.0, 1e-12, -1e-10, 1e-8, -1e-6, 1e-4])
+    d, e = [], []
+    for copy in range(draw(st.integers(2, 4))):
+        if copy:
+            e.append(draw(tiny))
+        moved = draw(tiny)
+        d += [v + moved for v in diag]
+        e += off
+    return SymTridiag(np.array(d), np.array(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(T=clustered(), data=st.data())
+def test_clustered_spectra_match_oracle_bisection(T, data):
+    # the paths separate the members of a cluster deep down, where each
+    # hands its eigenvalue to Newton within a bracket that the cluster's
+    # gaps make narrow; guesses off by a cluster's width settle on a
+    # neighbour as often as not
+    count = data.draw(st.integers(1, T.n))
+    tol = data.draw(st.sampled_from([1e-12, 1e-10, 1e-4]))
+    reference = oracle_eig_bisect(T, count, tol=tol)
+    assert eig_bisect(T, count, tol=tol) == reference
+    assert eig_bisect(T, count, tol=tol, _near=data.draw(guesses(T, count))) == reference
+
+
 def counted_windows(monkeypatch, T, guesses, tol, tight):
     """The held bounds _windows leaves on T, and every shift it counted."""
     counts = counting_kernel(monkeypatch)
@@ -610,45 +695,38 @@ def paine_two_call_solve(n, count):
 
 @pytest.mark.parametrize("n", [200, 401])
 def test_solve_spectrum_bit_identical_to_two_full_bisections(n, monkeypatch):
-    from slpkit import eigensolver
     counts = counting_kernel(monkeypatch)
-    newton = []
-
-    def newton_counting(rows, pivmin, sigma):
-        newton.append(len(rows))
-        return _newton_step(rows, pivmin, sigma)
-
-    monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
+    newton = counting_newton(monkeypatch)
     prob = paine_schrodinger(PaineSpec(1.0, 0.1))
     spectrum = solve_spectrum(prob, n, 5)
     assert (spectrum.eigenvalues, spectrum.error_estimates) == paine_two_call_solve(n, 5)
     # a Newton pass costs less than three counts
     cost = {size: [rows for rows, _ in counts].count(size)
-            + 3 * newton.count(size) for size in (n, 2 * n + 1)}
-    m = max(n // 8, 50)
-    for size, seeded in ((n, 2 * m <= n and m >= 4 * 5), (2 * n + 1, True)):
-        counts.clear()
-        eig_bisect(discretize_schrodinger(prob, size), 5)
-        plain = len(counts)
-        # a seeded grid skips most of a plain bisection's counts
-        assert cost[size] < plain / 2 if seeded else cost[size] == plain
+            + 3 * newton[size] for size in (n, 2 * n + 1)}
+    # both grids are seeded (the 50-point guess grid is at most half of
+    # either), and skip most of a plain bisection's counts
+    for size in (n, 2 * n + 1):
+        assert cost[size] < counted_plain_bisection(discretize_schrodinger(prob, size), 5) / 2
 
 
 def test_a_spectrum_without_own_windows_takes_fewer_counts_than_plain(monkeypatch):
-    # case3-Y's canonical eigenvalues cluster near 1.0 and each Newton center
-    # settles on a neighbour, so its own rungs fail; the bounds that other
-    # eigenvalues' rungs hold still save counts
+    # case3-Y's canonical eigenvalues at 400 and 801 points lie within 7e-3
+    # of 1.0, and most Newton centers from the guesses settle on a
+    # neighbour; each path hands its eigenvalue to Newton once the counts
+    # part the cluster, and the guess grid's paths do the same
     from slpkit.inverse import build_case
     prob = build_case("case3-Y", PaineSpec(1.0, 0.1), q0=1.0, r0=1.0, x0=0.25).canonical
-    n = 400
     counts = counting_kernel(monkeypatch)
-    spectrum = solve_spectrum(prob, n, 5)
-    assert (spectrum.eigenvalues, spectrum.error_estimates) == two_call_solve(prob, n, 5)
+    newton = counting_newton(monkeypatch)
+    spectrum = solve_spectrum(prob, 400, 5)
+    monkeypatch.undo()
+    assert (spectrum.eigenvalues, spectrum.error_estimates) == two_call_solve(prob, 400, 5)
     seeded = Counter(rows for rows, _ in counts)
-    for size in (n, 2 * n + 1):
-        counts.clear()
-        eig_bisect(_assemble(prob, size), 5)
-        assert seeded[size] < len(counts)
+    assert seeded == {50: 35, 400: 65, 801: 53}
+    assert dict(newton) == {50: 16, 400: 42, 801: 26}
+    # a plain bisection takes 73, 152 and 154 counts
+    for size, tol in ((50, 1e-4), (400, 1e-10), (801, 1e-10)):
+        assert seeded[size] < counted_plain_bisection(_assemble(prob, size), 5, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +754,119 @@ def test_newton_step_matches_the_dense_spectrum():
         assert _newton_step(rows, pivmin, sigma) == pytest.approx(expected, rel=1e-12)
 
 
+def reference_newton_step(rows, pivmin, sigma):
+    """_newton_step as it was written before the minors step, with the
+    chained clamp; and whether the clamp moved a pivot."""
+    npiv = -pivmin
+    q = 1.0
+    t = 0.0
+    s = 0.0
+    clamped = False
+    for di, ei in rows:
+        r = ei / q
+        q = di - sigma - r
+        if npiv < q < pivmin:
+            q = npiv
+            clamped = True
+        t = (r * t - 1.0) / q
+        s += t
+    return (sigma - 1.0 / s if 0.0 < abs(s) < math.inf else math.nan), clamped
+
+
+def assert_newton_step_matches_reference(T, shifts):
+    """Hex for hex where no pivot is clamped; the minors step where one is."""
+    from slpkit.eigensolver import _minors_step
+    rows, pivmin = _sturm_rows(T)
+    for sigma in shifts:
+        expected, clamped = reference_newton_step(rows, pivmin, sigma)
+        got = _newton_step(rows, pivmin, sigma)
+        assert got.hex() == (_minors_step(rows, sigma) if clamped else expected).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_newton_step_matches_its_reference_form(data):
+    T = data.draw(tridiagonals())
+    pivmin = _sturm_rows(T)[1]
+    # shifts on the diagonal entries make zero pivots, and d -+ pivmin on a
+    # zero entry a pivot of exactly +-pivmin, which no clamp moves
+    edge = [d + k * pivmin for d in T.diag.tolist() + [0.0] for k in (-1.0, 1.0)]
+    pool = st.one_of(st.sampled_from(T.diag.tolist()), st.sampled_from(edge), entries)
+    assert_newton_step_matches_reference(T, data.draw(st.lists(pool, min_size=1, max_size=8)))
+
+
+@pytest.mark.parametrize("pivot", [TINY, -TINY, 0.5 * TINY, -0.5 * TINY, 0.0, -0.0, 2.0 * TINY])
+def test_newton_step_matches_its_reference_form_at_the_pivmin_edge(pivot):
+    # pivmin is TINY here; the first pivot and the second (its block is
+    # decoupled from the first) are `pivot`, the third is coupled to it
+    T = SymTridiag(np.array([pivot, pivot, 1.0]), np.array([0.0, 0.5]))
+    assert_newton_step_matches_reference(T, [0.0, -0.0, 0.25, 3.0])
+
+
+def test_newton_step_is_finite_at_a_zero_pivot_in_a_coupled_block():
+    # at sigma = 2 the first pivot is exactly 0 and the clamp makes -pivmin
+    # of it; r t then overflowed and the step was NaN.  The minors give it
+    T = SymTridiag(np.array([2.0, 3.0, 5.0]), np.array([1.0, 1.0]))
+    rows, pivmin = _sturm_rows(T)
+    before, clamped = reference_newton_step(rows, pivmin, 2.0)
+    assert clamped and math.isnan(before)
+    exact = np.linalg.eigvalsh(T.dense())
+    dense = 2.0 + 1.0 / float(np.sum(1.0 / (exact - 2.0)))
+    assert dense == pytest.approx(-1.0, rel=1e-12)
+    assert _newton_step(rows, pivmin, 2.0) == pytest.approx(dense, rel=1e-12)
+    # the Paine matrix shifted by its first diagonal entry: a zero first
+    # pivot, coupled to all the rows after it
+    T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), 60)
+    rows, pivmin = _sturm_rows(T)
+    sigma = float(T.diag[0])
+    assert reference_newton_step(rows, pivmin, sigma)[1]
+    exact = np.linalg.eigvalsh(T.dense())
+    dense = sigma + 1.0 / float(np.sum(1.0 / (exact - sigma)))
+    assert math.isfinite(_newton_step(rows, pivmin, sigma))
+    assert _newton_step(rows, pivmin, sigma) == pytest.approx(dense, rel=1e-12)
+
+
+def test_a_center_settled_outside_its_isolating_bracket_takes_no_count(monkeypatch):
+    from slpkit import eigensolver
+    from slpkit.eigensolver import _window
+    T = discretize_schrodinger(free_particle(), 99)
+    rows, pivmin = _sturm_rows(T)
+    exact = [laplacian_eigenvalue(PI, 99, j) for j in range(1, 5)]
+    tol, tight = 1e-11, 1e-9
+    # counts between the eigenvalues hold the second alone in (lo[1], hi[1])
+    lo = [-math.inf] * 4
+    hi = [math.inf] * 4
+    for a, b in zip(exact, exact[1:]):
+        _hold(lo, hi, 0.5 * (a + b), sturm_count(T, 0.5 * (a + b)))
+    assert hi[0] <= lo[1] < exact[1] < hi[1] <= lo[2]
+    held = (list(lo), list(hi))
+    # Newton from the third eigenvalue settles there, above hi[1]
+    counts = counting_kernel(monkeypatch)
+    _window(rows, pivmin, _start(T), tol, tight, lo, hi, 1, exact[2], 1e-3 * (hi[1] - lo[1]))
+    assert counts == [] and (lo, hi) == held
+    # a center one tol above an upper bound 3 tol above the eigenvalue:
+    # its lower rungs would reach inside the bounds and be counted
+    _hold(lo, hi, exact[1] + 3.0 * tol, sturm_count(T, exact[1] + 3.0 * tol))
+    held = (list(lo), list(hi))
+    monkeypatch.setattr(eigensolver, "_settle", lambda rows, pivmin, guess, limit: guess)
+    center = hi[1] + tol
+    left, right = path_end(T, center, tol)
+    assert lo[1] < path_end(T, center - (right - left), tol)[0] < hi[1]
+    _window(rows, pivmin, _start(T), tol, tight, lo, hi, 1, center, 0.0)
+    assert counts == [] and (lo, hi) == held
+    # a bisection whose every isolated center lands outside its bracket
+    # takes the counts of a plain one, and ends on its midpoints
+    centers = []
+
+    def outside(rows, pivmin, guess, limit):
+        centers.append(guess)
+        return 1e9
+
+    monkeypatch.setattr(eigensolver, "_settle", outside)
+    assert eig_bisect(T, 3, tol) == oracle_eig_bisect(T, 3, tol)
+    assert len(centers) == 3 and len(counts) == counted_plain_bisection(T, 3, tol)
+
+
 def test_refined_windows_hold_tightly_on_paine(monkeypatch):
     from slpkit.eigensolver import _EPS, _guesses
     prob = paine_schrodinger(PaineSpec(1.0, 0.1))
@@ -697,32 +888,28 @@ def test_refined_windows_hold_tightly_on_paine(monkeypatch):
 
 
 def test_paine_richardson_solve_counts(monkeypatch):
-    from slpkit import eigensolver
     counts = counting_kernel(monkeypatch)
-    newton = Counter()
-
-    def newton_counting(rows, pivmin, sigma):
-        newton[len(rows)] += 1
-        return _newton_step(rows, pivmin, sigma)
-
-    monkeypatch.setattr(eigensolver, "_newton_step", newton_counting)
+    newton = counting_newton(monkeypatch)
     solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), 2000, 5)
     # on the 2000-point grid the windows take two counts per eigenvalue; on
     # the 4001-point grid the centers lie within the count's rounding region
     # (tight is about 14 tol), so more path ends fail, and the nodes next
     # to them hold.  The fine grid's guesses, predicted from the 250- and
     # 2000-point eigenvalues, are within about 1e-6 and settle in one
-    # Newton step each; the 250-point guess grid is a plain bisection
-    assert Counter(rows for rows, _ in counts) == {250: 94, 2000: 10, 4001: 17}
-    assert dict(newton) == {2000: 10, 4001: 5}
+    # Newton step each.  The 250-point guess grid has no guesses; its
+    # bisection hands each eigenvalue to Newton once the counts show it
+    # alone in its bracket, about three steps each (a plain bisection to
+    # its tol 1e-4 took 94 counts)
+    assert Counter(rows for rows, _ in counts) == {250: 39, 2000: 10, 4001: 17}
+    assert dict(newton) == {250: 17, 2000: 10, 4001: 5}
     # the canonical case4 (C1 = 2) problem takes about two counts per
-    # eigenvalue on either grid
+    # eigenvalue on either grid (its plain guess grid took 100)
     from slpkit.inverse import build_case
     counts.clear()
     newton.clear()
     solve_spectrum(build_case("case4", PaineSpec(1.0, 0.1), C1=2.0).canonical, 2000, 5)
-    assert Counter(rows for rows, _ in counts) == {250: 100, 2000: 10, 4001: 11}
-    assert dict(newton) == {2000: 10, 4001: 5}
+    assert Counter(rows for rows, _ in counts) == {250: 27, 2000: 10, 4001: 11}
+    assert dict(newton) == {250: 21, 2000: 10, 4001: 5}
 
 
 def test_guesses_that_never_settle_cost_no_count(monkeypatch):
@@ -730,9 +917,11 @@ def test_guesses_that_never_settle_cost_no_count(monkeypatch):
     T = discretize_schrodinger(paine_schrodinger(PaineSpec(1.0, 0.1)), 200)
     rows, pivmin = _sturm_rows(T)
     counts = counting_kernel(monkeypatch)
+    # no Newton step settles, here or where a path isolates its eigenvalue
+    monkeypatch.setattr(eigensolver, "_NEWTON_STEPS", 0)
     plain = eig_bisect(T, 5)
     plain_counts = list(counts)
-    monkeypatch.setattr(eigensolver, "_NEWTON_STEPS", 0)
+    assert len(plain_counts) == counted_plain_bisection(T, 5)
     counts.clear()
     lo = [-math.inf] * 5
     hi = [math.inf] * 5
