@@ -1,15 +1,23 @@
 """Finite-difference discretization and Sturm-sequence bisection.
 
-Both problem forms reduce to a symmetric tridiagonal matrix on a uniform
-interior grid; the Dirichlet conditions of the problem records drop the
-boundary nodes.  Eigenvalues come from bisection on the Sturm sign count --
-the number of negative pivots of the shifted LDL^T recurrence equals the
-number of eigenvalues below the shift -- from the Gershgorin bounds.  The
-count runs on Python floats (the matrix is converted once per bisection),
-one comparison per row for a positive pivot, and never decreases as the
-shift grows, so a count k at a shift bounds every eigenvalue: the shift is
-above the k smallest and not above the rest.  Each bisection holds a lower
-and an upper bound per eigenvalue, and one helper, `_above`, takes every
+Both problem forms reduce to a symmetric tridiagonal matrix on interior
+nodes; the Dirichlet conditions of the problem records drop the boundary
+nodes.  The nodes are uniform in the problem's variable, or, on the
+canonical side of `spectral_match`, uniform in the Liouville variable t of
+the construction's map: x_i = x(t_i), with the conservative scheme's cell
+widths taken from the nodes.  There the canonical eigenvalues tend as
+O(h^2) in t to the limits the Schrodinger ones tend to, the fine grid's
+nodes hold the coarse grid's, and the Schrodinger Richardson values seed
+the canonical bisections (see solve_spectrum).
+
+Eigenvalues come from bisection on the Sturm sign count -- the number of
+negative pivots of the shifted LDL^T recurrence equals the number of
+eigenvalues below the shift -- from the Gershgorin bounds.  The count runs
+on Python floats (the matrix is converted once per bisection), one
+comparison per row for a positive pivot, and never decreases as the shift
+grows, so a count k at a shift bounds every eigenvalue: the shift is above
+the k smallest and not above the rest.  Each bisection holds a lower and
+an upper bound per eigenvalue, and one helper, `_above`, takes every
 count: it counts a shift only where the eigenvalue's bounds do not decide
 it, and takes the count into the bounds of all of them.  The bisection
 walks one eigenvalue's path after another; a path that stops early then
@@ -30,13 +38,14 @@ places.  Each grid's bisection first takes one per eigenvalue: the coarse
 grid's are the eigenvalues of a grid of n // 8 points, or of 50 where
 that is more and at most n / 2; the fine grid's are the coarse
 eigenvalues moved by the O(h^2) error those two grids show (the coarse
-eigenvalues themselves where there is no guess grid).  And a path whose
-eigenvalue is not yet held tightly hands it to `_window` at the first
-depth where the held bounds show it alone between them, with the middle
-of those bounds as the guess: clustered spectra, whose guesses settle on
-neighbours, and the guess grids, which have no guesses, stop halving
-there.  The midpoints, and so the eigenvalues, are bit for bit those of a
-plain bisection.
+eigenvalues themselves where there is no guess grid); given the limits,
+each grid's guesses are the limits moved by that grid's O(h^2) error.
+And a path whose eigenvalue is not yet held tightly hands it to `_window`
+at the first depth where the held bounds show it alone between them, with
+the middle of those bounds as the guess: clustered spectra, whose guesses
+settle on neighbours, and the guess grids, which have no guesses, stop
+halving there.  The midpoints, and so the eigenvalues, are bit for bit
+those of a plain bisection.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError
+from .expr import ExprError
 from .problems import CanonicalSLP, SchrodingerSLP, Spectrum, _first_nonpositive
 
 
@@ -412,20 +422,22 @@ def discretize_schrodinger(problem: SchrodingerSLP, n: int) -> SymTridiag:
     return SymTridiag(values, np.full(n - 1, -inv_h2))
 
 
-def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
-    """Conservative scheme with midpoint p, symmetrized by the weight:
+def _canonical(problem: CanonicalSLP, nodes, mids, h) -> SymTridiag:
+    """Conservative scheme at the interior `nodes`, p at the cell `mids`,
+    symmetrized by the mass: h is the one width of a uniform mesh, or the
+    width h_i = x_{i+1} - x_i of each cell.  With node weights
+    w_i = (h_{i-1} + h_i)/2 (w_i = h on a uniform mesh),
 
-    A_ii = (p_{i-1/2} + p_{i+1/2})/h^2 + q_i,  A_{i,i+1} = -p_{i+1/2}/h^2,
-    then D^{-1/2} A D^{-1/2} with D_ii = r_i.
+    A_ii = p_{i-1/2}/h_{i-1} + p_{i+1/2}/h_i + q_i w_i,  A_{i,i+1} = -p_{i+1/2}/h_i,
+
+    then D^{-1/2} A D^{-1/2} with D_ii = r_i w_i.  A uniform width takes
+    discretize_canonical's form, ((p_{i-1/2} + p_{i+1/2})/h^2 + q_i)/r_i,
+    whose roundings every uniform solve keeps.
 
     Each coefficient is one `evaluate_many` batch.  The first failure is
     the one of a point-by-point walk: p at every midpoint, then q and r in
     turn at each node, each node's r refused where it is not positive.
     """
-    a, b = problem.a, problem.b
-    h, inv_h2 = _mesh(a, b, n)
-    mids = a + (np.arange(n + 1) + 0.5) * h
-    nodes = a + np.arange(1, n + 1) * h
     pm, err = problem.p.evaluate_many(mids)
     j = _first_nonpositive(pm)
     if j is not None:
@@ -442,33 +454,93 @@ def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
         err = r_err  # r raised before q did
     if err is not None:
         raise SolverError(f"q/r evaluation failed at x={float(nodes[len(rv)])!r}: {err}")
-    diag = ((pm[:-1] + pm[1:]) * inv_h2 + qv) / rv
-    off = -pm[1:-1] * inv_h2 / np.sqrt(rv[:-1] * rv[1:])
+    if np.ndim(h) == 0:
+        inv_h2 = 1.0 / (h * h)
+        diag = ((pm[:-1] + pm[1:]) * inv_h2 + qv) / rv
+        off = -pm[1:-1] * inv_h2 / np.sqrt(rv[:-1] * rv[1:])
+    else:
+        flux = pm / h  # p_{i+1/2}/h_i
+        w = 0.5 * (h[:-1] + h[1:])
+        diag = ((flux[:-1] + flux[1:]) / w + qv) / rv
+        rw = rv * w
+        off = -flux[1:-1] / np.sqrt(rw[:-1] * rw[1:])
     return SymTridiag(diag, off)
 
 
-def _assemble(problem, n: int) -> SymTridiag:
-    """The matrix on n interior points."""
+def discretize_canonical(problem: CanonicalSLP, n: int) -> SymTridiag:
+    """Conservative scheme with midpoint p on n interior points uniform in
+    x, symmetrized by the weight:
+
+    A_ii = (p_{i-1/2} + p_{i+1/2})/h^2 + q_i,  A_{i,i+1} = -p_{i+1/2}/h^2,
+    then D^{-1/2} A D^{-1/2} with D_ii = r_i.
+
+    The first failing point is reported as _canonical reports it.
+    """
+    a, b = problem.a, problem.b
+    h, _ = _mesh(a, b, n)
+    mids = a + (np.arange(n + 1) + 0.5) * h
+    nodes = a + np.arange(1, n + 1) * h
+    return _canonical(problem, nodes, mids, h)
+
+
+def _t_nodes(map_, n: int) -> np.ndarray:
+    """x(t_i) at the n interior points t_i = alpha + i h of a mesh uniform
+    on the map's (alpha, beta), h = (beta - alpha)/(n + 1), as one
+    `x_of_t_many` batch.
+
+    With 2n + 1 points the width is exactly h/2 and t_{2i} is the n-point
+    grid's t_i bit for bit, so the n-point nodes are the odd-indexed ones
+    of the (2n+1)-point nodes.  The first t where x(t) fails raises
+    SolverError.
+    """
+    alpha, beta = map_.domain_t
+    ts = alpha + np.arange(1, n + 1) * ((beta - alpha) / (n + 1))
+    try:
+        xs, err = map_.x_of_t_many(ts)
+    except ExprError as raised:  # a closed-form x(t) raises
+        err = raised
+    if err is not None:  # each error's text names its t
+        raise SolverError(f"x(t) failed on the t-mesh: {err}") from None
+    return xs
+
+
+def _on_nodes(problem: CanonicalSLP, xs) -> SymTridiag:
+    """Conservative scheme (_canonical) at the interior nodes xs of a
+    nonuniform mesh of (a, b), p at the middle of each cell."""
+    x = np.concatenate(([problem.a], xs, [problem.b]))
+    h = x[1:] - x[:-1]
+    j = _first_nonpositive(h)
+    if j is not None:
+        raise SolverError(f"mesh node x={float(x[j + 1])!r} is not above x={float(x[j])!r}")
+    return _canonical(problem, xs, 0.5 * (x[:-1] + x[1:]), h)
+
+
+def _assemble(problem, n: int, map_=None) -> SymTridiag:
+    """The matrix on n interior points: uniform in x, or with `map_`
+    uniform in the map's t (a canonical problem only)."""
     if isinstance(problem, SchrodingerSLP):
         return discretize_schrodinger(problem, n)
     if isinstance(problem, CanonicalSLP):
+        if map_ is not None:
+            return _on_nodes(problem, _t_nodes(map_, n))
         return discretize_canonical(problem, n)
     raise TypeError(f"expected CanonicalSLP or SchrodingerSLP, got {type(problem)!r}")
 
 
-def _guesses(problem, m: int, count: int):
+def _guesses(problem, m: int, count: int, map_=None):
     """The `count` smallest eigenvalues of the m-point grid, at _GUESS_TOL,
     or None where that grid cannot be solved: its points are not those of
     the grid it guesses for, and a failure there must not change what that
     solve reports.
     """
     try:
-        return eig_bisect(_assemble(problem, m), count, _GUESS_TOL)
+        return eig_bisect(_assemble(problem, m, map_), count, _GUESS_TOL)
     except (SolverError, DiscretizationError):
         return None
 
 
-def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spectrum:
+def solve_spectrum(problem, n: int, count: int, richardson: bool = True, *,
+                   _map=None, _limits=None) -> Spectrum:
     """Leading eigenvalues, optionally Richardson-combined across two grids.
 
     The fine grid has 2n+1 interior points so the mesh width is exactly
@@ -481,21 +553,43 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True) -> Spec
     the two grids give as (lam_n - lam_m) / (((n+1)/(m+1))^2 - 1); on the
     Paine problem that prediction is within about 1e-6, so most Newton
     steps from it settle at once.  Without lam_m the guesses are lam_n.
+
+    `_map` and `_limits` are private, from `spectral_match`.  With `_map`,
+    a canonical problem is solved on meshes uniform in that map's t, at
+    the nodes x(t_i) (_t_nodes): one batch gives the fine grid's nodes,
+    and the coarse grid's are every other one of them.  `_limits` holds
+    O(h^4) estimates lam of the limits of the `count` eigenvalues (the
+    Schrodinger Richardson values of an exact construction).  Each grid's
+    eigenvalue is then about lam + C h^2, so the coarse guesses become
+    lam + (lam_m - lam) ((m+1)/(n+1))^2 (none without lam_m) and the fine
+    ones lam_n - 3/4 (lam_n - lam).  Guesses never move a midpoint: the
+    eigenvalues are those without them, bit for bit.
     """
     # a grid the scheme refuses fails before any guess work
-    coarse = _assemble(problem, n)
+    if _map is None:
+        coarse = _assemble(problem, n)
+    else:
+        nodes = _t_nodes(_map, 2 * n + 1)
+        coarse = _on_nodes(problem, nodes[1::2])
     m = max(n // _GUESS_DIV, 50)
-    lam_m = _guesses(problem, m, count) if 2 * m <= n and m >= 4 * count else None
-    lam_n = eig_bisect(coarse, count, _near=lam_m)
+    lam_m = _guesses(problem, m, count, _map) if 2 * m <= n and m >= 4 * count else None
+    near = lam_m
+    if _limits is not None and lam_m is not None:
+        shrink = ((m + 1) / (n + 1)) ** 2
+        near = [lam + (g - lam) * shrink for g, lam in zip(lam_m, _limits)]
+    lam_n = eig_bisect(coarse, count, _near=near)
     if not richardson:
         values = lam_n
         errors = [0.0] * count
     else:
         near = lam_n
-        if lam_m is not None:
+        if _limits is not None:
+            near = [l - 0.75 * (l - lam) for l, lam in zip(lam_n, _limits)]
+        elif lam_m is not None:
             ratio = 0.75 / (((n + 1) / (m + 1)) ** 2 - 1.0)
             near = [l + (l - g) * ratio for l, g in zip(lam_n, lam_m)]
-        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1), count, _near=near)
+        fine = _assemble(problem, 2 * n + 1) if _map is None else _on_nodes(problem, nodes)
+        lam_2n = eig_bisect(fine, count, _near=near)
         values = [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         errors = [abs(l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         # near-degenerate clusters can come out of the two grids in a

@@ -201,21 +201,27 @@ class TransformMap:
         Newton iteration does not converge.  An ExprError of a closed-form
         x(t) is raised, as x_of_t raises it.
 
-        ts is read once, each t converted by float() as x_of_t converts it.
-        A closed-form map evaluates x(t) as one evaluate_many batch; a
-        tabulated one runs x_of_t's iteration on every t at once,
-        elementwise, which is bit for bit the scalar's arithmetic."""
-        points, refused = [], None
-        try:
-            for t in ts:
-                points.append(float(t))
-        except (TypeError, ValueError, OverflowError) as err:
-            refused = err  # x_of_t raises it there, unless a t before it fails first
-        t = np.array(points, dtype=float)
+        ts is read once, each t converted by float() as x_of_t converts it;
+        a one-dimensional float64 array is taken as it is, since float()
+        gives each of its elements unchanged.  A closed-form map evaluates
+        x(t) as one evaluate_many batch; a tabulated one runs x_of_t's
+        iteration on every t at once, elementwise, which is bit for bit the
+        scalar's arithmetic."""
+        refused = None
+        if isinstance(ts, np.ndarray) and ts.dtype == np.float64 and ts.ndim == 1:
+            t = ts
+        else:
+            points = []
+            try:
+                for t in ts:
+                    points.append(float(t))
+            except (TypeError, ValueError, OverflowError) as err:
+                refused = err  # x_of_t raises it there, unless a t before it fails first
+            t = np.array(points, dtype=float)
         error = None
         off = np.flatnonzero(~_inside(t, self.domain_t, 1e-10))
         if len(off):
-            t, error = t[:off[0]], _outside("t", points[off[0]], self.domain_t)
+            t, error = t[:off[0]], _outside("t", t[off[0]].item(), self.domain_t)
         lo, hi = self.domain_t
         t = np.where(lo > t, lo, t)  # _clip's min(max(t, lo), hi), -0.0 kept
         t = np.where(hi < t, hi, t)

@@ -944,7 +944,7 @@ def test_an_unsolvable_guess_grid_changes_nothing(monkeypatch):
         discretize_canonical(prob, 50)
     assert eigensolver._guesses(prob, 50, 3) is None
     seeded = solve_spectrum(prob, 400, 3)
-    monkeypatch.setattr(eigensolver, "_guesses", lambda problem, m, count: None)
+    monkeypatch.setattr(eigensolver, "_guesses", lambda problem, m, count, map_: None)
     assert solve_spectrum(prob, 400, 3) == seeded
 
 
@@ -955,7 +955,7 @@ def test_a_grid_the_scheme_refuses_fails_before_any_guess_work(monkeypatch):
     dip = CanonicalSLP(parse("1 - 1.5*exp(-((x-0.50225)/0.0001)^2)"),
                        parse("0"), parse("1"), 0.0, 1.0)
 
-    def refuse(problem, m, count):
+    def refuse(problem, m, count, map_):
         raise AssertionError(f"{m}-point guess grid solved for a refused grid")
 
     monkeypatch.setattr(eigensolver, "_guesses", refuse)
@@ -1113,3 +1113,77 @@ def test_assembly_holds_one_list_of_values_at_a_time(form, bound):
         tracemalloc.stop()
     assert T.n == n
     assert peak <= bound * n, f"{peak / n:.1f} bytes per point"
+
+
+# ---------------------------------------------------------------------------
+# the canonical side of spectral_match: meshes uniform in the map's t
+
+
+def test_the_coarse_t_mesh_is_every_other_node_of_the_fine_one():
+    # h_f = h_c / 2 exactly, so t_{2i} on the fine mesh is t_i on the
+    # coarse one, and the map gives the same x there: the closed-form map
+    # of the paper's case1 problem (k = 1, m = 0.1), and the tabulated map
+    # of its forward transform
+    from slpkit.eigensolver import _t_nodes
+    from slpkit.inverse import build_case
+    from slpkit.liouville import forward_transform
+    result = build_case("case1", PaineSpec(1.0, 0.1))
+    tabulated = forward_transform(result.canonical, 1e-10)[1]
+    for map_ in (result.map, tabulated):
+        for n in (7, 200, 2000):
+            coarse, fine = _t_nodes(map_, n), _t_nodes(map_, 2 * n + 1)
+            assert len(fine) == 2 * n + 1
+            assert coarse.tobytes() == fine[1::2].tobytes(), (map_, n)
+
+
+@pytest.mark.parametrize("label, spec, params", SPECTRAL_CASES)
+def test_seeds_from_the_limits_move_no_eigenvalue(label, spec, params, monkeypatch):
+    from slpkit.inverse import build_case
+    result = build_case(label, spec, **params)
+    limits = solve_spectrum(paine_schrodinger(spec), 2000, 5).eigenvalues
+    newton = counting_newton(monkeypatch)
+    seeded = solve_spectrum(result.canonical, 2000, 5, _map=result.map, _limits=limits)
+    # the coarse grid's seeds are within about 1e-6: one step settles each
+    # (from the guess grid's eigenvalues it takes 10 to 15 steps)
+    assert newton[2000] == 5
+    plain = solve_spectrum(result.canonical, 2000, 5, _map=result.map)
+    for got, want in ((seeded.eigenvalues, plain.eigenvalues),
+                      (seeded.error_estimates, plain.error_estimates)):
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_a_seeded_t_mesh_solve_is_two_full_bisections():
+    # the paper's problem on 400 and 801 points uniform in t, against the
+    # bisection that counts every midpoint; its limits are off by the
+    # Schrodinger side's own error, as in spectral_match
+    from slpkit.eigensolver import _on_nodes, _t_nodes
+    from slpkit.inverse import build_case
+    result = build_case("case1", PaineSpec(1.0, 0.1))
+    problem, n = result.canonical, 400
+    limits = solve_spectrum(paine_schrodinger(PaineSpec(1.0, 0.1)), n, 5).eigenvalues
+    spectrum = solve_spectrum(problem, n, 5, _map=result.map, _limits=limits)
+    lam_n = oracle_eig_bisect(_on_nodes(problem, _t_nodes(result.map, n)), 5)
+    lam_2n = oracle_eig_bisect(_on_nodes(problem, _t_nodes(result.map, 2 * n + 1)), 5)
+    assert list(spectrum.eigenvalues) == [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
+
+
+def test_t_mesh_assembly_failures_name_the_t():
+    from slpkit.liouville import TransformMap
+    problem = CanonicalSLP(parse("1"), parse("0"), parse("1"), 0.0, 1.0)
+    identity = (parse("x"), (0.0, 1.0), (0.0, 1.0))
+    # a closed-form x(t) that raises at the t-mesh point t = 0.5 (n = 3)
+    failing = TransformMap.closed_form(identity[0], parse("0.5 + 0*ln(0.5 - t)", "t"),
+                                       *identity[1:])
+    with pytest.raises(SolverError) as err:
+        solve_spectrum(problem, 3, 1, _map=failing)
+    assert str(err.value) == ("x(t) failed on the t-mesh: ln of nonpositive argument in "
+                              "'ln(0.5-t)' at 0.5")
+    # a tabulated x(t) whose Newton iteration cannot resolve t: at x ~ 1000
+    # a 1e-6 cell leaves the best point ~6e-8 off in t
+    steep = TransformMap.tabulated([1000.0, 1000.0 + 1e-6], [0.0, 1.0], [1e6, 1e6])
+    with pytest.raises(SolverError, match=r"did not converge at t=0\.125"):
+        solve_spectrum(problem, 3, 1, _map=steep)
+    # an x(t) that runs backwards gives no mesh
+    backwards = TransformMap.closed_form(identity[0], parse("1 - t", "t"), *identity[1:])
+    with pytest.raises(SolverError, match=r"mesh node x=0\.5 is not above x=0\.75"):
+        solve_spectrum(problem, 3, 1, _map=backwards)

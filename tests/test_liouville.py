@@ -361,6 +361,27 @@ def test_x_of_t_many_reads_any_iterable_of_numbers_once():
             assert many == one_by_one, ts
 
 
+def test_x_of_t_many_takes_a_float64_array_as_a_list():
+    # a float64 array is read without float() per element: values, errors
+    # and texts stay those of the list, and the array is left as it was
+    steep = TransformMap.tabulated([1000.0, 1000.0 + 1e-6], [0.0, 1.0], [1e6, 1e6])
+    for map_ in _case4_maps() + (steep,):
+        alpha, beta = map_.domain_t
+        on_map = [alpha + (beta - alpha) * i / 8 for i in range(9)]
+        for t in (math.nan, beta + 1.0, -0.0, None):
+            ts = on_map if t is None else on_map[:4] + [t] + on_map[4:]
+            array = np.array(ts)
+            kept = array.tobytes()
+            outcomes = [_x_of_t_many_and_one_by_one(map_, ts, form)
+                        for form in (list, tuple, lambda ts: array)]
+            assert outcomes[0] == outcomes[1] == outcomes[2], (map_, t)
+            assert outcomes[0][0] == outcomes[0][1], (map_, t)
+            assert array.tobytes() == kept
+    # off the map: the text gives the t as the float it is
+    many, _ = _x_of_t_many_and_one_by_one(_case4_maps()[1], [0.5, math.nan], np.array)
+    assert many[1] is TransformError and many[2].startswith("t=nan outside")
+
+
 def test_x_of_t_many_edges_match_x_of_t():
     # x(t) = t keeps the sign of t = -0.0, which _clip keeps; a copy made
     # by the constructor has no node arrays from tabulated() and makes them

@@ -72,3 +72,28 @@ def test_canonical_eigenvalues_match_shooting(case4_report):
         assert abs(code - oracle) <= budget, (code, oracle, budget)
     # both forms have one spectrum: shooting on each agrees with the other
     assert shot == pytest.approx(case4_report.eigenvalues_schrodinger, abs=1e-8)
+
+
+# the canonical side of spectral_match on shapes whose maps are far from
+# uniform in x: (label, spec, parameters)
+SHOOTING_CASES = [
+    ("case1", PaineSpec(0.75, 0.1), {"k34_branch": "power"}),
+    ("case1", PaineSpec(1.0, 0.1), {}),
+    ("case1", PaineSpec(2.0, 0.1), {}),
+    ("case1", PaineSpec(3.0, 0.1), {}),
+    ("case2-B", PaineSpec(1.0, 0.1), {"q0": -2.98}),
+    ("case2-B", PaineSpec(1.0, 0.1), {"q0": -2.0}),
+]
+
+
+@pytest.mark.parametrize("label, spec, params", SHOOTING_CASES)
+def test_canonical_eigenvalues_on_the_t_mesh_match_shooting(label, spec, params):
+    # a fixed bound, not the gap budget: an unconverged canonical solve
+    # inflates its own Richardson estimate, and with it the budget
+    result = build_case(label, spec, **params)
+    report = spectral_match(result, spec, count=5, n=2000)
+    problem = result.canonical
+    shot = shoot(problem.p.evaluate, problem.q.evaluate, problem.r.evaluate,
+                 problem.a, problem.b, report.eigenvalues_canonical)
+    for code, oracle in zip(report.eigenvalues_canonical, shot):
+        assert abs(code - oracle) <= 1e-6, (code, oracle)
