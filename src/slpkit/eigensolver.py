@@ -8,7 +8,7 @@ the construction's map: x_i = x(t_i), with the conservative scheme's cell
 widths taken from the nodes.  There the canonical eigenvalues tend as
 O(h^2) in t to the limits the Schrodinger ones tend to, the fine grid's
 nodes hold the coarse grid's, and the Schrodinger Richardson values seed
-the canonical bisections (see solve_spectrum).
+the coarse canonical bisection (see solve_spectrum).
 
 Eigenvalues come from bisection on the Sturm sign count -- the number of
 negative pivots of the shifted LDL^T recurrence equals the number of
@@ -39,7 +39,7 @@ grid's are the eigenvalues of a grid of n // 8 points, or of 50 where
 that is more and at most n / 2; the fine grid's are the coarse
 eigenvalues moved by the O(h^2) error those two grids show (the coarse
 eigenvalues themselves where there is no guess grid); given the limits,
-each grid's guesses are the limits moved by that grid's O(h^2) error.
+the coarse grid's are the limits moved by that grid's O(h^2) error.
 And a path whose eigenvalue is not yet held tightly hands it to `_window`
 at the first depth where the held bounds show it alone between them, with
 the middle of those bounds as the guess: clustered spectra, whose guesses
@@ -490,8 +490,8 @@ def _t_nodes(map_, n: int) -> np.ndarray:
 
     With 2n + 1 points the width is exactly h/2 and t_{2i} is the n-point
     grid's t_i bit for bit, so the n-point nodes are the odd-indexed ones
-    of the (2n+1)-point nodes.  The first t where x(t) fails raises
-    SolverError.
+    of the (2n+1)-point nodes: Richardson's two grids are nested, as on a
+    mesh uniform in x.  The first t where x(t) fails raises SolverError.
     """
     alpha, beta = map_.domain_t
     ts = alpha + np.arange(1, n + 1) * ((beta - alpha) / (n + 1))
@@ -556,21 +556,16 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True, *,
 
     `_map` and `_limits` are private, from `spectral_match`.  With `_map`,
     a canonical problem is solved on meshes uniform in that map's t, at
-    the nodes x(t_i) (_t_nodes): one batch gives the fine grid's nodes,
-    and the coarse grid's are every other one of them.  `_limits` holds
-    O(h^4) estimates lam of the limits of the `count` eigenvalues (the
-    Schrodinger Richardson values of an exact construction).  Each grid's
-    eigenvalue is then about lam + C h^2, so the coarse guesses become
-    lam + (lam_m - lam) ((m+1)/(n+1))^2 (none without lam_m) and the fine
-    ones lam_n - 3/4 (lam_n - lam).  Guesses never move a midpoint: the
-    eigenvalues are those without them, bit for bit.
+    the nodes x(t_i) (_t_nodes).  `_limits` holds O(h^4) estimates lam of
+    the limits of the `count` eigenvalues (the Schrodinger Richardson
+    values of an exact construction).  The coarse eigenvalue is then about
+    lam + C h^2, so its guesses become lam + (lam_m - lam) ((m+1)/(n+1))^2
+    (none without lam_m); the fine guesses stay the prediction above.
+    Guesses never move a midpoint: the eigenvalues are those without them,
+    bit for bit.
     """
     # a grid the scheme refuses fails before any guess work
-    if _map is None:
-        coarse = _assemble(problem, n)
-    else:
-        nodes = _t_nodes(_map, 2 * n + 1)
-        coarse = _on_nodes(problem, nodes[1::2])
+    coarse = _assemble(problem, n, _map)
     m = max(n // _GUESS_DIV, 50)
     lam_m = _guesses(problem, m, count, _map) if 2 * m <= n and m >= 4 * count else None
     near = lam_m
@@ -583,13 +578,10 @@ def solve_spectrum(problem, n: int, count: int, richardson: bool = True, *,
         errors = [0.0] * count
     else:
         near = lam_n
-        if _limits is not None:
-            near = [l - 0.75 * (l - lam) for l, lam in zip(lam_n, _limits)]
-        elif lam_m is not None:
+        if lam_m is not None:
             ratio = 0.75 / (((n + 1) / (m + 1)) ** 2 - 1.0)
             near = [l + (l - g) * ratio for l, g in zip(lam_n, lam_m)]
-        fine = _assemble(problem, 2 * n + 1) if _map is None else _on_nodes(problem, nodes)
-        lam_2n = eig_bisect(fine, count, _near=near)
+        lam_2n = eig_bisect(_assemble(problem, 2 * n + 1, _map), count, _near=near)
         values = [(4.0 * l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         errors = [abs(l2 - l1) / 3.0 for l1, l2 in zip(lam_n, lam_2n)]
         # near-degenerate clusters can come out of the two grids in a

@@ -77,10 +77,10 @@ def spectral_match(result: InverseResult, spec: PaineSpec, count: int = 5,
     """Solve both forms with Richardson extrapolation and compare.
 
     The Schrodinger form is solved on n and 2n+1 points uniform in t, the
-    canonical form at the map's nodes x(t) of the same t-points; the fine
-    grid's nodes come from one map inversion and hold the coarse grid's.
-    For an exact construction the Schrodinger Richardson values seed the
-    canonical bisections, which changes their cost and never their values.
+    canonical form at the map's nodes x(t) of the same t-points, so the
+    fine grid's nodes hold the coarse grid's.  For an exact construction
+    the Schrodinger Richardson values seed the coarse canonical bisection,
+    which changes its cost and never its values.
 
     Exact cases pass when the round-trip residual is within 1e-8 and every
     gap |lambda_canonical - lambda_schrodinger| fits inside five times the
